@@ -8,19 +8,19 @@ echo "== rustfmt =="
 cargo fmt --all -- --check
 
 echo "== aurora-lint (workspace invariant gate, docs/LINTS.md) =="
-# One invocation gates the build, emits the SARIF artifact and records
-# the analyzer perf baseline: findings go to lint.sarif for
-# code-scanning upload, the human summary goes to stderr, and a
-# non-zero exit fails CI.
+# One invocation gates the build and emits the SARIF artifact: findings
+# go to lint.sarif for code-scanning upload, the human summary goes to
+# stderr, and a non-zero exit fails CI.
 mkdir -p target/ci
-cargo run -q -p aurora-lint -- --format sarif --bench target/ci/BENCH_lint.json > lint.sarif
+cargo run -q -p aurora-lint -- --format sarif > lint.sarif
 # The semantic rules (dataflow, concurrency, checkpoint drift, taint,
 # wire drift) must be in the shipped catalogue — a SARIF without them
 # means the gate silently lost coverage.
 for rule in L010 L011 L012 L013 L014 L015 L016; do
     grep -q "\"id\": \"$rule\"" lint.sarif
 done
-grep -q '"rules": 17' target/ci/BENCH_lint.json
+cargo run -q -p aurora-lint -- --list > target/ci/lint_rules.txt
+[ "$(grep -c '^L0' target/ci/lint_rules.txt)" -eq 17 ]
 
 echo "== aurora-lint --fix --dry-run (shipped tree needs no mechanical fixes) =="
 cargo run -q -p aurora-lint -- --fix --dry-run 2>&1 >/dev/null | grep -q "0 edit(s) planned"
@@ -57,16 +57,6 @@ cargo test -q --test block_replay_differential
 echo "== checkpoint differential (save/restore/resume bit-identical) =="
 cargo test -q --test checkpoint_differential
 
-echo "== perf smoke (block replay bit-identical at test scale) =="
-mkdir -p target/ci
-cargo run --release -q -p aurora-bench --bin perf_baseline -- \
-    --scale test --out target/ci/BENCH_replay.json --sim-out target/ci/BENCH_sim.json \
-    --sampled-out target/ci/BENCH_sampled.json
-grep -q '"stats_bit_identical": true' target/ci/BENCH_sim.json
-
-echo "== sampled smoke (suite-mean CPI error within 2% of full detail) =="
-grep -q '"mean_cpi_error_within_2pct": true' target/ci/BENCH_sampled.json
-
 echo "== service smoke (daemon answers a grid; repeat is all-memo, zero re-simulation) =="
 rm -rf target/ci/serve-store target/ci/aurora.sock
 ./target/release/aurora-serve --store target/ci/serve-store --unix target/ci/aurora.sock &
@@ -87,12 +77,5 @@ grep -q '"memo_hits":4' target/ci/serve_pass2.ndjson
 grep -q '"simulated":0' target/ci/serve_pass2.ndjson
 kill "$SERVE_PID"
 trap - EXIT
-
-echo "== serve perf smoke (cold/warm latency, memo hit rate, bit-identity) =="
-cargo run --release -q -p aurora-serve --bin serve_baseline -- \
-    --scale test --out target/ci/BENCH_serve.json
-grep -q '"memo_bit_identical": true' target/ci/BENCH_serve.json
-grep -q '"warm_hit_rate": 1.000' target/ci/BENCH_serve.json
-grep -q '"warm_simulated": 0' target/ci/BENCH_serve.json
 
 echo "CI OK"

@@ -16,7 +16,9 @@
 //! worst observed deviation (expected: 0).
 
 use aurora_bench::harness::{cpi, fp_suite, integer_suite, scale_from_args, TextTable};
-use aurora_core::{IssueWidth, MachineModel, Observer, SimStats, Simulator, StallCause, StallKind};
+use aurora_core::{
+    IssueWidth, MachineConfig, MachineModel, Observer, SimStats, Simulator, StallCause, StallKind,
+};
 use aurora_mem::LatencyModel;
 use aurora_workloads::{TraceStore, Workload};
 
@@ -27,7 +29,7 @@ struct Cell {
     obs: Observer,
 }
 
-fn observe(cfg: &aurora_core::MachineConfig, workload: &Workload) -> Cell {
+fn observe(cfg: &MachineConfig, workload: &Workload) -> Cell {
     let trace = TraceStore::global()
         .get(workload)
         .unwrap_or_else(|e| panic!("{} failed: {e}", workload.name()));
@@ -60,7 +62,7 @@ fn main() {
 
     let mut worst: (f64, &str, StallKind) = (0.0, "-", StallKind::ICache);
     for model in MachineModel::ALL {
-        let mut cfg = model.config(IssueWidth::Dual, LatencyModel::Fixed(17));
+        let mut cfg: MachineConfig = model.config(IssueWidth::Dual, LatencyModel::Fixed(17));
         // The knob under test: attach the cycle-event observer.
         cfg.observe = true;
 

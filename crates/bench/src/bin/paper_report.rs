@@ -197,31 +197,16 @@ fn book(md: &mut String, scale: Scale) {
             "rediscovers the paper's recommendation (baseline + MSHR upgrade)",
         ),
         (
-            "throughput / overhead numbers",
-            "`perf_baseline`",
-            "`perf_baseline -- --scale test`",
-            "`BENCH_replay.json`, `BENCH_sim.json`",
-            "host-dependent wall-clock; per-op, block-superinstruction and streamed \
-             modes asserted bit-identical (every row above replays through the \
-             block engine, see docs/MODEL.md \"Block lowering\")",
-        ),
-        (
-            "sampled-mode accuracy / speedup",
-            "`perf_baseline`",
-            "`perf_baseline -- --scale test`",
-            "`BENCH_sampled.json`",
-            "SMARTS-style sampling (docs/MODEL.md \"Sampled simulation\"): CPI per \
-             kernel × model vs. full-detail ground truth with 95% CIs; suite-mean \
-             error ≤ 2% and ≥ 5× throughput gate the CI smoke",
-        ),
-        (
-            "design-space query service",
-            "`aurora-serve`",
-            "`cargo run --release -p aurora-serve --bin serve_baseline -- --scale test` (full command)",
-            "`BENCH_serve.json`",
-            "not a paper number: cold-vs-warm latency, memo hit rate and pool \
-             parallelism for the memoised daemon (docs/SERVICE.md); warm cells \
-             asserted bit-identical to a direct `run_matrix` sweep",
+            "sweep and query speed",
+            "`aurora_benchmark`",
+            "`cargo run --release -p aurora-serve --bin aurora_benchmark -- run --seed 1 --out FILE` \
+             (full command)",
+            "stdout and the result file",
+            "not a paper number: end-to-end set-up time, throughput, latency and peak memory of \
+             cold and warm design-space sweeps and of warm and cold daemon queries \
+             (crates/serve/src/bin/aurora_benchmark/README.md); every row above replays \
+             through the block engine, asserted bit-identical to per-op replay, and sampled \
+             mode's suite-mean CPI error is gated at 2% by tests/sampled_accuracy.rs",
         ),
         (
             "workspace invariant gate",

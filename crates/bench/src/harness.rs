@@ -68,8 +68,8 @@ pub fn sweep_threads(cells: usize) -> usize {
 
 /// Observed execution profile of one [`run_matrix_timed`] grid drain.
 ///
-/// `parallelism` in `BENCH_replay.json` is the *achieved* figure from
-/// these measurements, not the pool size: a pool of N threads on a
+/// Parallelism is reported as the *achieved* figure from these
+/// measurements, not the pool size: a pool of N threads on a
 /// saturated or single-core host overlaps far less than N-fold, and
 /// reporting the thread count as parallelism would overstate the
 /// engine. Busy time is summed per worker around each cell's replay, so
@@ -100,15 +100,6 @@ impl MatrixMetrics {
             return 0.0;
         }
         self.per_thread_seconds.iter().sum::<f64>() / self.wall_seconds
-    }
-
-    /// Per-thread throughput over busy time, in cells per second.
-    pub fn per_thread_cells_per_sec(&self) -> Vec<f64> {
-        self.per_thread_cells
-            .iter()
-            .zip(&self.per_thread_seconds)
-            .map(|(&cells, &secs)| if secs > 0.0 { cells as f64 / secs } else { 0.0 })
-            .collect()
     }
 }
 
@@ -482,7 +473,6 @@ mod tests {
         // Small slack for timer skew between the per-cell and wall clocks.
         let achieved = m.achieved_parallelism();
         assert!(achieved > 0.0 && achieved <= m.threads as f64 * 1.05);
-        assert_eq!(m.per_thread_cells_per_sec().len(), m.threads);
     }
 
     #[test]

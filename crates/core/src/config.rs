@@ -77,8 +77,6 @@ impl MachineModel {
             dcache_latency: 3,
             branch_folding: true,
             write_validation: true,
-            cycle_skip: true,
-            block_replay: true,
             observe: false,
             fpu: FpuConfig::recommended(),
             seed: 0xA0707A_u64,
@@ -298,21 +296,6 @@ pub struct MachineConfig {
     /// Whether the write cache's page-field micro-TLB validates stores
     /// (§2.3). Disabling forces an MMU round trip for *every* store.
     pub write_validation: bool,
-    /// Whether the simulator jumps the clock straight to the next event
-    /// horizon across quiescent stall regions (the fast default). When
-    /// `false` the hot loop walks every intervening cycle and performs
-    /// unit maintenance at each one — a naive reference mode kept for
-    /// differential testing; both modes must produce identical stats.
-    pub cycle_skip: bool,
-    /// Whether block-mode replay
-    /// ([`Simulator::feed_blocks`](crate::Simulator::feed_blocks)) may
-    /// execute scoreboard-only superinstruction runs through the block
-    /// fast path. When `false`
-    /// the block engine still consumes a lowered `BlockTrace` but walks
-    /// it op by op — a reference mode for differential testing and for
-    /// isolating how much the fast path itself contributes. Stats are
-    /// bit-identical either way (asserted).
-    pub block_replay: bool,
     /// Whether the simulator attaches a cycle-event
     /// [`Observer`](crate::Observer) recording per-unit events, the
     /// fine-grained stall-cause attribution and histograms (see
@@ -336,11 +319,10 @@ impl MachineConfig {
     /// Deliberately excluded:
     ///
     /// * [`name`](MachineConfig::name) — a human-readable label;
-    /// * [`cycle_skip`](MachineConfig::cycle_skip),
-    ///   [`block_replay`](MachineConfig::block_replay) and
-    ///   [`observe`](MachineConfig::observe) — execution-mode knobs whose
-    ///   on/off statistics are proven bit-identical by the differential
-    ///   suites, so caching them separately would only split the memo.
+    /// * [`observe`](MachineConfig::observe) — an execution-mode knob
+    ///   whose on/off statistics are proven bit-identical by the
+    ///   differential suites, so caching it separately would only split
+    ///   the memo.
     ///
     /// The fingerprint is cross-process stable ([`Fnv1a`], little-endian
     /// field order as written below); any semantic-field addition must
@@ -575,8 +557,6 @@ mod tests {
         let a = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
         let mut b = a.clone();
         b.name = "other-label".to_owned();
-        b.cycle_skip = false;
-        b.block_replay = false;
         b.observe = true;
         assert_eq!(a.fingerprint(), b.fingerprint());
     }

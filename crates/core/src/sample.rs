@@ -64,15 +64,6 @@ impl SampledStats {
         }
         self.detailed_instructions as f64 / self.instructions as f64
     }
-
-    /// The confidence interval relative to the estimate
-    /// (`ci_half_width / cpi`), the headline ±x% figure.
-    pub fn relative_ci(&self) -> f64 {
-        if self.cpi == 0.0 {
-            return 0.0;
-        }
-        self.ci_half_width / self.cpi
-    }
 }
 
 /// Runs `trace` under `cfg` in sampling mode and returns the CPI

@@ -31,10 +31,10 @@
 //! reporting the earliest cycle its own state can change. Unit
 //! maintenance inside a jump is deferred and applied at the target cycle
 //! in arrival order, which is sound because all of it is monotone and
-//! path-independent (see `docs/MODEL.md`). A naive reference mode
-//! (`MachineConfig::cycle_skip = false`) instead walks every intervening
-//! cycle performing maintenance each time; both modes produce bit-equal
-//! [`SimStats`] and the differential suite enforces it.
+//! path-independent (see `docs/MODEL.md`). The naive reference engine
+//! (`Simulator::naive_reference`, a test oracle) instead walks every
+//! intervening cycle performing maintenance each time; both produce
+//! bit-equal [`SimStats`] and the differential suite enforces it.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -181,6 +181,10 @@ pub struct Simulator<'cfg> {
     obs_buf_len: u8,
     warm_cycle_offset: u64,
     stats: SimStats,
+    /// Whether the clock jumps straight to the event horizon; `false`
+    /// only in the naive reference engine ([`Simulator::naive_reference`]),
+    /// which walks every cycle.
+    horizon_jump: bool,
     /// Debug-build cross-check for the event-horizon protocol: the last
     /// `(now, horizon)` reported by [`Simulator::next_event_cycle`].
     /// While the machine is quiescent (no issue in between) the horizon
@@ -235,8 +239,27 @@ impl<'cfg> Simulator<'cfg> {
             obs_buf_len: 0,
             warm_cycle_offset: 0,
             stats: SimStats::default(),
+            horizon_jump: true,
             #[cfg(debug_assertions)]
             horizon_probe: std::cell::Cell::new(None),
+        }
+    }
+
+    /// The event-horizon oracle: a simulator that walks every cycle
+    /// between issue groups, performing unit maintenance at each one,
+    /// instead of jumping the clock to the next event horizon. It is a
+    /// reference engine for the differential suites, not a product mode:
+    /// its [`SimStats`] must be bit-equal to [`Simulator::new`]'s on any
+    /// trace, and [`Simulator::feed_blocks`] walks op by op under it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`MachineConfig::validate`].
+    #[doc(hidden)]
+    pub fn naive_reference(cfg: &'cfg MachineConfig) -> Simulator<'cfg> {
+        Simulator {
+            horizon_jump: false,
+            ..Simulator::new(cfg)
         }
     }
 
@@ -436,18 +459,15 @@ impl<'cfg> Simulator<'cfg> {
     /// transition). Runs may be entered at any interior op, so the
     /// fast path re-engages right after the delay-slot/redirect groups
     /// that follow a taken branch. Anything the loop does not model —
-    /// an attached observer or issue log, naive cycle stepping — falls
-    /// back to the full per-op [`issue_pair`](Simulator::feed) path,
+    /// an attached observer or issue log, the naive reference engine —
+    /// falls back to the full per-op [`issue_pair`](Simulator::feed) path,
     /// so [`SimStats`] stay bit-identical to per-op replay (asserted
     /// by the block differential suite).
     pub fn feed_blocks(&mut self, blocks: &BlockTrace) {
         // The fast path replicates the per-op walk only under the
         // default skip-mode semantics with no event consumers attached;
         // anything else falls back wholesale.
-        let fast_ok = self.cfg.cycle_skip
-            && self.cfg.block_replay
-            && self.obs.is_none()
-            && self.issue_log.is_none();
+        let fast_ok = self.horizon_jump && self.obs.is_none() && self.issue_log.is_none();
         for &tid in blocks.instances() {
             let Some(tmpl) = blocks.templates().get(tid as usize) else {
                 debug_assert!(false, "block instance {tid} out of range");
@@ -1131,12 +1151,12 @@ impl<'cfg> Simulator<'cfg> {
     /// maintenance (fill application, ROB retirement, MSHR release) is
     /// monotone and path-independent, so performing it once at `t`
     /// reaches the same state as performing it each cycle. The naive
-    /// reference mode walks every intervening cycle and performs
-    /// maintenance at each, validating exactly that claim: both modes
-    /// must produce bit-equal [`SimStats`].
+    /// reference engine walks every intervening cycle and performs
+    /// maintenance at each, validating exactly that claim: both must
+    /// produce bit-equal [`SimStats`].
     fn advance_to(&mut self, t: u64) {
         debug_assert!(t >= self.now, "clock moved backward: {} -> {t}", self.now);
-        if self.cfg.cycle_skip {
+        if self.horizon_jump {
             if self.next_fill_at <= t {
                 self.apply_fills(t);
             }

@@ -432,12 +432,6 @@ impl BlockTrace {
         self.total_ops == 0
     }
 
-    /// Number of pre-decoded ops held by the template pool — the
-    /// *static* footprint the dynamic trace collapsed to.
-    pub fn static_ops(&self) -> usize {
-        self.pool.len()
-    }
-
     /// Dynamic-to-static reuse factor: executed ops per pooled op.
     /// Loop-dominated traces score high; straight-line code scores ~1.
     pub fn reuse_factor(&self) -> f64 {
@@ -1113,7 +1107,6 @@ mod tests {
         assert_eq!(b.templates().len(), 1);
         assert_eq!(b.instances(), &[0, 0, 0]);
         assert_eq!(b.len(), 9);
-        assert_eq!(b.static_ops(), 3);
         assert!((b.reuse_factor() - 3.0).abs() < 1e-9);
         let replayed: Vec<TraceOp> = b.iter().collect();
         assert_eq!(replayed, ops);

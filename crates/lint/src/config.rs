@@ -554,7 +554,7 @@ sanitizers = ["QueryRequest::from_json_str"]
 kind = "json"
 writer_file = "crates/serve/src/proto.rs"
 writers = ["ResponseLine::to_json"]
-reader_file = "crates/bench/src/bin/serve_baseline.rs"
+reader_file = "crates/serve/tests/service_e2e.rs"
 readers = ["read_response"]
 
 [[wire]]

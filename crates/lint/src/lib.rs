@@ -9,7 +9,11 @@
 //! deterministic, and cycle values must not silently mix with counts. This
 //! crate parses the workspace source with a hand-rolled recursive-descent
 //! parser (no `syn` — tier-1 builds offline), builds a workspace-wide call
-//! graph, and enforces those invariants as lint rules L000–L009.
+//! graph, and enforces those invariants as lint rules L000–L009. Rules
+//! L010–L016 run deeper passes over the same graph: interval dataflow for
+//! wrapping arithmetic, lock-order and atomic-ordering checks, blocking
+//! calls in pool workers, checkpoint codec drift, taint from the
+//! service's socket boundary, and wire-format drift.
 //!
 //! The pipeline has two phases:
 //!
@@ -243,7 +247,8 @@ pub fn load_workspace_cached(
 }
 
 /// Run [`analyze_source`] over the cache-miss files, fanning out across
-/// threads. Order of the result is irrelevant — the caller sorts by path.
+/// threads. Results come back in job order: the caller pairs each one
+/// with its job's cache stamp by position.
 fn parse_parallel(jobs: &[(String, String, cache::Stamp)]) -> Vec<(String, FileAnalysis)> {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -257,7 +262,7 @@ fn parse_parallel(jobs: &[(String, String, cache::Stamp)]) -> Vec<(String, FileA
             .collect();
     }
     let next = AtomicUsize::new(0);
-    let out: Mutex<Vec<(String, FileAnalysis)>> = Mutex::new(Vec::with_capacity(jobs.len()));
+    let out: Mutex<Vec<(usize, String, FileAnalysis)>> = Mutex::new(Vec::with_capacity(jobs.len()));
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
@@ -266,11 +271,16 @@ fn parse_parallel(jobs: &[(String, String, cache::Stamp)]) -> Vec<(String, FileA
                     break;
                 };
                 let a = analyze_source(src);
-                out.lock().expect("analysis mutex").push((rel.clone(), a));
+                out.lock()
+                    .expect("analysis mutex")
+                    .push((i, rel.clone(), a));
             });
         }
     });
-    out.into_inner().expect("analysis mutex")
+    // Workers finish in completion order, not job order.
+    let mut out = out.into_inner().expect("analysis mutex");
+    out.sort_unstable_by_key(|(i, ..)| *i);
+    out.into_iter().map(|(_, rel, a)| (rel, a)).collect()
 }
 
 fn rel_path(root: &Path, path: &Path) -> String {

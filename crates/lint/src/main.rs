@@ -10,7 +10,6 @@
 //! aurora-lint --no-cache      # ignore target/aurora-lint.cache
 //! aurora-lint --fix           # rewrite stale/malformed pragmas in place
 //! aurora-lint --fix --dry-run # print the rewrites as a diff instead
-//! aurora-lint --bench <out>   # write analyzer perf baseline JSON to <out>
 //! ```
 
 use std::path::PathBuf;
@@ -38,20 +37,12 @@ fn main() -> ExitCode {
     let mut no_cache = false;
     let mut apply_fix = false;
     let mut dry_run = false;
-    let mut bench: Option<PathBuf> = None;
     let mut format = Format::Text;
     let mut i = 0usize;
     while i < args.len() {
         match args[i].as_str() {
             "--fix" => apply_fix = true,
             "--dry-run" => dry_run = true,
-            "--bench" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => bench = Some(PathBuf::from(p)),
-                    None => return usage("--bench needs an output path"),
-                }
-            }
             "--root" => {
                 i += 1;
                 match args.get(i) {
@@ -172,7 +163,6 @@ fn main() -> ExitCode {
     } else {
         Some(Cache::load(&cache_path, key))
     };
-    let started = std::time::Instant::now();
     let report = match analyze_with(&root, &cfg, cache.as_mut()) {
         Ok(r) => r,
         Err(e) => {
@@ -180,7 +170,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let elapsed = started.elapsed().as_secs_f64();
     if let Some(c) = &cache {
         c.save(&cache_path);
     }
@@ -215,36 +204,6 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         };
-    }
-
-    if let Some(out_path) = &bench {
-        let rate = if elapsed > 0.0 {
-            report.files_scanned as f64 / elapsed
-        } else {
-            0.0
-        };
-        let hit_rate = if report.files_scanned > 0 {
-            report.cache_hits as f64 / report.files_scanned as f64
-        } else {
-            0.0
-        };
-        let json = format!(
-            "{{\n  \"lint_baseline\": {{\n    \"files_scanned\": {},\n    \
-             \"elapsed_seconds\": {:.6},\n    \"files_per_second\": {:.1},\n    \
-             \"cache_hits\": {},\n    \"cache_hit_rate\": {:.3},\n    \"rules\": {},\n    \
-             \"findings\": {}\n  }}\n}}\n",
-            report.files_scanned,
-            elapsed,
-            rate,
-            report.cache_hits,
-            hit_rate,
-            rules::RULES.len(),
-            report.findings.len()
-        );
-        if let Err(e) = std::fs::write(out_path, json) {
-            eprintln!("aurora-lint: cannot write {}: {e}", out_path.display());
-            return ExitCode::FAILURE;
-        }
     }
 
     // Machine formats own stdout; the human summary moves to stderr so a
@@ -297,7 +256,7 @@ fn usage(err: &str) -> ExitCode {
     eprintln!(
         "usage: aurora-lint [--root <dir>] [--format text|json|sarif] [--graph]\n\
          \x20                  [--explain L0xx] [--fingerprint] [--list] [--no-cache]\n\
-         \x20                  [--fix [--dry-run]] [--bench <out.json>]\n\
+         \x20                  [--fix [--dry-run]]\n\
          \n\
          Parses the workspace rooted at the nearest lint.toml, builds the\n\
          cross-crate call graph, and enforces the hot-path, dead-counter,\n\

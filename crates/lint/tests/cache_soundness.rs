@@ -12,9 +12,9 @@
 
 use std::path::{Path, PathBuf};
 
-use aurora_lint::cache::Cache;
+use aurora_lint::cache::{Cache, Stamp};
 use aurora_lint::config::LintConfig;
-use aurora_lint::{analyze_with, cache_key};
+use aurora_lint::{analyze_source, analyze_with, cache_key};
 
 const LINT_TOML: &str = r#"exclude = []
 
@@ -134,5 +134,66 @@ fn warm_rerun_is_stable_and_fully_cached() {
         render(&second),
         "cached re-run must reproduce the report verbatim"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Files parsed in parallel must be cached under their own names. The
+/// parse workers finish in completion order, not path order, and an
+/// entry keyed by one file but holding another's facts makes every
+/// later warm run report declared roots and structs as missing. Large
+/// and small files alternate so that on any multi-core host a small
+/// file finishes before the large one claimed ahead of it. (With one
+/// core there is a single worker and the order cannot go wrong.)
+#[test]
+fn parallel_parse_caches_each_file_under_its_own_name() {
+    const ORDER_TOML: &str = "exclude = []\n\n[[hot]]\nfile = \"f00.rs\"\nroots = [\"f0_0\"]\n";
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("aurora-lint-cache-order-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create workspace dir");
+    std::fs::write(dir.join("lint.toml"), ORDER_TOML).expect("write lint.toml");
+    let files: Vec<String> = (0..16).map(|i| format!("f{i:02}.rs")).collect();
+    for (i, name) in files.iter().enumerate() {
+        let fns = if i % 2 == 0 { 400 } else { 1 };
+        let body: String = (0..fns)
+            .map(|j| format!("pub fn f{i}_{j}() -> u32 {{\n    {j}\n}}\n"))
+            .collect();
+        std::fs::write(dir.join(name), body).expect("write source file");
+    }
+    let cache_path = dir.join("aurora-lint.cache");
+    let key = cache_key(ORDER_TOML);
+
+    let (first, cache) = run_cached(&dir, &cache_path, key);
+    cache.save(&cache_path);
+    let (second, mut warm) = run_cached(&dir, &cache_path, key);
+    assert_eq!(
+        second.cache_hits,
+        files.len(),
+        "every file must hit the cache"
+    );
+    let render = |r: &aurora_lint::Report| {
+        r.findings
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+    };
+    assert!(render(&first).is_empty(), "{:?}", render(&first));
+    assert_eq!(
+        render(&first),
+        render(&second),
+        "warm run must match the cold run"
+    );
+    for name in &files {
+        let path = dir.join(name);
+        let src = std::fs::read_to_string(&path).expect("read source file");
+        let cached = warm
+            .lookup(name, &Stamp::of(&path, &src))
+            .expect("file is cached");
+        assert_eq!(
+            cached.facts,
+            analyze_source(&src).facts,
+            "{name} is cached with another file's facts"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,6 +13,58 @@ use aurora_serve::proto::{CellResult, QueryRequest, ResponseLine};
 use aurora_serve::{client, server, Engine, ResultStore};
 use aurora_workloads::workload_by_name;
 
+/// One NDJSON response stream, parsed: the cell lines' wire fingerprints
+/// and the summary counters.
+#[derive(Default)]
+struct Reply {
+    /// `(config index, workload name, stats fingerprint hex string)` per
+    /// cell line, in stream order.
+    fingerprints: Vec<(usize, String, String)>,
+    cells: u64,
+    memo_hits: u64,
+    simulated: u64,
+}
+
+/// Parses a response stream: cell lines, then exactly one summary line,
+/// which must come last.
+fn parse_reply(lines: &[String]) -> Reply {
+    let mut reply = Reply::default();
+    for (i, line) in lines.iter().enumerate() {
+        let v = Json::parse(line).expect("daemon emitted malformed JSON");
+        match v.get("type").and_then(Json::as_str) {
+            Some("cell") => {
+                let ci = v.get("config").and_then(Json::as_u64).expect("config") as usize;
+                let w = v.get("workload").and_then(Json::as_str).expect("workload");
+                let fp = v
+                    .get("stats")
+                    .and_then(|s| s.get("fingerprint"))
+                    .and_then(Json::as_str)
+                    .expect("fingerprint");
+                reply.fingerprints.push((ci, w.to_owned(), fp.to_owned()));
+            }
+            Some("summary") => {
+                assert_eq!(i + 1, lines.len(), "the summary must be the last line");
+                reply.cells = v.get("cells").and_then(Json::as_u64).expect("cells");
+                reply.memo_hits = v
+                    .get("memo_hits")
+                    .and_then(Json::as_u64)
+                    .expect("memo_hits");
+                reply.simulated = v
+                    .get("simulated")
+                    .and_then(Json::as_u64)
+                    .expect("simulated");
+            }
+            _ => panic!("unexpected response line: {line}"),
+        }
+    }
+    assert_eq!(
+        reply.fingerprints.len() as u64,
+        reply.cells,
+        "one cell line per summarised cell"
+    );
+    reply
+}
+
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("aurora-serve-e2e-{}-{tag}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -21,7 +73,8 @@ fn scratch(tag: &str) -> PathBuf {
 
 /// Two overlapping grid queries race on a fresh daemon; afterwards the
 /// union grid is fully memoised and a repeat query simulates nothing.
-/// Then the warm cells are checked bit-identical against run_matrix.
+/// Then the warm cells are checked bit-identical against run_matrix, both
+/// as engine-level `SimStats` and as the fingerprint on the wire.
 #[test]
 fn overlapping_queries_memoise_and_match_run_matrix() {
     let dir = scratch("overlap");
@@ -53,32 +106,34 @@ fn overlapping_queries_memoise_and_match_run_matrix() {
         (a.join().expect("query A"), b.join().expect("query B"))
     });
 
-    let summary = |lines: &[String]| {
-        let last = Json::parse(lines.last().expect("lines")).expect("json");
-        assert_eq!(last.get("type").and_then(Json::as_str), Some("summary"));
-        (
-            last.get("cells").and_then(Json::as_u64).unwrap(),
-            last.get("memo_hits").and_then(Json::as_u64).unwrap(),
-            last.get("simulated").and_then(Json::as_u64).unwrap(),
-        )
-    };
-    let (cells_a, memo_a, sim_a) = summary(&lines_a);
-    let (cells_b, memo_b, sim_b) = summary(&lines_b);
-    assert_eq!(cells_a, 2);
-    assert_eq!(cells_b, 4);
-    assert_eq!(memo_a + sim_a, 2, "every A cell answered exactly once");
-    assert_eq!(memo_b + sim_b, 4, "every B cell answered exactly once");
+    let (a, b) = (parse_reply(&lines_a), parse_reply(&lines_b));
+    assert_eq!(a.cells, 2);
+    assert_eq!(b.cells, 4);
+    assert_eq!(
+        a.memo_hits + a.simulated,
+        2,
+        "every A cell answered exactly once"
+    );
+    assert_eq!(
+        b.memo_hits + b.simulated,
+        4,
+        "every B cell answered exactly once"
+    );
     // Cell lines precede the summary and carry stats objects.
-    assert_eq!(lines_a.len() as u64, cells_a + 1);
-    assert_eq!(lines_b.len() as u64, cells_b + 1);
+    assert_eq!(lines_a.len() as u64, a.cells + 1);
+    assert_eq!(lines_b.len() as u64, b.cells + 1);
 
     // The union grid (5 distinct cells) is now warm: repeats of both
     // queries must hit the memo for every cell and simulate nothing.
+    let mut warm_b = Reply::default();
     for req in [req_a, req_b] {
-        let lines = run_query(req);
-        let (cells, memo, sim) = summary(&lines);
-        assert_eq!(memo, cells, "warm repeat must be all memo hits");
-        assert_eq!(sim, 0, "warm repeat must not re-simulate");
+        let reply = parse_reply(&run_query(req));
+        assert_eq!(
+            reply.memo_hits, reply.cells,
+            "warm repeat must be all memo hits"
+        );
+        assert_eq!(reply.simulated, 0, "warm repeat must not re-simulate");
+        warm_b = reply;
     }
     assert_eq!(engine.store().len(), 5, "five distinct cells memoised");
 
@@ -114,6 +169,17 @@ fn overlapping_queries_memoise_and_match_run_matrix() {
         assert_eq!(
             stats, &direct[*ci][wi],
             "memoised stats must be bit-identical to run_matrix for config {ci} × {wname}"
+        );
+    }
+    // The same cells as the socket client saw them: the `stats.fingerprint`
+    // string of each warm cell line is the direct sweep's fingerprint.
+    assert_eq!(warm_b.fingerprints.len(), 4);
+    for (ci, wname, fp) in &warm_b.fingerprints {
+        let wi = req.workloads.iter().position(|w| w == wname).expect("wi");
+        assert_eq!(
+            fp,
+            &format!("{:#018x}", direct[*ci][wi].fingerprint()),
+            "wire fingerprint must match run_matrix for config {ci} × {wname}"
         );
     }
 

@@ -9,7 +9,8 @@
 //!    register shape and address pattern — crossed with all three
 //!    machine models and both issue widths, comparing five engines
 //!    (streaming, packed, block fast path, block with the fast path
-//!    disabled, and block replay under the naive cycle-walking mode),
+//!    disabled by an attached issue log, and block replay under the
+//!    naive cycle-walking reference engine),
 //! 2. the full 15-kernel suite replayed block-wise vs per-op,
 //! 3. edge cases: odd-length and single-op traces (the `feed_packed`
 //!    tail-handling regression), all-branch traces (every block is one
@@ -89,10 +90,22 @@ fn op_from(seed: u64, i: usize) -> TraceOp {
     }
 }
 
-fn config(model: MachineModel, issue: IssueWidth, skip: bool) -> MachineConfig {
-    let mut cfg = model.config(issue, LatencyModel::Fixed(17));
-    cfg.cycle_skip = skip;
-    cfg
+fn config(model: MachineModel, issue: IssueWidth) -> MachineConfig {
+    model.config(issue, LatencyModel::Fixed(17))
+}
+
+/// Feeds `blocks` to `sim` and returns its statistics.
+fn run_blocks(mut sim: Simulator<'_>, blocks: &BlockTrace) -> SimStats {
+    sim.feed_blocks(blocks);
+    sim.finish()
+}
+
+/// Block replay with the fast path disabled: `feed_blocks` walks op by
+/// op whenever an issue log is attached.
+fn block_per_op(cfg: &MachineConfig, blocks: &BlockTrace) -> SimStats {
+    let mut sim = Simulator::new(cfg);
+    sim.enable_issue_log(1);
+    run_blocks(sim, blocks)
 }
 
 /// Runs all five engines over `ops` and asserts pairwise bit-equality.
@@ -102,16 +115,17 @@ fn assert_engines_agree(model: MachineModel, issue: IssueWidth, ops: &[TraceOp])
     let blocks = BlockTrace::lower(&trace);
     assert_eq!(blocks.len(), ops.len() as u64, "lowering dropped ops");
 
-    let cfg = config(model, issue, true);
+    let cfg = config(model, issue);
     let streamed = simulate(&cfg, ops.iter().copied());
     let packed = replay(&cfg, &trace);
     let block_fast = replay_blocks(&cfg, &blocks);
-    let mut per_op_cfg = cfg.clone();
-    per_op_cfg.block_replay = false;
-    let block_per_op = replay_blocks(&per_op_cfg, &blocks);
-    let naive_cfg = config(model, issue, false);
-    let block_naive = replay_blocks(&naive_cfg, &blocks);
-    let streamed_naive = simulate(&naive_cfg, ops.iter().copied());
+    let block_per_op = block_per_op(&cfg, &blocks);
+    let block_naive = run_blocks(Simulator::naive_reference(&cfg), &blocks);
+    let mut streamed_naive = Simulator::naive_reference(&cfg);
+    for op in ops {
+        streamed_naive.feed(*op);
+    }
+    let streamed_naive = streamed_naive.finish();
 
     assert_eq!(packed, streamed, "packed != streamed");
     assert_eq!(block_fast, streamed, "block fast path != streamed");
@@ -172,7 +186,8 @@ proptest! {
 }
 
 /// Every kernel in both suites produces bit-identical `SimStats` whether
-/// replayed block-wise (fast path on or off) or op-by-op.
+/// replayed block-wise (fast path on, or off under an attached observer)
+/// or op-by-op.
 #[test]
 fn all_kernels_agree_block_vs_per_op() {
     let mut workloads: Vec<Workload> = IntBenchmark::ALL
@@ -190,14 +205,14 @@ fn all_kernels_agree_block_vs_per_op() {
         let blocks = BlockTrace::lower(&trace);
         assert_eq!(blocks.len(), trace.len() as u64);
         for issue in [IssueWidth::Single, IssueWidth::Dual] {
-            let cfg = config(MachineModel::Baseline, issue, true);
+            let cfg = config(MachineModel::Baseline, issue);
             let per_op = replay(&cfg, &trace);
             let block = replay_blocks(&cfg, &blocks);
             assert_eq!(block, per_op, "{} diverged ({issue:?})", w.name());
-            let mut ref_cfg = cfg.clone();
-            ref_cfg.block_replay = false;
+            let mut observed = Simulator::new(&cfg);
+            observed.enable_observer(64);
             assert_eq!(
-                replay_blocks(&ref_cfg, &blocks),
+                run_blocks(observed, &blocks),
                 per_op,
                 "{} diverged with the fast path disabled ({issue:?})",
                 w.name()
@@ -278,7 +293,7 @@ fn mixed_feed_and_block_delivery_agree() {
         .collect();
     for split in [1usize, 3, 7, 39] {
         for issue in [IssueWidth::Single, IssueWidth::Dual] {
-            let cfg = config(MachineModel::Baseline, issue, true);
+            let cfg = config(MachineModel::Baseline, issue);
             let whole = simulate(&cfg, ops.iter().copied());
 
             let mut sim = Simulator::new(&cfg);

@@ -1,6 +1,7 @@
 //! Differential validation of event-horizon scheduling: the cycle-skip
 //! fast path must be *observationally identical* to the naive reference
-//! mode that walks every intervening cycle performing unit maintenance.
+//! engine (`Simulator::naive_reference`) that walks every intervening
+//! cycle performing unit maintenance.
 //!
 //! Two layers of evidence:
 //!
@@ -11,7 +12,9 @@
 //!
 //! Equality is `SimStats: Eq` — bit-identical counters, not tolerances.
 
-use aurora3::core::{replay, simulate, IssueWidth, MachineConfig, MachineModel, SimStats};
+use aurora3::core::{
+    replay, simulate, IssueWidth, MachineConfig, MachineModel, SimStats, Simulator,
+};
 use aurora3::isa::{ArchReg, MemWidth, OpKind, TraceOp};
 use aurora3::mem::LatencyModel;
 use aurora3::workloads::{FpBenchmark, IntBenchmark, Scale, Workload};
@@ -82,16 +85,18 @@ fn op_from(seed: u64, i: usize) -> TraceOp {
     }
 }
 
-fn config(model: MachineModel, issue: IssueWidth, skip: bool) -> MachineConfig {
-    let mut cfg = model.config(issue, LatencyModel::Fixed(17));
-    cfg.cycle_skip = skip;
-    cfg
+fn config(model: MachineModel, issue: IssueWidth) -> MachineConfig {
+    model.config(issue, LatencyModel::Fixed(17))
 }
 
 fn both_modes(model: MachineModel, issue: IssueWidth, ops: &[TraceOp]) -> (SimStats, SimStats) {
-    let skip = simulate(&config(model, issue, true), ops.iter().copied());
-    let naive = simulate(&config(model, issue, false), ops.iter().copied());
-    (skip, naive)
+    let cfg = config(model, issue);
+    let skip = simulate(&cfg, ops.iter().copied());
+    let mut naive = Simulator::naive_reference(&cfg);
+    for op in ops {
+        naive.feed(*op);
+    }
+    (skip, naive.finish())
 }
 
 proptest! {
@@ -134,9 +139,11 @@ fn all_kernels_agree_skip_vs_naive() {
     for w in &workloads {
         let trace = w.capture().expect("kernel captures");
         for issue in [IssueWidth::Single, IssueWidth::Dual] {
-            let skip = replay(&config(MachineModel::Baseline, issue, true), &trace);
-            let naive = replay(&config(MachineModel::Baseline, issue, false), &trace);
-            assert_eq!(skip, naive, "{} diverged ({issue:?})", w.name());
+            let cfg = config(MachineModel::Baseline, issue);
+            let skip = replay(&cfg, &trace);
+            let mut naive = Simulator::naive_reference(&cfg);
+            naive.feed_packed(&trace);
+            assert_eq!(skip, naive.finish(), "{} diverged ({issue:?})", w.name());
         }
     }
 }
