@@ -57,6 +57,16 @@ cargo test -q --test block_replay_differential
 echo "== checkpoint differential (save/restore/resume bit-identical) =="
 cargo test -q --test checkpoint_differential
 
+echo "== trace-cache smoke (AURORA_TRACE_CACHE persists .trc captures, no .blk) =="
+# The second run loads every capture from disk; the report has no
+# timings, so both stdouts must match byte for byte.
+rm -rf target/ci/tcache
+AURORA_TRACE_CACHE=target/ci/tcache ./target/release/paper_report --scale test > target/ci/tcache_run1.txt
+AURORA_TRACE_CACHE=target/ci/tcache ./target/release/paper_report --scale test > target/ci/tcache_run2.txt
+cmp target/ci/tcache_run1.txt target/ci/tcache_run2.txt
+ls target/ci/tcache/*.trc > /dev/null
+[ -z "$(find target/ci/tcache -name '*.blk')" ]
+
 echo "== service smoke (daemon answers a grid; repeat is all-memo, zero re-simulation) =="
 rm -rf target/ci/serve-store target/ci/aurora.sock
 ./target/release/aurora-serve --store target/ci/serve-store --unix target/ci/aurora.sock &

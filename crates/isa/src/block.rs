@@ -6,15 +6,20 @@
 //! gathering for every dynamic instruction. [`BlockTrace`] amortises
 //! that work at lowering time: the dynamic trace is segmented into
 //! *basic blocks* — maximal runs of ops ending at each control-flow
-//! change — and identical blocks are deduplicated into static
+//! change — and blocks of identical static code are deduplicated into
 //! *templates* holding pre-decoded [`TraceOp`]s plus a pre-resolved
 //! footprint (register read/write sets, batchable runs, static
 //! dual-issue pairing, dynamic-source-check masks, touched fetch
-//! pairs, unit demand and a worst-case latency class). Replay then
-//! streams one `u32` template id per dynamic block instead of sixteen
-//! bytes per op, and the timing core executes whole runs through a
-//! specialised issue loop whose fetch, source and pairing checks were
-//! resolved at lowering time.
+//! pairs, unit demand and a worst-case latency class). A template is a
+//! property of the code, not of one execution: its memory ops carry no
+//! effective address. The addresses live in one `u32` operand stream,
+//! one entry per dynamic memory op in trace order, so a loop striding
+//! through an array still lowers to one template per static block.
+//! Replay then streams one `u32` template id per dynamic block plus
+//! one address per memory op instead of sixteen bytes per op, and the
+//! timing core executes whole runs through a specialised issue loop
+//! whose fetch, source and pairing checks were resolved at lowering
+//! time.
 //!
 //! The lowering is purely a re-encoding: [`BlockTrace::iter`] yields
 //! exactly the ops of the source trace, in order, and the simulator
@@ -25,70 +30,33 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::io::{self, Read, Write};
 
-use crate::packed::PackedTrace;
+use crate::packed::{PackedOp, PackedTrace};
 use crate::trace::{ArchReg, OpKind, TraceOp, TraceStats};
-use crate::trace_io::{TraceReader, TraceWriter};
 
-/// Template dedup map. Hashing every dynamic block dominates lowering
-/// cost with the default SipHash, so the map uses a multiply-fold
-/// hasher (FxHash-style): lowering is a trusted offline step with no
-/// adversarial keys, and the op encoding mixes well under
-/// multiplication.
-type DedupMap = HashMap<Vec<TraceOp>, u32, BuildHasherDefault<FxHasher>>;
+/// Lowering-time template index: candidate template ids by the pc a
+/// block starts at. One FxHash-style multiply-fold per dynamic block:
+/// lowering is a trusted offline step with no adversarial keys.
+type TemplateIndex = HashMap<u32, Vec<u32>, BuildHasherDefault<PcHasher>>;
 
-/// Word-at-a-time multiply-fold hasher for the dedup map.
+/// Multiply-fold hasher for the `u32` pcs keying [`TemplateIndex`].
 #[derive(Default)]
-struct FxHasher(u64);
+struct PcHasher(u64);
 
-impl FxHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-    #[inline]
-    fn fold(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
+impl Hasher for PcHasher {
     fn finish(&self) -> u64 {
         self.0
     }
 
-    #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in chunks.by_ref() {
-            self.fold(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        for &b in bytes {
+            self.write_u32(u32::from(b));
         }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.fold(u64::from_le_bytes(tail));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.fold(u64::from(n));
     }
 
     #[inline]
     fn write_u32(&mut self, n: u32) {
-        self.fold(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.fold(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.fold(n as u64);
+        self.0 = (self.0.rotate_left(5) ^ u64::from(n)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
     }
 }
 
@@ -292,6 +260,11 @@ pub struct BlockTemplate {
     /// replacement for scanning [`runs`](Self::runs) at every
     /// candidate entry point.
     pub batch_mask: u64,
+    /// Bit `j` set: op `j` accesses data memory. Its pooled op carries
+    /// no effective address; the address is entry
+    /// [`addr_index(j)`](Self::addr_index) of the block instance's
+    /// slice of [`BlockTrace::addrs`].
+    pub mem_mask: u64,
     /// Issue-slot demand by unit class.
     pub demand: ClassDemand,
     /// Worst-case latency class over the block's ops.
@@ -324,84 +297,127 @@ impl BlockTemplate {
             .iter()
             .find(|r| usize::from(r.start) <= i && i < usize::from(r.end))
     }
+
+    /// Where memory op `j`'s effective address sits in its block
+    /// instance's slice of [`BlockTrace::addrs`]: the number of memory
+    /// ops before it (the popcount of [`mem_mask`](Self::mem_mask)
+    /// below bit `j`).
+    #[inline]
+    pub fn addr_index(&self, j: usize) -> usize {
+        (self.mem_mask & ((1u64 << (j as u32 & 63)) - 1)).count_ones() as usize
+    }
 }
 
 /// A dynamic trace lowered to basic-block superinstructions.
 ///
 /// Layout: `pool` concatenates the pre-decoded ops of every distinct
-/// template; `seq` holds one template id per *dynamic* block instance.
-/// Loops collapse to repeated ids, so replay streams ~4 bytes per
-/// executed block instead of 16 bytes per executed op and the decoded
-/// templates stay hot in cache.
+/// template, with memory ops' effective addresses cleared; `seq` holds
+/// one template id per *dynamic* block instance; `addrs` holds one
+/// effective address per dynamic memory op, in trace order. Loops
+/// collapse to repeated ids, so replay streams ~4 bytes per executed
+/// block plus 4 per memory op instead of 16 bytes per executed op, and
+/// the decoded templates stay hot in cache.
 ///
 /// ```
-/// use aurora_isa::{BlockTrace, OpKind, PackedTrace, TraceOp};
+/// use aurora_isa::{BlockTrace, MemWidth, OpKind, PackedTrace, TraceOp};
 ///
-/// let branch = TraceOp::bare(8, OpKind::Branch { taken: true, target: 0 });
-/// let body = [TraceOp::bare(0, OpKind::IntAlu), TraceOp::bare(4, OpKind::IntAlu), branch];
-/// // Two iterations of the same loop body...
-/// let trace: PackedTrace = body.iter().chain(body.iter()).copied().collect();
+/// let load = |ea| TraceOp::bare(0, OpKind::Load { ea, width: MemWidth::Word });
+/// let branch = TraceOp::bare(4, OpKind::Branch { taken: true, target: 0 });
+/// // Two iterations of the same loop body, loading different words...
+/// let trace: PackedTrace = [load(0x100), branch, load(0x104), branch].into_iter().collect();
 /// let blocks = BlockTrace::lower(&trace);
-/// // ...lower to ONE static template replayed twice.
+/// // ...lower to ONE static template replayed twice, plus two addresses.
 /// assert_eq!(blocks.templates().len(), 1);
 /// assert_eq!(blocks.instances(), &[0, 0]);
-/// assert_eq!(blocks.iter().count(), 6);
+/// assert_eq!(blocks.addrs(), &[0x100, 0x104]);
+/// assert!(blocks.iter().eq(trace.iter()));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockTrace {
     pool: Vec<TraceOp>,
     templates: Vec<BlockTemplate>,
     seq: Vec<u32>,
+    addrs: Vec<u32>,
     total_ops: u64,
     stats: TraceStats,
 }
 
 impl BlockTrace {
     /// Lowers a packed trace: segments it at control-flow ops (and at
-    /// the [`MAX_BLOCK_OPS`] cap), deduplicates identical blocks into
-    /// templates, and pre-resolves each template's footprint.
+    /// the [`MAX_BLOCK_OPS`] cap), deduplicates blocks of identical
+    /// static code into templates, pre-resolves each template's
+    /// footprint, and moves every memory op's effective address into
+    /// the operand stream. Records are compared in packed form; only a
+    /// block that starts a new template is decoded.
     pub fn lower(trace: &PackedTrace) -> BlockTrace {
-        let mut b = BlockTrace::lower_ops(trace.iter());
-        b.stats = *trace.stats();
-        b
+        let s = trace.stats();
+        let mut out = BlockTrace {
+            addrs: Vec::with_capacity(
+                usize::try_from(s.loads + s.stores + s.fp_loads + s.fp_stores).unwrap_or(0),
+            ),
+            stats: *s,
+            ..BlockTrace::default()
+        };
+        let mut index = TemplateIndex::default();
+        // Each template's records with addresses cleared, laid out like
+        // the op pool: what a candidate block is compared against.
+        let mut keys: Vec<PackedOp> = Vec::new();
+        let mut rest = trace.records();
+        while !rest.is_empty() {
+            let len = rest
+                .iter()
+                .take(MAX_BLOCK_OPS)
+                .position(PackedOp::is_control_flow)
+                .map_or(rest.len().min(MAX_BLOCK_OPS), |p| p + 1);
+            let (block, tail) = rest.split_at(len);
+            rest = tail;
+            out.total_ops += len as u64;
+            out.addrs.extend(
+                block
+                    .iter()
+                    .filter(|r| r.is_memory())
+                    .map(PackedOp::payload),
+            );
+            let Some(head) = block.first() else { continue };
+            let candidates = index.entry(head.pc()).or_default();
+            // Compared last record first: blocks from one head pc mostly
+            // differ only in their control op's outcome or target.
+            let found = candidates.iter().copied().find(|&id| {
+                out.templates.get(id as usize).is_some_and(|t| {
+                    let start = t.start as usize;
+                    keys.get(start..start + t.len()).is_some_and(|k| {
+                        k.len() == block.len()
+                            && k.iter()
+                                .rev()
+                                .zip(block.iter().rev())
+                                .all(|(k, r)| *k == r.without_address())
+                    })
+                })
+            });
+            let id = found.unwrap_or_else(|| {
+                let id = u32::try_from(out.templates.len()).unwrap_or(u32::MAX);
+                let start = out.pool.len();
+                keys.extend(block.iter().map(PackedOp::without_address));
+                let decoded = keys
+                    .get(start..)
+                    .unwrap_or(&[])
+                    .iter()
+                    .map(PackedOp::unpack);
+                out.pool.extend(decoded);
+                let ops = out.pool.get(start..).unwrap_or(&[]);
+                let tmpl = analyze(u32::try_from(start).unwrap_or(u32::MAX), ops);
+                out.templates.push(tmpl);
+                candidates.push(id);
+                id
+            });
+            out.seq.push(id);
+        }
+        out
     }
 
     /// Lowers an arbitrary op stream (trace statistics are recomputed).
     pub fn lower_ops(ops: impl IntoIterator<Item = TraceOp>) -> BlockTrace {
-        let mut out = BlockTrace::default();
-        let mut dedup: DedupMap = HashMap::default();
-        let mut cur: Vec<TraceOp> = Vec::with_capacity(MAX_BLOCK_OPS);
-        for op in ops {
-            out.stats.record(&op);
-            cur.push(op);
-            if op.kind.is_control_flow() || cur.len() == MAX_BLOCK_OPS {
-                out.emit(&mut dedup, &mut cur);
-            }
-        }
-        out.emit(&mut dedup, &mut cur);
-        out
-    }
-
-    fn emit(&mut self, dedup: &mut DedupMap, cur: &mut Vec<TraceOp>) {
-        if cur.is_empty() {
-            return;
-        }
-        self.total_ops += cur.len() as u64;
-        if let Some(&id) = dedup.get(cur.as_slice()) {
-            self.seq.push(id);
-            cur.clear();
-            return;
-        }
-        let id = u32::try_from(self.templates.len()).unwrap_or(u32::MAX);
-        let start = u32::try_from(self.pool.len()).unwrap_or(u32::MAX);
-        let tmpl = analyze(start, cur);
-        self.templates.push(tmpl);
-        self.pool.extend_from_slice(cur);
-        // Clone the key (one allocation per *unique* template) so `cur`
-        // keeps its capacity for the next — usually deduplicated — block.
-        dedup.insert(cur.clone(), id);
-        cur.clear();
-        self.seq.push(id);
+        BlockTrace::lower(&ops.into_iter().collect())
     }
 
     /// The deduplicated static templates.
@@ -414,7 +430,15 @@ impl BlockTrace {
         &self.seq
     }
 
-    /// The pre-decoded ops of `tmpl` (a slice into the shared pool).
+    /// The operand stream: one effective address per dynamic memory op,
+    /// in trace order. A block instance's addresses are the next
+    /// `demand.mem_ops` entries, in op order.
+    pub fn addrs(&self) -> &[u32] {
+        &self.addrs
+    }
+
+    /// The pre-decoded ops of `tmpl` (a slice into the shared pool),
+    /// with memory ops' effective addresses cleared.
     pub fn ops_of(&self, tmpl: &BlockTemplate) -> &[TraceOp] {
         let start = tmpl.start as usize;
         self.pool
@@ -447,203 +471,23 @@ impl BlockTrace {
     }
 
     /// Iterates over the dynamic op stream the lowering encodes —
-    /// exactly the ops of the source trace, in order.
+    /// exactly the ops of the source trace, in order, each memory op
+    /// carrying its effective address again.
     pub fn iter(&self) -> impl Iterator<Item = TraceOp> + '_ {
+        let mut addrs = self.addrs.iter().copied();
         self.seq
             .iter()
             .filter_map(|&id| self.templates.get(id as usize))
             .flat_map(|t| self.ops_of(t).iter().copied())
-    }
-}
-
-/// Magic number of the serialised block-trace format.
-const BLOCK_MAGIC: &[u8; 8] = b"AUR3BLK\0";
-
-/// On-disk layout version of [`BlockTrace::write_to`]. Bump when the
-/// section layout changes. Changes to the template *analysis* (runs,
-/// pairing, plans) need no bump: only op data is serialised, and
-/// templates are re-derived from it at read time, so an old file always
-/// yields the current lowering.
-pub const BLOCK_FORMAT_VERSION: u32 = 1;
-
-/// Number of `u64` words in the serialised [`TraceStats`] section.
-const TRACE_STAT_WORDS: usize = 11;
-
-fn bad_blk(msg: impl fmt::Display) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("block trace file: {msg}"),
-    )
-}
-
-fn stat_words(s: &TraceStats) -> [u64; TRACE_STAT_WORDS] {
-    [
-        s.total,
-        s.int_alu,
-        s.int_muldiv,
-        s.loads,
-        s.stores,
-        s.fp_loads,
-        s.fp_stores,
-        s.branches,
-        s.taken_branches,
-        s.jumps,
-        s.fp_ops,
-    ]
-}
-
-fn stats_from_words(w: &[u64; TRACE_STAT_WORDS]) -> TraceStats {
-    TraceStats {
-        total: w[0],
-        int_alu: w[1],
-        int_muldiv: w[2],
-        loads: w[3],
-        stores: w[4],
-        fp_loads: w[5],
-        fp_stores: w[6],
-        branches: w[7],
-        taken_branches: w[8],
-        jumps: w[9],
-        fp_ops: w[10],
-    }
-}
-
-fn read_u32<R: Read>(source: &mut R) -> io::Result<u32> {
-    let mut word = [0u8; 4];
-    source.read_exact(&mut word)?;
-    Ok(u32::from_le_bytes(word))
-}
-
-fn read_u64<R: Read>(source: &mut R) -> io::Result<u64> {
-    let mut word = [0u8; 8];
-    source.read_exact(&mut word)?;
-    Ok(u64::from_le_bytes(word))
-}
-
-impl BlockTrace {
-    /// Serialises the lowering so a sweep can skip both the emulator
-    /// capture *and* the lowering pass on later runs (the `.blk` disk
-    /// cache in `aurora-workloads`' trace store).
-    ///
-    /// Only op data crosses the boundary: the header, the source-trace
-    /// statistics, one op count per template, the dynamic instance
-    /// sequence, and the pooled ops as an embedded `trace_io` stream
-    /// (last, so the record stream is end-of-file-delimited). Template
-    /// starts are implied by the counts — pool extents are contiguous
-    /// by construction — and the pre-resolved footprints (runs, pairing
-    /// masks, [`SegPlan`]s) are recomputed by [`BlockTrace::read_from`],
-    /// which keeps the format stable across analysis improvements and
-    /// makes a round trip exactly reproduce a fresh lowering.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn write_to<W: Write>(&self, mut sink: W) -> io::Result<()> {
-        sink.write_all(BLOCK_MAGIC)?;
-        sink.write_all(&BLOCK_FORMAT_VERSION.to_le_bytes())?;
-        sink.write_all(&self.total_ops.to_le_bytes())?;
-        for word in stat_words(&self.stats) {
-            sink.write_all(&word.to_le_bytes())?;
-        }
-        let n = u32::try_from(self.templates.len()).map_err(|_| bad_blk("too many templates"))?;
-        sink.write_all(&n.to_le_bytes())?;
-        for tmpl in &self.templates {
-            sink.write_all(&u32::from(tmpl.len).to_le_bytes())?;
-        }
-        let n = u32::try_from(self.seq.len()).map_err(|_| bad_blk("too many instances"))?;
-        sink.write_all(&n.to_le_bytes())?;
-        for id in &self.seq {
-            sink.write_all(&id.to_le_bytes())?;
-        }
-        let mut w = TraceWriter::new(sink)?;
-        for op in &self.pool {
-            w.write(op)?;
-        }
-        w.finish()?;
-        Ok(())
-    }
-
-    /// Reads a lowering written by [`BlockTrace::write_to`], re-running
-    /// the footprint analysis on the pooled ops so the result is
-    /// bit-identical to lowering the source trace afresh.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` for a malformed header, record or section
-    /// (bad magic, unsupported version, out-of-range template extents or
-    /// instance ids, op counts that disagree with the stored totals),
-    /// and propagates I/O errors. Callers using the format as a cache
-    /// treat any error as a miss and re-lower.
-    pub fn read_from<R: Read>(mut source: R) -> io::Result<BlockTrace> {
-        let mut magic = [0u8; 8];
-        source.read_exact(&mut magic)?;
-        if &magic != BLOCK_MAGIC {
-            return Err(bad_blk("bad magic"));
-        }
-        let version = read_u32(&mut source)?;
-        if version != BLOCK_FORMAT_VERSION {
-            return Err(bad_blk(format!("unsupported version {version}")));
-        }
-        let total_ops = read_u64(&mut source)?;
-        let mut words = [0u64; TRACE_STAT_WORDS];
-        for word in &mut words {
-            *word = read_u64(&mut source)?;
-        }
-        let stats = stats_from_words(&words);
-        if stats.total != total_ops {
-            return Err(bad_blk("trace statistics disagree with op total"));
-        }
-        let n_templates = read_u32(&mut source)? as usize;
-        // Reserve conservatively: a lying count fails at the first
-        // truncated read instead of a huge up-front allocation.
-        let mut lens: Vec<usize> = Vec::with_capacity(n_templates.min(1 << 16));
-        for _ in 0..n_templates {
-            let len = read_u32(&mut source)? as usize;
-            if len == 0 || len > MAX_BLOCK_OPS {
-                return Err(bad_blk("template length out of range"));
-            }
-            lens.push(len);
-        }
-        let n_seq = read_u32(&mut source)? as usize;
-        let mut seq: Vec<u32> = Vec::with_capacity(n_seq.min(1 << 20));
-        for _ in 0..n_seq {
-            seq.push(read_u32(&mut source)?);
-        }
-        let pool: Vec<TraceOp> = TraceReader::new(source)?.collect::<io::Result<_>>()?;
-        let mut templates = Vec::with_capacity(lens.len());
-        let mut start = 0usize;
-        for len in lens {
-            let end = start
-                .checked_add(len)
-                .filter(|&e| e <= pool.len())
-                .ok_or_else(|| bad_blk("template extent out of range"))?;
-            let ops = pool
-                .get(start..end)
-                .ok_or_else(|| bad_blk("template extent"))?;
-            let start32 = u32::try_from(start).map_err(|_| bad_blk("op pool too large"))?;
-            templates.push(analyze(start32, ops));
-            start = end;
-        }
-        if start != pool.len() {
-            return Err(bad_blk("templates do not tile the op pool"));
-        }
-        let mut counted = 0u64;
-        for &id in &seq {
-            let tmpl = templates
-                .get(id as usize)
-                .ok_or_else(|| bad_blk("instance id out of range"))?;
-            counted += u64::from(tmpl.len);
-        }
-        if counted != total_ops {
-            return Err(bad_blk("instance ops disagree with op total"));
-        }
-        Ok(BlockTrace {
-            pool,
-            templates,
-            seq,
-            total_ops,
-            stats,
-        })
+            .map(move |op| {
+                if !op.kind.is_memory() {
+                    return op;
+                }
+                TraceOp {
+                    kind: op.kind.with_address(addrs.next().unwrap_or(0)),
+                    ..op
+                }
+            })
     }
 }
 
@@ -754,6 +598,7 @@ fn analyze(start: u32, ops: &[TraceOp]) -> BlockTemplate {
         plan_mask: 0,
         plans: Vec::new(),
         batch_mask: 0,
+        mem_mask: 0,
         demand: ClassDemand::default(),
         latency: LatencyClass::Alu,
     };
@@ -786,6 +631,7 @@ fn analyze(start: u32, ops: &[TraceOp]) -> BlockTemplate {
         }
         if op.kind.is_memory() {
             tmpl.demand.mem_ops += 1;
+            tmpl.mem_mask |= bit;
         } else if op.kind.is_fpu() {
             tmpl.demand.fp_ops += 1;
         } else if op.kind.is_control_flow() {
@@ -1371,88 +1217,58 @@ mod tests {
         assert_eq!(b.reuse_factor(), 0.0);
     }
 
-    /// A trace exercising every serialisation-relevant feature: loops
-    /// (deduplicated templates), loads, stores, mul/div, FP ops,
-    /// branches and a trailing partial block.
-    fn codec_ops() -> Vec<TraceOp> {
-        let load = TraceOp {
-            pc: 8,
+    #[test]
+    fn strided_loop_lowers_to_one_template_per_static_block() {
+        // for k in 0..16 { r8 = a[k]; b[k] = r8; r4 += 4 } — every
+        // iteration touches new addresses but runs the same code.
+        let load = |ea| TraceOp {
+            pc: 0,
             kind: OpKind::Load {
-                ea: 0x2000,
+                ea,
                 width: MemWidth::Word,
             },
-            dst: Some(ArchReg::Int(7)),
-            src1: Some(ArchReg::Int(29)),
+            dst: Some(ArchReg::Int(8)),
+            src1: Some(ArchReg::Int(4)),
             src2: None,
         };
-        let body = [
-            alu(0, 1, 2),
-            alu(4, 2, 1),
-            load,
-            TraceOp::bare(12, OpKind::IntMul),
-            TraceOp::bare(16, OpKind::FpAdd),
-            branch(20, true),
-        ];
-        body.iter()
-            .cycle()
-            .take(body.len() * 3)
-            .copied()
-            .chain([alu(24, 3, 7), alu(28, 4, 3)])
-            .collect()
-    }
-
-    #[test]
-    fn codec_round_trip_reproduces_fresh_lowering() {
-        let b = BlockTrace::lower_ops(codec_ops());
-        let mut buf = Vec::new();
-        b.write_to(&mut buf).unwrap();
-        let back = BlockTrace::read_from(&buf[..]).unwrap();
-        // Full structural equality: pool, templates (including the
-        // re-derived runs, masks and plans), sequence and stats.
-        assert_eq!(back, b);
-        let replayed: Vec<TraceOp> = back.iter().collect();
-        assert_eq!(replayed, codec_ops());
-    }
-
-    #[test]
-    fn codec_round_trips_empty_lowering() {
-        let b = BlockTrace::default();
-        let mut buf = Vec::new();
-        b.write_to(&mut buf).unwrap();
-        assert_eq!(BlockTrace::read_from(&buf[..]).unwrap(), b);
-    }
-
-    #[test]
-    fn codec_validates_header_and_sections() {
-        let b = BlockTrace::lower_ops(codec_ops());
-        let mut buf = Vec::new();
-        b.write_to(&mut buf).unwrap();
-
-        assert!(BlockTrace::read_from(&b"NOTABLOCKTRACE.."[..]).is_err());
-
-        let mut bad_version = buf.clone();
-        bad_version[8] = 99;
-        assert!(BlockTrace::read_from(&bad_version[..]).is_err());
-
-        // Truncations anywhere must error, never panic.
-        for cut in [4usize, 20, 110, buf.len() - 1] {
-            assert!(BlockTrace::read_from(&buf[..cut]).is_err());
-        }
-
-        // First instance id (after magic+version+total+stats, the
-        // template-count word and one length per template, and the
-        // sequence count) pointed at a nonexistent template.
-        let seq_start = 8 + 4 + 8 + 8 * TRACE_STAT_WORDS + 4 + 4 * b.templates().len() + 4;
-        let mut bad_id = buf.clone();
-        bad_id[seq_start..seq_start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(BlockTrace::read_from(&bad_id[..]).is_err());
-
-        // Oversized template length.
-        let tmpl_start = 8 + 4 + 8 + 8 * TRACE_STAT_WORDS + 4;
-        let mut bad_len = buf;
-        bad_len[tmpl_start..tmpl_start + 4]
-            .copy_from_slice(&(MAX_BLOCK_OPS as u32 + 1).to_le_bytes());
-        assert!(BlockTrace::read_from(&bad_len[..]).is_err());
+        let store = |ea| TraceOp {
+            pc: 4,
+            kind: OpKind::Store {
+                ea,
+                width: MemWidth::Word,
+            },
+            dst: None,
+            src1: Some(ArchReg::Int(4)),
+            src2: Some(ArchReg::Int(8)),
+        };
+        let ops: Vec<TraceOp> = (0..16u32)
+            .flat_map(|k| {
+                [
+                    load(0x1000 + 4 * k),
+                    store(0x2000 + 4 * k),
+                    alu(8, 4, 4),
+                    branch(12, true),
+                ]
+            })
+            .collect();
+        let b = BlockTrace::lower_ops(ops.iter().copied());
+        assert_eq!(b.templates().len(), 1);
+        assert_eq!(b.instances(), &[0; 16]);
+        let t = &b.templates()[0];
+        assert_eq!(t.mem_mask, 0b11);
+        assert_eq!((t.addr_index(0), t.addr_index(1)), (0, 1));
+        // The template holds static code; the addresses are the operand
+        // stream, in trace order.
+        assert!(b
+            .ops_of(t)
+            .iter()
+            .all(|op| op.kind.effective_address().unwrap_or(0) == 0));
+        let want: Vec<u32> = (0..16u32)
+            .flat_map(|k| [0x1000 + 4 * k, 0x2000 + 4 * k])
+            .collect();
+        assert_eq!(b.addrs(), want.as_slice());
+        let replayed: Vec<TraceOp> = b.iter().collect();
+        assert_eq!(replayed, ops);
     }
 
     #[test]

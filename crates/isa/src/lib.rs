@@ -19,9 +19,10 @@
 //! * [`PackedTrace`] — a compact fixed-width trace for capture-once /
 //!   replay-many configuration sweeps, byte-compatible with the binary
 //!   [`write_trace`] / [`read_trace`] on-disk format,
-//! * [`BlockTrace`] — the packed trace lowered to deduplicated
-//!   basic-block superinstructions with pre-resolved footprints, the
-//!   input of the block-granular replay fast path,
+//! * [`BlockTrace`] — the packed trace lowered to basic-block
+//!   superinstructions deduplicated by static code, with pre-resolved
+//!   footprints and a stream of effective addresses, the input of the
+//!   block-granular replay fast path,
 //! * [`Snapshot`] / [`SnapshotWriter`] / [`SnapshotReader`] — the
 //!   versioned binary checkpoint codec units use to freeze dynamic state
 //!   so a run can be saved, restored and resumed bit-identically,
@@ -75,8 +76,8 @@ mod trace_io;
 
 pub use asm::{AsmError, Assembler};
 pub use block::{
-    BlockRun, BlockTemplate, BlockTrace, ClassDemand, LatencyClass, SegPlan, BLOCK_FORMAT_VERSION,
-    HILO_BIT, MAX_BLOCK_OPS, MIN_PLAN_OPS,
+    BlockRun, BlockTemplate, BlockTrace, ClassDemand, LatencyClass, SegPlan, HILO_BIT,
+    MAX_BLOCK_OPS, MIN_PLAN_OPS,
 };
 pub use builder::ProgramBuilder;
 pub use codec::TRACE_FORMAT_VERSION;

@@ -110,6 +110,43 @@ impl PackedOp {
         kind.unwrap_or(OpKind::Nop)
     }
 
+    /// Whether the record is a load or store, whose payload is its
+    /// effective address.
+    #[inline]
+    pub(crate) fn is_memory(&self) -> bool {
+        matches!(
+            self.kind,
+            codec::K_LOAD | codec::K_STORE | codec::K_FP_LOAD | codec::K_FP_STORE
+        )
+    }
+
+    /// Whether the record is a branch or jump.
+    #[inline]
+    pub(crate) fn is_control_flow(&self) -> bool {
+        matches!(
+            self.kind,
+            codec::K_BRANCH | codec::K_BRANCH_TAKEN | codec::K_JUMP | codec::K_JUMP_REG
+        )
+    }
+
+    /// The raw payload: a memory op's effective address, a control op's
+    /// target, zero otherwise.
+    #[inline]
+    pub(crate) fn payload(&self) -> u32 {
+        self.payload
+    }
+
+    /// The record's static part: a memory op's effective address is
+    /// cleared, everything else (pc, kind, width, registers, a control
+    /// op's outcome and target) is kept.
+    #[inline]
+    pub(crate) fn without_address(&self) -> PackedOp {
+        PackedOp {
+            payload: if self.is_memory() { 0 } else { self.payload },
+            ..*self
+        }
+    }
+
     pub(crate) fn fields(&self) -> (u32, u8, u8, u32, u8, u8, u8) {
         (
             self.pc,

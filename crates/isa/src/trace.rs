@@ -174,6 +174,19 @@ impl OpKind {
             _ => None,
         }
     }
+
+    /// This kind with its effective address replaced by `ea`; kinds
+    /// that do not access memory are returned unchanged.
+    #[inline]
+    pub fn with_address(self, ea: u32) -> OpKind {
+        match self {
+            OpKind::Load { width, .. } => OpKind::Load { ea, width },
+            OpKind::Store { width, .. } => OpKind::Store { ea, width },
+            OpKind::FpLoad { width, .. } => OpKind::FpLoad { ea, width },
+            OpKind::FpStore { width, .. } => OpKind::FpStore { ea, width },
+            other => other,
+        }
+    }
 }
 
 /// One retired instruction in a dynamic trace.
@@ -317,6 +330,8 @@ mod tests {
         }
         .is_control_flow());
         assert_eq!(OpKind::IntAlu.effective_address(), None);
+        assert_eq!(ld.with_address(0x200).effective_address(), Some(0x200));
+        assert_eq!(OpKind::IntAlu.with_address(0x200), OpKind::IntAlu);
     }
 
     #[test]

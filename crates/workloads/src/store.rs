@@ -7,15 +7,18 @@
 //! even when many sweep threads ask for it concurrently — and hands out
 //! `Arc<PackedTrace>` clones that replay without copying.
 //!
+//! Each trace's basic-block lowering ([`TraceStore::get_blocks`]) is
+//! memoised beside it, one per trace. Lowering keys templates on static
+//! code and costs a few milliseconds per test-scale kernel, so it is
+//! recomputed in every process rather than persisted.
+//!
 //! An optional on-disk cache (the `AURORA_TRACE_CACHE` environment
 //! variable for [`TraceStore::global`], or [`TraceStore::with_cache_dir`])
 //! persists captures across processes in the `trace_io` binary format
-//! (`.trc`), and block lowerings alongside them in the `BlockTrace`
-//! format (`.blk`) — a `.blk` hit skips both the emulator capture *and*
-//! the lowering pass. Cache files are keyed by workload name, scale, the
-//! relevant format versions and a content hash of the assembled kernel,
-//! so edits to a kernel or to an encoding invalidate stale files
-//! automatically; a corrupt or stale file is treated as a miss.
+//! (`.trc`). Cache files are keyed by workload name, scale, the trace
+//! format version and a content hash of the assembled kernel, so edits
+//! to a kernel or to the encoding invalidate stale files automatically;
+//! a corrupt or stale file is treated as a miss.
 
 use std::collections::HashMap;
 use std::fs;
@@ -24,7 +27,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use aurora_isa::{BlockTrace, PackedTrace, BLOCK_FORMAT_VERSION, TRACE_FORMAT_VERSION};
+use aurora_isa::{BlockTrace, PackedTrace, TRACE_FORMAT_VERSION};
 
 use crate::workload::{Scale, Workload, WorkloadError};
 
@@ -58,7 +61,6 @@ pub struct TraceStore {
     block_cells: Mutex<HashMap<TraceKey, BlockCell>>,
     captures: AtomicU64,
     disk_hits: AtomicU64,
-    block_disk_hits: AtomicU64,
     lowerings: AtomicU64,
     cache_dir: Option<PathBuf>,
 }
@@ -132,12 +134,10 @@ impl TraceStore {
     }
 
     /// Returns the basic-block lowering of `workload`'s trace, computing
-    /// it at most once per (name, scale, content-hash) key. With a disk
-    /// cache configured, a valid `.blk` file satisfies the request
-    /// without capturing or lowering anything; otherwise the packed
-    /// trace is obtained through [`TraceStore::get`] (so a workload
-    /// requested both ways still captures exactly once), lowered, and
-    /// the lowering persisted for the next process.
+    /// it at most once per (name, scale, content-hash) key. The packed
+    /// trace is obtained through [`TraceStore::get`], so a workload
+    /// requested both ways still captures (or loads from disk) exactly
+    /// once.
     ///
     /// # Errors
     ///
@@ -155,28 +155,14 @@ impl TraceStore {
         // Lower outside the map lock; the per-key cell guarantees one
         // winner even under concurrent requests.
         let mut result = Ok(());
-        let blocks = cell.get_or_init(|| {
-            let path = self.blocks_cache_path(workload);
-            if let Some(path) = &path {
-                if let Some(blocks) = load_cached_blocks(path) {
-                    self.block_disk_hits.fetch_add(1, Ordering::Relaxed);
-                    return Arc::new(blocks);
-                }
+        let blocks = cell.get_or_init(|| match self.get(workload) {
+            Ok(trace) => {
+                self.lowerings.fetch_add(1, Ordering::Relaxed);
+                Arc::new(BlockTrace::lower(&trace))
             }
-            match self.get(workload) {
-                Ok(trace) => {
-                    self.lowerings.fetch_add(1, Ordering::Relaxed);
-                    let blocks = BlockTrace::lower(&trace);
-                    if let Some(path) = &path {
-                        // Best-effort, like the packed-trace cache.
-                        let _ = store_cached_blocks(path, &blocks);
-                    }
-                    Arc::new(blocks)
-                }
-                Err(e) => {
-                    result = Err(e);
-                    Arc::new(BlockTrace::default())
-                }
+            Err(e) => {
+                result = Err(e);
+                Arc::new(BlockTrace::default())
             }
         });
         match result {
@@ -203,12 +189,6 @@ impl TraceStore {
     /// Number of traces satisfied from the on-disk cache.
     pub fn disk_hits(&self) -> u64 {
         self.disk_hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of block lowerings satisfied from the on-disk cache
-    /// (each one skips a capture *and* a lowering).
-    pub fn block_disk_hits(&self) -> u64 {
-        self.block_disk_hits.load(Ordering::Relaxed)
     }
 
     fn load_or_capture(&self, workload: &Workload) -> Result<PackedTrace, WorkloadError> {
@@ -239,21 +219,6 @@ impl TraceStore {
             workload.content_hash(),
         )))
     }
-
-    /// The `.blk` sibling of [`cache_path`](Self::cache_path): same
-    /// content-hash key, plus the block-format version (the embedded
-    /// record stream carries the trace-format version itself).
-    fn blocks_cache_path(&self, workload: &Workload) -> Option<PathBuf> {
-        let dir = self.cache_dir.as_ref()?;
-        Some(dir.join(format!(
-            "{}-{}-v{}.{}-{:016x}.blk",
-            workload.name(),
-            workload.scale(),
-            TRACE_FORMAT_VERSION,
-            BLOCK_FORMAT_VERSION,
-            workload.content_hash(),
-        )))
-    }
 }
 
 fn load_cached(path: &Path) -> Option<PackedTrace> {
@@ -263,30 +228,13 @@ fn load_cached(path: &Path) -> Option<PackedTrace> {
 }
 
 fn store_cached(path: &Path, trace: &PackedTrace) -> io::Result<()> {
-    write_atomically(path, |file| trace.write_to(file))
-}
-
-fn load_cached_blocks(path: &Path) -> Option<BlockTrace> {
-    let file = fs::File::open(path).ok()?;
-    // A corrupt, truncated or stale cache file is treated as a miss.
-    BlockTrace::read_from(io::BufReader::new(file)).ok()
-}
-
-fn store_cached_blocks(path: &Path, blocks: &BlockTrace) -> io::Result<()> {
-    write_atomically(path, |file| blocks.write_to(file))
-}
-
-fn write_atomically(
-    path: &Path,
-    write: impl FnOnce(&mut io::BufWriter<fs::File>) -> io::Result<()>,
-) -> io::Result<()> {
     let dir = path.parent().expect("cache path has a parent");
     fs::create_dir_all(dir)?;
     // Write to a temporary sibling then rename, so concurrent sweeps
     // never observe a half-written file.
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
     let mut file = io::BufWriter::new(fs::File::create(&tmp)?);
-    write(&mut file)?;
+    trace.write_to(&mut file)?;
     io::Write::flush(&mut file)?;
     drop(file);
     fs::rename(&tmp, path)?;
@@ -355,42 +303,23 @@ mod tests {
     }
 
     #[test]
-    fn block_disk_cache_skips_capture_and_lowering() {
-        let dir = std::env::temp_dir().join(format!("aurora-blk-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+    fn concurrent_block_requests_share_one_capture_and_lowering() {
+        let store = TraceStore::new();
         let w = test_workload();
-
-        // Cold: capture + lower, then persist the lowering.
-        let first = TraceStore::with_cache_dir(&dir);
-        let a = first.get_blocks(&w).unwrap();
-        assert_eq!(
-            (first.captures(), first.lowerings(), first.block_disk_hits()),
-            (1, 1, 0)
-        );
-
-        // Warm: the .blk file alone satisfies the request.
-        let second = TraceStore::with_cache_dir(&dir);
-        let b = second.get_blocks(&w).unwrap();
-        assert_eq!(
-            (
-                second.captures(),
-                second.lowerings(),
-                second.block_disk_hits()
-            ),
-            (0, 0, 1)
-        );
-        assert_eq!(*a, *b, "cached lowering must reproduce the fresh one");
-
-        // A corrupt .blk is a miss: the trace is re-read (or recaptured)
-        // and re-lowered, never trusted.
-        let path = second.blocks_cache_path(&w).unwrap();
-        fs::write(&path, b"junk").unwrap();
-        let third = TraceStore::with_cache_dir(&dir);
-        let c = third.get_blocks(&w).unwrap();
-        assert_eq!((third.lowerings(), third.block_disk_hits()), (1, 0));
-        assert_eq!(*a, *c);
-
-        let _ = fs::remove_dir_all(&dir);
+        let lowered: Vec<Arc<BlockTrace>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| store.get_blocks(&w).unwrap()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!((store.captures(), store.lowerings()), (1, 1));
+        assert!(lowered.windows(2).all(|p| Arc::ptr_eq(&p[0], &p[1])));
+        // A later `get` hands back the packed trace that was lowered,
+        // without a second capture.
+        let trace = store.get(&w).unwrap();
+        assert_eq!(store.captures(), 1);
+        assert!(Arc::ptr_eq(&trace, &store.get(&w).unwrap()));
+        assert!(lowered[0].iter().eq(trace.iter()));
     }
 
     #[test]

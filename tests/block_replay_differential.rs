@@ -14,13 +14,16 @@
 //! 2. the full 15-kernel suite replayed block-wise vs per-op,
 //! 3. edge cases: odd-length and single-op traces (the `feed_packed`
 //!    tail-handling regression), all-branch traces (every block is one
-//!    op), and mixed incremental-feed + block-feed delivery.
+//!    op), a strided loop whose one template replays many addresses,
+//!    and mixed incremental-feed + block-feed delivery.
 //!
 //! Equality is `SimStats: Eq` — bit-identical counters, not tolerances.
 
 use aurora3::core::{
     replay, replay_blocks, simulate, IssueWidth, MachineConfig, MachineModel, SimStats, Simulator,
 };
+use std::collections::HashSet;
+
 use aurora3::isa::{ArchReg, BlockTrace, MemWidth, OpKind, PackedTrace, TraceOp};
 use aurora3::mem::LatencyModel;
 use aurora3::workloads::{FpBenchmark, IntBenchmark, Scale, Workload};
@@ -221,6 +224,45 @@ fn all_kernels_agree_block_vs_per_op() {
     }
 }
 
+/// Templates are keyed on static code: across the 15 kernels, no two
+/// templates of one lowering hold the same ops once memory addresses
+/// are zeroed (the addresses live in the operand stream instead).
+#[test]
+fn all_kernels_lower_to_static_templates() {
+    let workloads = IntBenchmark::ALL
+        .into_iter()
+        .map(|b| b.workload(Scale::Test))
+        .chain(
+            FpBenchmark::ALL
+                .into_iter()
+                .map(|b| b.workload(Scale::Test)),
+        );
+    for w in workloads {
+        let trace = w.capture().expect("kernel captures");
+        let blocks = BlockTrace::lower(&trace);
+        let distinct: HashSet<Vec<TraceOp>> = blocks
+            .templates()
+            .iter()
+            .map(|t| {
+                blocks
+                    .ops_of(t)
+                    .iter()
+                    .map(|op| TraceOp {
+                        kind: op.kind.with_address(0),
+                        ..*op
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            distinct.len(),
+            blocks.templates().len(),
+            "{}: templates duplicate static code",
+            w.name()
+        );
+    }
+}
+
 /// The `feed_packed` tail regression (and its block-engine twin): every
 /// trace length from empty through several pair cycles must deliver
 /// every op exactly once, whichever exit the pair/non-pair paths take.
@@ -279,6 +321,78 @@ fn all_branch_traces_agree() {
         for issue in [IssueWidth::Single, IssueWidth::Dual] {
             let stats = assert_engines_agree(MachineModel::Baseline, issue, &ops);
             assert_eq!(stats.instructions, 64);
+        }
+    }
+}
+
+/// A loop striding through two arrays lowers to one template per static
+/// block, so every address comes from the operand stream. Its loads
+/// and stores cross D-cache lines — the second load of each iteration
+/// hits the line the first one is still filling — so hits, misses and
+/// MSHR merges all depend on the address each instance replays.
+#[test]
+fn strided_loop_agrees() {
+    let mem = |pc, kind, dst, src2| TraceOp {
+        pc,
+        kind,
+        dst,
+        src1: Some(ArchReg::Int(4)),
+        src2,
+    };
+    let word = MemWidth::Word;
+    let ops: Vec<TraceOp> = (0..96u32)
+        .flat_map(|k| {
+            let (a, b) = (0x0010_0000 + 8 * k, 0x0070_0000 + 12 * k);
+            [
+                mem(
+                    0x0040_0000,
+                    OpKind::Load { ea: a, width: word },
+                    Some(ArchReg::Int(8)),
+                    None,
+                ),
+                mem(
+                    0x0040_0004,
+                    OpKind::Load {
+                        ea: a + 4,
+                        width: word,
+                    },
+                    Some(ArchReg::Int(9)),
+                    None,
+                ),
+                TraceOp {
+                    pc: 0x0040_0008,
+                    kind: OpKind::IntAlu,
+                    dst: Some(ArchReg::Int(10)),
+                    src1: Some(ArchReg::Int(8)),
+                    src2: Some(ArchReg::Int(9)),
+                },
+                mem(
+                    0x0040_000c,
+                    OpKind::Store { ea: b, width: word },
+                    None,
+                    Some(ArchReg::Int(10)),
+                ),
+                TraceOp::bare(
+                    0x0040_0010,
+                    OpKind::Branch {
+                        taken: k < 95,
+                        target: 0x0040_0000,
+                    },
+                ),
+                TraceOp::bare(0x0040_0014, OpKind::Nop),
+            ]
+        })
+        .collect();
+    let blocks = BlockTrace::lower_ops(ops.iter().copied());
+    // Blocks end at the branch, so the delay slot heads the next one:
+    // the first iteration, the steady-state body, the not-taken exit
+    // and the trailing delay slot — four templates for 96 iterations.
+    assert_eq!(blocks.templates().len(), 4);
+    assert_eq!(blocks.addrs().len(), 96 * 3);
+    for model in MachineModel::ALL {
+        for issue in [IssueWidth::Single, IssueWidth::Dual] {
+            let stats = assert_engines_agree(model, issue, &ops);
+            assert_eq!(stats.instructions, ops.len() as u64);
         }
     }
 }
