@@ -58,14 +58,26 @@ echo "== checkpoint differential (save/restore/resume bit-identical) =="
 cargo test -q --test checkpoint_differential
 
 echo "== trace-cache smoke (AURORA_TRACE_CACHE persists .trc captures, no .blk) =="
-# The second run loads every capture from disk; the report has no
-# timings, so both stdouts must match byte for byte.
+# The three runs cover the block builder's three inputs: the first
+# captures straight into blocks and writes each .trc, the second streams
+# every capture back from disk, the third captures with no cache at all.
+# The report has no timings, so all three stdouts must match byte for
+# byte.
 rm -rf target/ci/tcache
 AURORA_TRACE_CACHE=target/ci/tcache ./target/release/paper_report --scale test > target/ci/tcache_run1.txt
 AURORA_TRACE_CACHE=target/ci/tcache ./target/release/paper_report --scale test > target/ci/tcache_run2.txt
+env -u AURORA_TRACE_CACHE ./target/release/paper_report --scale test > target/ci/tcache_run3.txt
 cmp target/ci/tcache_run1.txt target/ci/tcache_run2.txt
+cmp target/ci/tcache_run1.txt target/ci/tcache_run3.txt
 ls target/ci/tcache/*.trc > /dev/null
 [ -z "$(find target/ci/tcache -name '*.blk')" ]
+
+echo "== observability report (event-derived Fig. 6 matches the counters) =="
+# obs_report asserts, for every kernel and model, that the stall
+# breakdown rebuilt from attribution events is within 1% of the
+# counters, and exits non-zero otherwise.
+./target/release/obs_report --scale test > target/ci/obs_report.txt
+grep -q "cross-check vs fig6_stall_breakdown counters" target/ci/obs_report.txt
 
 echo "== service smoke (daemon answers a grid; repeat is all-memo, zero re-simulation) =="
 rm -rf target/ci/serve-store target/ci/aurora.sock

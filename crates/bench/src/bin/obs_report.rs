@@ -29,12 +29,14 @@ struct Cell {
     obs: Observer,
 }
 
+/// Replays `workload`'s block form with the observer attached, which
+/// sends `feed_blocks` down its per-op path: every cycle event is seen.
 fn observe(cfg: &MachineConfig, workload: &Workload) -> Cell {
-    let trace = TraceStore::global()
-        .get(workload)
+    let blocks = TraceStore::global()
+        .get_blocks(workload)
         .unwrap_or_else(|e| panic!("{} failed: {e}", workload.name()));
     let mut sim = Simulator::new(cfg);
-    sim.feed_packed(&trace);
+    sim.feed_blocks(&blocks);
     let (stats, obs) = sim.finish_observed();
     Cell {
         name: workload.name(),

@@ -5,14 +5,15 @@
 //! The heart of the module is [`run_matrix`]: every experiment binary is
 //! ultimately a (configurations × workloads) sweep, and the trace of a
 //! (workload, scale) pair is configuration-independent. The matrix runner
-//! therefore captures each workload's packed trace once — through the
-//! process-wide [`TraceStore`] — lowers it once into basic-block
-//! superinstructions ([`aurora_isa::BlockTrace`]), and replays the
-//! shared, pre-resolved blocks across a work-stealing thread pool, one
-//! cell at a time. Compared with re-emulating the kernel per cell,
-//! replay skips the functional emulator entirely; compared with per-op
-//! replay, block replay amortises fetch, footprint and scoreboard checks
-//! over whole blocks. Statistics stay bit-identical throughout.
+//! therefore captures each workload's trace once — through the
+//! process-wide [`TraceStore`], straight into basic-block
+//! superinstructions ([`aurora_isa::BlockTrace`]), with no packed trace
+//! in between — and replays the shared, pre-resolved blocks across a
+//! work-stealing thread pool, one cell at a time. Compared with
+//! re-emulating the kernel per cell, replay skips the functional
+//! emulator entirely; compared with per-op replay, block replay
+//! amortises fetch, footprint and scoreboard checks over whole blocks.
+//! Statistics stay bit-identical throughout.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -37,10 +38,10 @@ pub fn run(cfg: &MachineConfig, workload: &Workload) -> SimStats {
     sim.finish()
 }
 
-/// Captures `workload`'s trace through the process-wide [`TraceStore`]
-/// (at most once per (name, scale), across all threads), lowers it to
-/// basic blocks (also memoised), and replays the blocks against `cfg`.
-/// Statistics are bit-identical to [`run`].
+/// Captures `workload`'s trace straight into basic blocks through the
+/// process-wide [`TraceStore`] (at most once per (name, scale), across
+/// all threads) and replays the blocks against `cfg`. Statistics are
+/// bit-identical to [`run`].
 ///
 /// # Panics
 ///
@@ -163,8 +164,8 @@ where
 /// Replays every workload against every configuration: the universal
 /// sweep shape behind the paper's figures and tables.
 ///
-/// Traces are captured and lowered to basic blocks once per workload
-/// (in parallel, memoised in the process-wide [`TraceStore`]), then the
+/// Traces are captured into basic blocks once per workload (in
+/// parallel, memoised in the process-wide [`TraceStore`]), then the
 /// `configs.len() × workloads.len()` grid of independent block replays
 /// drains through a work-stealing pool sized to the machine. Returns one
 /// row per configuration, one column per workload: `result[c][w]` is
@@ -194,8 +195,8 @@ pub fn run_matrix_timed(
         let rows = configs.iter().map(|_| Vec::new()).collect();
         return (rows, MatrixMetrics::default());
     }
-    // Phase 1: capture and block-lower each workload's trace, one
-    // thread per workload (both steps memoised in the TraceStore).
+    // Phase 1: capture each workload's trace into blocks, one thread
+    // per workload (memoised in the TraceStore).
     let traces: Vec<Arc<BlockTrace>> = std::thread::scope(|scope| {
         let handles: Vec<_> = workloads
             .iter()

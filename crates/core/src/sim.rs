@@ -374,7 +374,10 @@ impl<'cfg> Simulator<'cfg> {
         }
     }
 
-    /// Feeds a whole captured trace, decoding packed records on the fly.
+    /// Feeds a whole captured trace, decoding packed records on the fly:
+    /// the per-op oracle path, and the engine sampled mode runs its
+    /// detailed windows on. Sweeps replay the block form through
+    /// [`Simulator::feed_blocks`] instead.
     ///
     /// This is the replay half of the capture-once / replay-many workflow
     /// (§4.1): the trace is borrowed, so one capture can drive any number
@@ -2266,7 +2269,9 @@ where
 
 /// Replays a captured [`PackedTrace`] against `cfg` and returns the run's
 /// statistics. Produces bit-identical [`SimStats`] to feeding the same
-/// ops through [`simulate`], without re-emulating the workload.
+/// ops through [`simulate`], without re-emulating the workload. This is
+/// the per-op oracle that block replay ([`replay_blocks`]) is checked
+/// against; sweeps use the block form.
 ///
 /// ```
 /// use aurora_core::{replay, simulate, IssueWidth, MachineModel};

@@ -347,21 +347,21 @@ impl BlockTrace {
     /// the [`MAX_BLOCK_OPS`] cap), deduplicates blocks of identical
     /// static code into templates, pre-resolves each template's
     /// footprint, and moves every memory op's effective address into
-    /// the operand stream. Records are compared in packed form; only a
-    /// block that starts a new template is decoded.
+    /// the operand stream. Blocks are sliced straight out of the record
+    /// array and compared in packed form; only a block that starts a
+    /// new template is decoded.
     pub fn lower(trace: &PackedTrace) -> BlockTrace {
         let s = trace.stats();
-        let mut out = BlockTrace {
-            addrs: Vec::with_capacity(
-                usize::try_from(s.loads + s.stores + s.fp_loads + s.fp_stores).unwrap_or(0),
-            ),
-            stats: *s,
-            ..BlockTrace::default()
+        let mut builder = BlockTraceBuilder {
+            out: BlockTrace {
+                addrs: Vec::with_capacity(
+                    usize::try_from(s.loads + s.stores + s.fp_loads + s.fp_stores).unwrap_or(0),
+                ),
+                stats: *s,
+                ..BlockTrace::default()
+            },
+            ..BlockTraceBuilder::default()
         };
-        let mut index = TemplateIndex::default();
-        // Each template's records with addresses cleared, laid out like
-        // the op pool: what a candidate block is compared against.
-        let mut keys: Vec<PackedOp> = Vec::new();
         let mut rest = trace.records();
         while !rest.is_empty() {
             let len = rest
@@ -370,54 +370,47 @@ impl BlockTrace {
                 .position(PackedOp::is_control_flow)
                 .map_or(rest.len().min(MAX_BLOCK_OPS), |p| p + 1);
             let (block, tail) = rest.split_at(len);
+            builder.add_block(block);
             rest = tail;
-            out.total_ops += len as u64;
-            out.addrs.extend(
-                block
-                    .iter()
-                    .filter(|r| r.is_memory())
-                    .map(PackedOp::payload),
-            );
-            let Some(head) = block.first() else { continue };
-            let candidates = index.entry(head.pc()).or_default();
-            // Compared last record first: blocks from one head pc mostly
-            // differ only in their control op's outcome or target.
-            let found = candidates.iter().copied().find(|&id| {
-                out.templates.get(id as usize).is_some_and(|t| {
-                    let start = t.start as usize;
-                    keys.get(start..start + t.len()).is_some_and(|k| {
-                        k.len() == block.len()
-                            && k.iter()
-                                .rev()
-                                .zip(block.iter().rev())
-                                .all(|(k, r)| *k == r.without_address())
-                    })
-                })
-            });
-            let id = found.unwrap_or_else(|| {
-                let id = u32::try_from(out.templates.len()).unwrap_or(u32::MAX);
-                let start = out.pool.len();
-                keys.extend(block.iter().map(PackedOp::without_address));
-                let decoded = keys
-                    .get(start..)
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(PackedOp::unpack);
-                out.pool.extend(decoded);
-                let ops = out.pool.get(start..).unwrap_or(&[]);
-                let tmpl = analyze(u32::try_from(start).unwrap_or(u32::MAX), ops);
-                out.templates.push(tmpl);
-                candidates.push(id);
-                id
-            });
-            out.seq.push(id);
         }
-        out
+        builder.finish()
     }
 
-    /// Lowers an arbitrary op stream (trace statistics are recomputed).
+    /// Lowers an arbitrary op stream through a [`BlockTraceBuilder`]
+    /// (trace statistics are recomputed).
     pub fn lower_ops(ops: impl IntoIterator<Item = TraceOp>) -> BlockTrace {
-        BlockTrace::lower(&ops.into_iter().collect())
+        let mut builder = BlockTraceBuilder::new();
+        for op in ops {
+            builder.push(op);
+        }
+        builder.finish()
+    }
+
+    /// Heap bytes held by the lowering: the op pool, the templates with
+    /// their runs and plans, the instance stream and the operand stream
+    /// (compare [`PackedTrace::mem_bytes`]).
+    pub fn mem_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let footprints: usize = self
+            .templates
+            .iter()
+            .map(|t| {
+                t.runs.capacity() * size_of::<BlockRun>()
+                    + t.plans.capacity() * size_of::<SegPlan>()
+                    + t.plans
+                        .iter()
+                        .map(|p| {
+                            p.probe_pcs.capacity() * size_of::<u32>()
+                                + p.writes.capacity() * size_of::<(u8, u8)>()
+                                + p.rob_groups.capacity()
+                        })
+                        .sum::<usize>()
+            })
+            .sum();
+        self.pool.capacity() * size_of::<TraceOp>()
+            + self.templates.capacity() * size_of::<BlockTemplate>()
+            + footprints
+            + (self.seq.capacity() + self.addrs.capacity()) * size_of::<u32>()
     }
 
     /// The deduplicated static templates.
@@ -502,6 +495,129 @@ impl fmt::Display for BlockTrace {
             self.pool.len(),
             self.reuse_factor()
         )
+    }
+}
+
+/// Builds a [`BlockTrace`] from a dynamic trace delivered one op at a
+/// time, so a capture never materialises the 16-byte-per-op
+/// [`PackedTrace`]. At most one open block (≤ [`MAX_BLOCK_OPS`]
+/// records) is buffered; each block is closed and interned as soon as
+/// its control-flow op or the cap arrives. [`BlockTrace::lower`] slices
+/// whole blocks out of a held record array into the same routine, so
+/// both paths produce identical lowerings.
+///
+/// ```
+/// use aurora_isa::{BlockTrace, BlockTraceBuilder, OpKind, PackedTrace, TraceOp};
+///
+/// let ops = [
+///     TraceOp::bare(0, OpKind::IntAlu),
+///     TraceOp::bare(4, OpKind::Branch { taken: true, target: 0 }),
+/// ];
+/// let mut builder = BlockTraceBuilder::new();
+/// for op in ops.iter().chain(&ops) {
+///     builder.push(*op);
+/// }
+/// let blocks = builder.finish();
+/// assert_eq!(blocks.instances(), &[0, 0]);
+/// let packed: PackedTrace = ops.iter().chain(&ops).copied().collect();
+/// assert_eq!(blocks, BlockTrace::lower(&packed));
+/// ```
+#[derive(Debug, Default)]
+pub struct BlockTraceBuilder {
+    out: BlockTrace,
+    index: TemplateIndex,
+    /// Each template's records with addresses cleared, laid out like
+    /// the op pool: what a candidate block is compared against.
+    keys: Vec<PackedOp>,
+    /// The open block: records since the last block boundary.
+    open: Vec<PackedOp>,
+}
+
+impl BlockTraceBuilder {
+    /// An empty builder.
+    pub fn new() -> BlockTraceBuilder {
+        BlockTraceBuilder::default()
+    }
+
+    /// Appends one op of the dynamic trace, in program order.
+    pub fn push(&mut self, op: TraceOp) {
+        self.out.stats.record(&op);
+        let rec = PackedOp::pack(&op);
+        self.open.push(rec);
+        // The cut `BlockTrace::lower` makes by slicing: after a
+        // control-flow op, or at the cap.
+        if rec.is_control_flow() || self.open.len() == MAX_BLOCK_OPS {
+            self.close_block();
+        }
+    }
+
+    /// Closes the trailing partial block and returns the lowering, with
+    /// its buffers trimmed to what they hold.
+    pub fn finish(mut self) -> BlockTrace {
+        self.close_block();
+        let mut out = self.out;
+        out.pool.shrink_to_fit();
+        out.templates.shrink_to_fit();
+        out.seq.shrink_to_fit();
+        out.addrs.shrink_to_fit();
+        out
+    }
+
+    /// Interns the open block and empties the buffer, keeping its
+    /// allocation for the next block.
+    fn close_block(&mut self) {
+        let open = std::mem::take(&mut self.open);
+        self.add_block(&open);
+        self.open = open;
+        self.open.clear();
+    }
+
+    /// Appends one complete block: its addresses go to the operand
+    /// stream, and its static code is matched against the templates
+    /// already interned from the same head pc, or becomes a new one.
+    fn add_block(&mut self, block: &[PackedOp]) {
+        let Some(head) = block.first() else { return };
+        let out = &mut self.out;
+        out.total_ops += block.len() as u64;
+        out.addrs.extend(
+            block
+                .iter()
+                .filter(|r| r.is_memory())
+                .map(PackedOp::payload),
+        );
+        let keys = &mut self.keys;
+        let candidates = self.index.entry(head.pc()).or_default();
+        // Compared last record first: blocks from one head pc mostly
+        // differ only in their control op's outcome or target.
+        let found = candidates.iter().copied().find(|&id| {
+            out.templates.get(id as usize).is_some_and(|t| {
+                let start = t.start as usize;
+                keys.get(start..start + t.len()).is_some_and(|k| {
+                    k.len() == block.len()
+                        && k.iter()
+                            .rev()
+                            .zip(block.iter().rev())
+                            .all(|(k, r)| *k == r.without_address())
+                })
+            })
+        });
+        let id = found.unwrap_or_else(|| {
+            let id = u32::try_from(out.templates.len()).unwrap_or(u32::MAX);
+            let start = out.pool.len();
+            keys.extend(block.iter().map(PackedOp::without_address));
+            let decoded = keys
+                .get(start..)
+                .unwrap_or(&[])
+                .iter()
+                .map(PackedOp::unpack);
+            out.pool.extend(decoded);
+            let ops = out.pool.get(start..).unwrap_or(&[]);
+            let tmpl = analyze(u32::try_from(start).unwrap_or(u32::MAX), ops);
+            out.templates.push(tmpl);
+            candidates.push(id);
+            id
+        });
+        out.seq.push(id);
     }
 }
 

@@ -16,13 +16,15 @@
 //!   semantics that executes a [`Program`] and emits [`TraceOp`] records,
 //! * [`TraceOp`] / [`OpKind`] — the dynamic trace format consumed by the
 //!   `aurora-core` cycle simulator,
-//! * [`PackedTrace`] — a compact fixed-width trace for capture-once /
-//!   replay-many configuration sweeps, byte-compatible with the binary
-//!   [`write_trace`] / [`read_trace`] on-disk format,
-//! * [`BlockTrace`] — the packed trace lowered to basic-block
-//!   superinstructions deduplicated by static code, with pre-resolved
-//!   footprints and a stream of effective addresses, the input of the
-//!   block-granular replay fast path,
+//! * [`PackedTrace`] — a compact fixed-width trace, byte-compatible
+//!   with the binary [`write_trace`] / [`read_trace`] on-disk format:
+//!   the per-op oracle and sampled mode's input,
+//! * [`BlockTrace`] — a trace lowered to basic-block superinstructions
+//!   deduplicated by static code, with pre-resolved footprints and a
+//!   stream of effective addresses: what capture-once / replay-many
+//!   sweeps replay through the block-granular fast path.
+//!   [`BlockTraceBuilder`] builds it one op at a time, straight from the
+//!   emulator, and [`BlockTrace::lower`] from a held packed trace,
 //! * [`Snapshot`] / [`SnapshotWriter`] / [`SnapshotReader`] — the
 //!   versioned binary checkpoint codec units use to freeze dynamic state
 //!   so a run can be saved, restored and resumed bit-identically,
@@ -76,8 +78,8 @@ mod trace_io;
 
 pub use asm::{AsmError, Assembler};
 pub use block::{
-    BlockRun, BlockTemplate, BlockTrace, ClassDemand, LatencyClass, SegPlan, HILO_BIT,
-    MAX_BLOCK_OPS, MIN_PLAN_OPS,
+    BlockRun, BlockTemplate, BlockTrace, BlockTraceBuilder, ClassDemand, LatencyClass, SegPlan,
+    HILO_BIT, MAX_BLOCK_OPS, MIN_PLAN_OPS,
 };
 pub use builder::ProgramBuilder;
 pub use codec::TRACE_FORMAT_VERSION;

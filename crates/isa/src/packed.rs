@@ -8,7 +8,9 @@
 //! fixed 16-byte record (less than half the in-memory footprint of a
 //! `Vec<TraceOp>`, which is 28 bytes plus padding per op) and decodes on
 //! the fly during replay, so one captured trace can be shared — typically
-//! behind an `Arc` — by every simulator thread in a sweep.
+//! behind an `Arc` — by every simulator thread. It is the per-op oracle
+//! and sampled mode's input; sweeps replay the block form
+//! ([`BlockTrace`](crate::BlockTrace)) instead.
 //!
 //! The field encoding is the shared [`codec`](crate::codec), identical to
 //! the on-disk format in `trace_io`; [`PackedTrace::write_to`]
@@ -160,10 +162,16 @@ impl PackedOp {
     }
 }
 
-/// A whole dynamic trace in packed form.
+/// A whole dynamic trace in packed form: the oracle, and sampled mode's
+/// input.
 ///
-/// Built once per (workload, scale) — see `aurora-workloads`' trace store
-/// — and replayed read-only by any number of simulator threads.
+/// Per-op replay of this form is what the differential suites and the
+/// benchmark's reference cells compare the block engine against, and
+/// sampled mode seeks into it by op offset. Sweeps never build it: they
+/// capture straight into a [`BlockTrace`](crate::BlockTrace) at about a
+/// tenth of the bytes. Built once per (workload, scale) — see
+/// `aurora-workloads`' trace store — and replayed read-only by any
+/// number of simulator threads.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PackedTrace {
     ops: Vec<PackedOp>,

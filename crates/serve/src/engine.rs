@@ -20,7 +20,7 @@
 //! mpsc channel to the *calling* thread, which owns all I/O — the store
 //! append and the response stream.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 use aurora_bench::harness::drain_cells_timed;
 use aurora_core::{
@@ -42,13 +42,17 @@ pub struct Engine {
     store: ResultStore,
 }
 
-/// Everything a pool worker needs for one workload: the packed trace,
-/// its block lowering and the functional-warming digest (the latter two
-/// built lazily only for the modes that use them).
-struct TraceBundle {
-    packed: std::sync::Arc<PackedTrace>,
-    blocks: Option<std::sync::Arc<BlockTrace>>,
-    digest: Option<WarmDigest>,
+/// Everything a pool worker needs for one workload, in the form its
+/// mode replays: Block mode holds only the block lowering, and the
+/// packed trace is fetched only for Detailed and Sampled cells.
+enum TraceBundle {
+    /// Per-op replay of the packed trace.
+    Detailed(Arc<PackedTrace>),
+    /// Block replay of the lowering.
+    Block(Arc<BlockTrace>),
+    /// Sampled replay of the packed trace with its functional-warming
+    /// digest.
+    Sampled(Arc<PackedTrace>, WarmDigest),
 }
 
 impl Engine {
@@ -180,7 +184,7 @@ impl Engine {
         let run_cell = |i: usize| {
             let (wi, ci) = cold[i];
             let bundle = bundles[wi].as_ref().expect("bundle captured above");
-            compute_cell(&configs[ci], bundle, req.mode, &req.sampling)
+            compute_cell(&configs[ci], bundle, &req.sampling)
         };
         // The drain blocks until every cold cell is done, so it runs on
         // a scoped helper thread while this thread consumes completions:
@@ -230,21 +234,12 @@ impl Engine {
 /// Simulates one cold cell. This is the pool-worker entry point (a
 /// `[[pool]]` root in lint.toml): everything reachable from here must be
 /// non-blocking — pure replay against pre-captured, shared traces.
-fn compute_cell(
-    cfg: &MachineConfig,
-    bundle: &TraceBundle,
-    mode: Mode,
-    sampling: &SamplingConfig,
-) -> CellValue {
-    match mode {
-        Mode::Detailed => CellValue::Exact(replay(cfg, &bundle.packed)),
-        Mode::Block => CellValue::Exact(replay_blocks(
-            cfg,
-            bundle.blocks.as_ref().expect("blocks captured for mode"),
-        )),
-        Mode::Sampled => {
-            let digest = bundle.digest.as_ref().expect("digest built for mode");
-            let stats = run_sampled_digest(cfg, sampling, bundle.packed.records(), digest);
+fn compute_cell(cfg: &MachineConfig, bundle: &TraceBundle, sampling: &SamplingConfig) -> CellValue {
+    match bundle {
+        TraceBundle::Detailed(packed) => CellValue::Exact(replay(cfg, packed)),
+        TraceBundle::Block(blocks) => CellValue::Exact(replay_blocks(cfg, blocks)),
+        TraceBundle::Sampled(packed, digest) => {
+            let stats = run_sampled_digest(cfg, sampling, packed.records(), digest);
             CellValue::Sampled(SampledCell {
                 instructions: stats.instructions,
                 detailed_instructions: stats.detailed_instructions,
@@ -256,32 +251,22 @@ fn compute_cell(
     }
 }
 
-/// Captures (through the global [`TraceStore`]) the trace forms `mode`
-/// needs for one workload.
+/// Captures (through the global [`TraceStore`]) the trace form `mode`
+/// replays for one workload.
 fn capture_bundle(workload: &Workload, mode: Mode) -> Result<TraceBundle, ProtoError> {
     let store = TraceStore::global();
-    let packed = store
-        .get(workload)
-        .map_err(|e| ProtoError(format!("capturing `{}`: {e}", workload.name())))?;
-    let blocks = match mode {
-        Mode::Block => Some(
-            store
-                .get_blocks(workload)
-                .map_err(|e| ProtoError(format!("block-lowering `{}`: {e}", workload.name())))?,
-        ),
-        _ => None,
-    };
-    let digest = match mode {
-        // Every preset uses 32-byte lines (and `line_bytes` is not an
-        // override knob); `run_sampled_digest` falls back to raw-record
-        // warming if a future config disagrees.
-        Mode::Sampled => Some(WarmDigest::build(packed.records(), 32)),
-        _ => None,
-    };
-    Ok(TraceBundle {
-        packed,
-        blocks,
-        digest,
+    let failed = |e| ProtoError(format!("capturing `{}`: {e}", workload.name()));
+    Ok(match mode {
+        Mode::Block => TraceBundle::Block(store.get_blocks(workload).map_err(failed)?),
+        Mode::Detailed => TraceBundle::Detailed(store.get(workload).map_err(failed)?),
+        Mode::Sampled => {
+            let packed = store.get(workload).map_err(failed)?;
+            // Every preset uses 32-byte lines (and `line_bytes` is not an
+            // override knob); `run_sampled_digest` falls back to
+            // raw-record warming if a future config disagrees.
+            let digest = WarmDigest::build(packed.records(), 32);
+            TraceBundle::Sampled(packed, digest)
+        }
     })
 }
 

@@ -3,7 +3,8 @@
 use std::fmt;
 
 use aurora_isa::{
-    Assembler, EmuError, Emulator, Fnv1a, PackedTrace, Program, RunOutcome, TraceOp, TraceStats,
+    Assembler, BlockTrace, BlockTraceBuilder, EmuError, Emulator, Fnv1a, PackedTrace, Program,
+    RunOutcome, TraceOp, TraceStats,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -55,7 +56,7 @@ impl fmt::Display for Scale {
 }
 
 /// Error produced while building or running a workload.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum WorkloadError {
     /// The kernel's emulation faulted.
     Emu(EmuError),
@@ -179,7 +180,10 @@ impl Workload {
     }
 
     /// Runs the kernel once and captures the whole trace in packed form,
-    /// ready for replay against any number of machine configurations (see
+    /// 16 bytes per op. This is the oracle capture that the differential
+    /// suites and `aurora-core`'s per-op `replay` compare against, and
+    /// the input of sampled mode; sweeps capture straight into the block
+    /// form with [`Workload::capture_blocks`] instead (see
     /// [`TraceStore`](crate::TraceStore) for the memoising layer).
     ///
     /// # Errors
@@ -189,6 +193,19 @@ impl Workload {
         let mut trace = PackedTrace::new();
         self.run_traced(|op| trace.push(op))?;
         Ok(trace)
+    }
+
+    /// Runs the kernel once and lowers its trace to basic blocks as it
+    /// retires, never holding a [`PackedTrace`]: the product form that
+    /// sweeps replay. Equal to `BlockTrace::lower(&self.capture()?)`.
+    ///
+    /// # Errors
+    ///
+    /// See [`Workload::run_traced`].
+    pub fn capture_blocks(&self) -> Result<BlockTrace, WorkloadError> {
+        let mut blocks = BlockTraceBuilder::new();
+        self.run_traced(|op| blocks.push(op))?;
+        Ok(blocks.finish())
     }
 
     /// A stable FNV-1a hash of the assembled program's content (entry

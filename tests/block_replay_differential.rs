@@ -10,8 +10,10 @@
 //!    machine models and both issue widths, comparing five engines
 //!    (streaming, packed, block fast path, block with the fast path
 //!    disabled by an attached issue log, and block replay under the
-//!    naive cycle-walking reference engine),
-//! 2. the full 15-kernel suite replayed block-wise vs per-op,
+//!    naive cycle-walking reference engine), with the streamed
+//!    lowering (`lower_ops`) checked equal to the sliced one (`lower`),
+//! 2. the full 15-kernel suite replayed block-wise vs per-op, and
+//!    captured straight into blocks vs lowered from the packed oracle,
 //! 3. edge cases: odd-length and single-op traces (the `feed_packed`
 //!    tail-handling regression), all-branch traces (every block is one
 //!    op), a strided loop whose one template replays many addresses,
@@ -117,6 +119,11 @@ fn assert_engines_agree(model: MachineModel, issue: IssueWidth, ops: &[TraceOp])
     let trace = PackedTrace::from_ops(ops.iter().copied());
     let blocks = BlockTrace::lower(&trace);
     assert_eq!(blocks.len(), ops.len() as u64, "lowering dropped ops");
+    assert_eq!(
+        BlockTrace::lower_ops(ops.iter().copied()),
+        blocks,
+        "streamed lowering != sliced lowering"
+    );
 
     let cfg = config(model, issue);
     let streamed = simulate(&cfg, ops.iter().copied());
@@ -188,11 +195,8 @@ proptest! {
     }
 }
 
-/// Every kernel in both suites produces bit-identical `SimStats` whether
-/// replayed block-wise (fast path on, or off under an attached observer)
-/// or op-by-op.
-#[test]
-fn all_kernels_agree_block_vs_per_op() {
+/// The 15 kernels of both suites at test scale.
+fn test_suite() -> Vec<Workload> {
     let mut workloads: Vec<Workload> = IntBenchmark::ALL
         .into_iter()
         .map(|b| b.workload(Scale::Test))
@@ -203,7 +207,15 @@ fn all_kernels_agree_block_vs_per_op() {
             .map(|b| b.workload(Scale::Test)),
     );
     assert_eq!(workloads.len(), 15);
-    for w in &workloads {
+    workloads
+}
+
+/// Every kernel in both suites produces bit-identical `SimStats` whether
+/// replayed block-wise (fast path on, or off under an attached observer)
+/// or op-by-op.
+#[test]
+fn all_kernels_agree_block_vs_per_op() {
+    for w in &test_suite() {
         let trace = w.capture().expect("kernel captures");
         let blocks = BlockTrace::lower(&trace);
         assert_eq!(blocks.len(), trace.len() as u64);
@@ -224,20 +236,31 @@ fn all_kernels_agree_block_vs_per_op() {
     }
 }
 
+/// Capturing straight into blocks gives exactly the lowering of the
+/// packed oracle capture — templates, instances, addresses and stats —
+/// and holds at most a quarter of the packed records' 16 bytes per op.
+#[test]
+fn all_kernels_capture_straight_into_blocks() {
+    for w in &test_suite() {
+        let trace = w.capture().expect("kernel captures");
+        let blocks = w.capture_blocks().expect("kernel captures");
+        assert_eq!(blocks, BlockTrace::lower(&trace), "{}", w.name());
+        assert!(
+            4 * blocks.mem_bytes() <= 16 * trace.len(),
+            "{}: {} block bytes for {} ops",
+            w.name(),
+            blocks.mem_bytes(),
+            trace.len()
+        );
+    }
+}
+
 /// Templates are keyed on static code: across the 15 kernels, no two
 /// templates of one lowering hold the same ops once memory addresses
 /// are zeroed (the addresses live in the operand stream instead).
 #[test]
 fn all_kernels_lower_to_static_templates() {
-    let workloads = IntBenchmark::ALL
-        .into_iter()
-        .map(|b| b.workload(Scale::Test))
-        .chain(
-            FpBenchmark::ALL
-                .into_iter()
-                .map(|b| b.workload(Scale::Test)),
-        );
-    for w in workloads {
+    for w in test_suite() {
         let trace = w.capture().expect("kernel captures");
         let blocks = BlockTrace::lower(&trace);
         let distinct: HashSet<Vec<TraceOp>> = blocks
