@@ -13,7 +13,7 @@ echo "== aurora-lint (workspace invariant gate, docs/LINTS.md) =="
 # stderr, and a non-zero exit fails CI.
 mkdir -p target/ci
 cargo run -q -p aurora-lint -- --format sarif > lint.sarif
-# The semantic rules (dataflow, concurrency, checkpoint drift, taint,
+# The semantic rules (dataflow, concurrency, snapshot codec drift, taint,
 # wire drift) must be in the shipped catalogue — a SARIF without them
 # means the gate silently lost coverage.
 for rule in L010 L011 L012 L013 L014 L015 L016; do
@@ -21,9 +21,6 @@ for rule in L010 L011 L012 L013 L014 L015 L016; do
 done
 cargo run -q -p aurora-lint -- --list > target/ci/lint_rules.txt
 [ "$(grep -c '^L0' target/ci/lint_rules.txt)" -eq 17 ]
-
-echo "== aurora-lint --fix --dry-run (shipped tree needs no mechanical fixes) =="
-cargo run -q -p aurora-lint -- --fix --dry-run 2>&1 >/dev/null | grep -q "0 edit(s) planned"
 
 echo "== build (release) =="
 cargo build --release --workspace
@@ -53,9 +50,6 @@ cargo test -q --test event_horizon_differential
 
 echo "== block-replay differential equivalence =="
 cargo test -q --test block_replay_differential
-
-echo "== checkpoint differential (save/restore/resume bit-identical) =="
-cargo test -q --test checkpoint_differential
 
 echo "== trace-cache smoke (AURORA_TRACE_CACHE persists .trc captures, no .blk) =="
 # The three runs cover the block builder's three inputs: the first

@@ -10,9 +10,7 @@
 
 use std::collections::VecDeque;
 
-use aurora_isa::{
-    ArchReg, OpKind, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, TraceOp,
-};
+use aurora_isa::{ArchReg, OpKind, TraceOp};
 
 use crate::config::{FpIssuePolicy, FpuConfig};
 use crate::rob::ReorderBuffer;
@@ -201,12 +199,6 @@ impl Fpu {
         if self.cfg.issue_policy == FpIssuePolicy::InOrderComplete {
             self.prev_completion = self.prev_completion.max(rf_write);
         }
-        #[cfg(feature = "fpu-trace")]
-        if trace_enabled(data_at) {
-            // lint:allow(L013): compiled out unless the opt-in fpu-trace
-            // debugging feature is enabled — never present in a sweep build
-            eprintln!("FPU load data={data_at} admit={admitted} rf={rf_write}");
-        }
         self.ldq.push_back(rf_write);
         if let Some(ArchReg::Fp(n)) = dst {
             if let Some(slot) = self.score.get_mut((n / 2) as usize) {
@@ -322,15 +314,6 @@ impl Fpu {
             self.bus_load.drain(..drop);
             self.bus_base = t;
         }
-        #[cfg(feature = "fpu-trace")]
-        if trace_enabled(now) {
-            // lint:allow(L013): compiled out unless the opt-in fpu-trace
-            // debugging feature is enabled — never present in a sweep build
-            eprintln!(
-                "FPU {:?} now={now} arrive={arrive} src={src_ready} issue={t} done={completion} prevC={}",
-                op.kind, self.prev_completion
-            );
-        }
 
         FpuDispatch {
             issue_at: t,
@@ -401,108 +384,6 @@ impl Fpu {
             }
         }
     }
-}
-
-impl Snapshot for Fpu {
-    /// Every scheduling structure is state: the three queues, the register
-    /// scoreboard, the FPU ROB, unit horizons, the result-bus window and
-    /// the issue/completion bookkeeping. `FpuConfig` itself is
-    /// configuration and is not recorded.
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.section(*b"FPU_");
-        w.put_len(self.iq.len());
-        for &t in &self.iq {
-            w.put_u64(t);
-        }
-        w.put_len(self.ldq.len());
-        for &t in &self.ldq {
-            w.put_u64(t);
-        }
-        w.put_len(self.stq.len());
-        for &t in &self.stq {
-            w.put_u64(t);
-        }
-        for &t in &self.score {
-            w.put_u64(t);
-        }
-        w.put_u64(self.fpcc_ready);
-        self.rob.save(w);
-        for &t in &self.unit_free {
-            w.put_u64(t);
-        }
-        w.put_len(self.bus_load.len());
-        for &n in &self.bus_load {
-            w.put_u32(n);
-        }
-        w.put_u64(self.bus_base);
-        w.put_u64(self.last_issue_cycle);
-        w.put_len(self.issued_in_cycle);
-        w.put_u64(self.prev_completion);
-        w.put_u64(self.latest_event);
-        w.put_u64(self.stats.dispatched);
-        w.put_u64(self.stats.dual_issues);
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.section(*b"FPU_")?;
-        // Dual dispatch admits an FP pair against a single non-reserving
-        // space check, so the instruction and store queues can sit one
-        // entry over capacity until the next `*_space_at` prune — a
-        // reachable state the image must round-trip. The load queue is
-        // self-limiting (it pops its oldest entry at capacity), so its
-        // bound stays exact.
-        let iq = r.len(self.cfg.instr_queue + 1)?;
-        self.iq.clear();
-        for _ in 0..iq {
-            self.iq.push_back(r.u64()?);
-        }
-        let ldq = r.len(self.cfg.load_queue)?;
-        self.ldq.clear();
-        for _ in 0..ldq {
-            self.ldq.push_back(r.u64()?);
-        }
-        let stq = r.len(self.cfg.store_queue + 1)?;
-        self.stq.clear();
-        for _ in 0..stq {
-            self.stq.push_back(r.u64()?);
-        }
-        for slot in self.score.iter_mut() {
-            *slot = r.u64()?;
-        }
-        self.fpcc_ready = r.u64()?;
-        self.rob.restore(r)?;
-        for slot in self.unit_free.iter_mut() {
-            *slot = r.u64()?;
-        }
-        // The bus window spans the live scheduling range, which is bounded
-        // by the longest op latency plus queued completions — far under
-        // this cap in any reachable state.
-        let bus = r.len(1 << 16)?;
-        self.bus_load.clear();
-        for _ in 0..bus {
-            self.bus_load.push_back(r.u32()?);
-        }
-        self.bus_base = r.u64()?;
-        self.last_issue_cycle = r.u64()?;
-        self.issued_in_cycle = r.len(2)?;
-        self.prev_completion = r.u64()?;
-        self.latest_event = r.u64()?;
-        self.stats.dispatched = r.u64()?;
-        self.stats.dual_issues = r.u64()?;
-        Ok(())
-    }
-}
-
-#[cfg(feature = "fpu-trace")]
-fn trace_enabled(cycle: u64) -> bool {
-    static FROM: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    let from = *FROM.get_or_init(|| {
-        std::env::var("FPU_TRACE_FROM")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    });
-    cycle >= from
 }
 
 fn unit_of(kind: OpKind) -> Unit {

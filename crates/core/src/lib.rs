@@ -17,11 +17,8 @@
 //! * [`SimStats`] — CPI plus the stall-cycle breakdown of Figure 6 and
 //!   per-structure statistics for every table in the paper,
 //! * [`run_sampled`] — SMARTS-style sampled simulation: detailed windows
-//!   over a functional-warming fast-forward ([`Simulator::warm_digest`]),
-//!   CPI estimates with confidence intervals ([`SampledStats`]), and
-//!   whole-machine checkpoints ([`Simulator::save_checkpoint`] /
-//!   [`Simulator::restore_checkpoint`]) whose save → restore → resume
-//!   round trip is bit-identical to uninterrupted execution.
+//!   over a functional-warming fast-forward ([`Simulator::warm_digest`])
+//!   and CPI estimates with confidence intervals ([`SampledStats`]).
 //!
 //! # Quick start
 //!

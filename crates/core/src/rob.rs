@@ -3,8 +3,6 @@
 
 use std::collections::VecDeque;
 
-use aurora_isa::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
-
 /// Tracks reorder-buffer occupancy for a timing model.
 ///
 /// Entries are pushed at issue with their *completion* cycle. Retirement
@@ -116,32 +114,6 @@ impl ReorderBuffer {
         self.entries
             .iter()
             .fold(self.last_retire, |acc, &c| acc.max(c))
-    }
-}
-
-impl Snapshot for ReorderBuffer {
-    /// In-flight completion times (in order), the retirement horizon and
-    /// the peak-occupancy counter; capacity is configuration.
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.section(*b"ROB_");
-        w.put_len(self.entries.len());
-        for &c in &self.entries {
-            w.put_u64(c);
-        }
-        w.put_u64(self.last_retire);
-        w.put_len(self.peak);
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.section(*b"ROB_")?;
-        let n = r.len(self.capacity)?;
-        self.entries.clear();
-        for _ in 0..n {
-            self.entries.push_back(r.u64()?);
-        }
-        self.last_retire = r.u64()?;
-        self.peak = r.len(self.capacity)?;
-        Ok(())
     }
 }
 

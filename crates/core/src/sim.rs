@@ -41,7 +41,7 @@ use std::ops::Range;
 
 use aurora_isa::{
     ArchReg, BlockTemplate, BlockTrace, EmuError, Emulator, OpKind, PackedOp, PackedTrace, Program,
-    SegPlan, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, TraceOp, HILO_BIT,
+    SegPlan, TraceOp, HILO_BIT,
 };
 use aurora_mem::{
     Biu, DecodedICache, DirectMappedCache, Geometry, LineAddr, MshrFile, PairInfo, StreamBuffers,
@@ -79,10 +79,6 @@ const OBS_BATCH: usize = 24;
 /// path: below this the entry checks cost more than the per-group
 /// savings.
 const MIN_FAST_RUN: usize = 2;
-/// Upper bound on the serialized pending-queue blob inside a checkpoint.
-/// The look-ahead queue holds at most one op between public calls, so a
-/// longer blob can only come from a corrupt image.
-const PENDING_BLOB_CAP: usize = 4096;
 
 /// A taken control transfer awaiting its post-delay-slot fetch.
 #[derive(Debug, Clone, Copy)]
@@ -1874,141 +1870,6 @@ impl<'cfg> Simulator<'cfg> {
             }
         }
     }
-
-    // --- Whole-machine checkpoints ---------------------------------------
-
-    /// Serializes the complete machine state — clock, front end,
-    /// scoreboard, ROB, every memory-system unit (tags, MSHRs, stream
-    /// buffers, write cache, BIU busses and RNG), the FPU, the pending
-    /// look-ahead queue and all statistics — into a versioned binary
-    /// image. Restoring it into a simulator built from the *same*
-    /// [`MachineConfig`] and resuming produces bit-identical [`SimStats`]
-    /// to the uninterrupted run (enforced by the checkpoint differential
-    /// suite). Diagnostics (observer ring, issue log) are not captured.
-    pub fn save_checkpoint(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        w.section(*b"SIM_");
-        w.put_u64(self.now);
-        w.put_opt_u64(self.last_fetch_pair);
-        save_redirect(&mut w, self.after_ctl);
-        save_redirect(&mut w, self.delay_pending);
-        for &(ready, cause) in &self.int_score {
-            w.put_u64(ready);
-            w.put_u8(cause_code(cause));
-        }
-        w.put_u64(self.hilo.0);
-        w.put_u8(cause_code(self.hilo.1));
-        self.rob.save(&mut w);
-        self.icache.save(&mut w);
-        self.dcache.save(&mut w);
-        w.put_u64(self.dcache_port_free);
-        w.put_len(self.pending_fills.len());
-        for &(line, arrival) in &self.pending_fills {
-            w.put_u64(line.0);
-            w.put_u64(arrival);
-        }
-        w.put_u64(self.next_fill_at);
-        self.write_cache.save(&mut w);
-        self.mshrs.save(&mut w);
-        w.put_bool(self.streams.is_some());
-        if let Some(streams) = &self.streams {
-            streams.save(&mut w);
-        }
-        self.biu.save(&mut w);
-        self.istream.save(&mut w);
-        self.dstream.save(&mut w);
-        self.fpu.save(&mut w);
-        // The ≤1-op look-ahead queue rides along as an embedded packed
-        // trace, reusing its validated codec.
-        let queue = PackedTrace::from_ops(self.pending.iter().copied());
-        let mut blob = Vec::new();
-        let wrote = queue.write_to(&mut blob);
-        debug_assert!(wrote.is_ok(), "writing to a Vec cannot fail");
-        w.put_len(blob.len());
-        w.put_bytes(&blob);
-        w.put_u64(self.fetch_bubble);
-        w.put_u64(self.warm_cycle_offset);
-        self.stats.save(&mut w);
-        w.finish()
-    }
-
-    /// Restores a [`Simulator::save_checkpoint`] image in place.
-    ///
-    /// The simulator must have been built from the same configuration
-    /// that produced the image: capacities are configuration, so they are
-    /// cross-checked rather than serialized, and any mismatch surfaces as
-    /// [`SnapshotError::Corrupt`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapshotError`] on any malformed, truncated,
-    /// version-mismatched or capacity-mismatched image; the simulator
-    /// state is unspecified after an error (restore into a fresh one).
-    pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = SnapshotReader::new(bytes)?;
-        r.section(*b"SIM_")?;
-        self.now = r.u64()?;
-        self.last_fetch_pair = r.opt_u64()?;
-        self.after_ctl = restore_redirect(&mut r)?;
-        self.delay_pending = restore_redirect(&mut r)?;
-        for slot in &mut self.int_score {
-            *slot = (r.u64()?, cause_from(r.u8()?)?);
-        }
-        self.hilo = (r.u64()?, cause_from(r.u8()?)?);
-        self.rob.restore(&mut r)?;
-        self.icache.restore(&mut r)?;
-        self.dcache.restore(&mut r)?;
-        self.dcache_port_free = r.u64()?;
-        // Every pending fill holds an MSHR, so the file's capacity bounds
-        // the list.
-        let fills = r.len(self.mshrs.capacity())?;
-        self.pending_fills.clear();
-        for _ in 0..fills {
-            self.pending_fills.push((LineAddr(r.u64()?), r.u64()?));
-        }
-        self.next_fill_at = r.u64()?;
-        self.write_cache.restore(&mut r)?;
-        self.mshrs.restore(&mut r)?;
-        if r.bool()? != self.streams.is_some() {
-            return Err(SnapshotError::Corrupt("stream-buffer presence mismatch"));
-        }
-        if let Some(streams) = self.streams.as_mut() {
-            streams.restore(&mut r)?;
-        }
-        self.biu.restore(&mut r)?;
-        self.istream.restore(&mut r)?;
-        self.dstream.restore(&mut r)?;
-        self.fpu.restore(&mut r)?;
-        let blob_len = r.len(PENDING_BLOB_CAP)?;
-        let blob = r.bytes(blob_len)?;
-        let queue = PackedTrace::read_from(&mut &blob[..])
-            .map_err(|_| SnapshotError::Corrupt("pending-queue trace blob"))?;
-        if queue.records().len() > 2 {
-            return Err(SnapshotError::Corrupt("pending queue too long"));
-        }
-        self.pending.clear();
-        for rec in queue.records() {
-            self.pending.push_back(rec.unpack());
-        }
-        self.fetch_bubble = r.u64()?;
-        self.warm_cycle_offset = r.u64()?;
-        self.stats.restore(&mut r)?;
-        r.finish()?;
-        self.reset_transient_diagnostics();
-        Ok(())
-    }
-
-    /// Clears the diagnostic state a checkpoint deliberately does not
-    /// carry (observer batch buffer, debug horizon probe). Named and
-    /// separate from [`Simulator::restore_checkpoint`] so the
-    /// checkpoint-drift cross-check (L014) sees the codec touch only
-    /// serialized fields — see the checkpoint codec checklist in
-    /// docs/LINTS.md.
-    fn reset_transient_diagnostics(&mut self) {
-        self.obs_buf_len = 0;
-        #[cfg(debug_assertions)]
-        self.horizon_probe.set(None);
-    }
 }
 
 /// Event tags for [`WarmDigest`] entries.
@@ -2160,44 +2021,6 @@ impl WarmDigest {
         let hi = tail.partition_point(|e| (e.op_idx as usize) < range.end);
         tail.get(..hi).unwrap_or_default()
     }
-}
-
-/// Serializes an optional fetch redirect (presence, branch PC, foldable).
-fn save_redirect(w: &mut SnapshotWriter, r: Option<Redirect>) {
-    w.put_bool(r.is_some());
-    if let Some(r) = r {
-        w.put_u64(r.branch_pc);
-        w.put_bool(r.foldable);
-    }
-}
-
-/// Inverse of [`save_redirect`].
-fn restore_redirect(r: &mut SnapshotReader<'_>) -> Result<Option<Redirect>, SnapshotError> {
-    Ok(if r.bool()? {
-        Some(Redirect {
-            branch_pc: r.u64()?,
-            foldable: r.bool()?,
-        })
-    } else {
-        None
-    })
-}
-
-/// Stable wire code for a [`StallCause`]: its position in
-/// [`StallCause::ALL`].
-fn cause_code(c: StallCause) -> u8 {
-    StallCause::ALL
-        .iter()
-        .position(|&x| x == c)
-        .unwrap_or_default() as u8
-}
-
-/// Inverse of [`cause_code`].
-fn cause_from(code: u8) -> Result<StallCause, SnapshotError> {
-    StallCause::ALL
-        .get(usize::from(code))
-        .copied()
-        .ok_or(SnapshotError::Corrupt("unknown stall-cause code"))
 }
 
 /// Scratch value for [`Instance::op`]'s address-carrying copies.
@@ -2932,84 +2755,6 @@ mod tests {
         let a = simulate(&c, trace.clone());
         let b = simulate(&c, trace);
         assert_eq!(a.cycles, b.cycles);
-    }
-
-    /// A trace exercising every checkpointed unit: loads and stores that
-    /// miss, ALU chains, taken branches with delay slots.
-    fn mixed_trace(n: u32) -> Vec<TraceOp> {
-        (0..n)
-            .map(|i| match i % 7 {
-                0 => load(
-                    BASE + 4 * (i % 64),
-                    (8 + i % 4) as u8,
-                    0x0010_0000 + 64 * (i % 777),
-                ),
-                1 => store(BASE + 4 * (i % 64), 0x0070_0000 + 32 * (i % 300)),
-                4 => TraceOp {
-                    pc: BASE + 4 * (i % 64),
-                    kind: OpKind::Branch {
-                        taken: i % 3 == 0,
-                        target: BASE + 4 * ((i + 9) % 64),
-                    },
-                    dst: None,
-                    src1: Some(ArchReg::Int(8)),
-                    src2: None,
-                },
-                _ => alu(
-                    BASE + 4 * (i % 64),
-                    (8 + i % 4) as u8,
-                    (8 + (i + 1) % 4) as u8,
-                ),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn checkpoint_resume_is_bit_identical() {
-        let mut c = cfg(MachineModel::Small, IssueWidth::Dual);
-        c.memory_latency = LatencyModel::average_35(); // exercises the BIU RNG
-        let trace = mixed_trace(4000);
-        let uninterrupted = simulate(&c, trace.clone());
-        for split in [1usize, 123, 1000, 3999] {
-            let mut a = Simulator::new(&c);
-            for op in trace.iter().take(split) {
-                a.feed(*op);
-            }
-            let image = a.save_checkpoint();
-            let mut b = Simulator::new(&c);
-            b.restore_checkpoint(&image).expect("restore failed");
-            for op in trace.iter().skip(split) {
-                b.feed(*op);
-            }
-            assert_eq!(b.finish(), uninterrupted, "split at {split}");
-        }
-    }
-
-    #[test]
-    fn checkpoint_rejects_corruption_and_config_mismatch() {
-        let c = cfg(MachineModel::Baseline, IssueWidth::Single);
-        let mut sim = Simulator::new(&c);
-        for op in mixed_trace(200) {
-            sim.feed(op);
-        }
-        let image = sim.save_checkpoint();
-        let mut fresh = Simulator::new(&c);
-        assert!(
-            fresh
-                .restore_checkpoint(image.get(..image.len() - 1).unwrap_or(&[]))
-                .is_err(),
-            "truncated image must be rejected"
-        );
-        let mut bad = image.clone();
-        if let Some(v) = bad.get_mut(8) {
-            *v ^= 0xFF; // header version low byte
-        }
-        let mut versioned = Simulator::new(&c);
-        assert!(versioned.restore_checkpoint(&bad).is_err());
-        // A different geometry fails the line-count cross-checks.
-        let big = cfg(MachineModel::Large, IssueWidth::Single);
-        let mut other = Simulator::new(&big);
-        assert!(other.restore_checkpoint(&image).is_err());
     }
 
     #[test]

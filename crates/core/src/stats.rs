@@ -222,12 +222,14 @@ impl SimStats {
 }
 
 impl SimStats {
-    /// Serializes every counter into a standalone snapshot image (the
-    /// same versioned `AURACKPT` container whole-machine checkpoints
-    /// use). This is the persistence format of the `aurora-serve` result
-    /// store: decoding with [`SimStats::from_snapshot_bytes`] reproduces
-    /// the struct bit for bit, so a memoised result is indistinguishable
-    /// from a fresh simulation.
+    /// Serializes every counter into a standalone snapshot image: the
+    /// versioned `AURACKPT` container of [`aurora_isa::SnapshotWriter`].
+    /// This is the persistence format of the `aurora-serve` result store,
+    /// and [`SimStats::fingerprint`] hashes it, header included, so every
+    /// stats digest and every stored record depends on these bytes.
+    /// Decoding with [`SimStats::from_snapshot_bytes`] reproduces the
+    /// struct bit for bit, so a memoised result is indistinguishable from
+    /// a fresh simulation.
     ///
     /// ```
     /// use aurora_core::SimStats;
@@ -447,6 +449,80 @@ mod tests {
         assert!(SimStats::from_snapshot_bytes(&long).is_err());
         // Not a snapshot at all.
         assert!(SimStats::from_snapshot_bytes(b"junk").is_err());
+    }
+
+    /// Every counter set to a distinct value, so the pinned fingerprint
+    /// below covers the position of each field in the image.
+    fn every_counter_distinct() -> SimStats {
+        let mut stats = SimStats {
+            cycles: 1_000_003,
+            instructions: 700_001,
+            fp_instructions: 41,
+            fp_dual_issues: 42,
+            folded_branches: 43,
+            unfolded_branches: 44,
+            dual_issues: 45,
+            ..Default::default()
+        };
+        for (i, kind) in StallKind::ALL.into_iter().enumerate() {
+            stats.stalls[kind] = 100 + i as u64;
+        }
+        let cache = |base: u64| CacheStats {
+            accesses: base,
+            hits: base + 1,
+            misses: base + 2,
+            evictions: base + 3,
+        };
+        stats.icache = cache(200);
+        stats.dcache = cache(210);
+        let stream = |base: u64| StreamStats {
+            probes: base,
+            hits: base + 1,
+            prefetches_issued: base + 2,
+            allocations: base + 3,
+        };
+        stats.istream = stream(300);
+        stats.dstream = stream(310);
+        stats.write_cache = WriteCacheStats {
+            store_accesses: 400,
+            store_hits: 401,
+            load_accesses: 402,
+            load_hits: 403,
+            store_transactions: 404,
+            validations: 405,
+        };
+        stats.mshr = MshrStats {
+            allocations: 500,
+            merges: 501,
+            full_stalls: 502,
+            peak_occupancy: 503,
+        };
+        stats.biu = BiuStats {
+            instr_fills: 600,
+            data_fills: 601,
+            prefetches: 602,
+            write_backs: 603,
+            validations: 604,
+            receive_busy_cycles: 605,
+            transmit_busy_cycles: 606,
+        };
+        stats
+    }
+
+    /// `SimStats::fingerprint` hashes the whole snapshot image, header
+    /// included, and the result store persists the same bytes: a change
+    /// to the header or to any field's encoding silently moves every
+    /// `stats_digest` and invalidates every stored record. These values
+    /// pin the format.
+    #[test]
+    fn snapshot_image_and_fingerprint_are_pinned() {
+        let stats = every_counter_distinct();
+        let bytes = stats.to_snapshot_bytes();
+        assert_eq!(&bytes[..8], b"AURACKPT");
+        assert_eq!(&bytes[8..12], &1u32.to_le_bytes());
+        assert_eq!(bytes.len(), 388);
+        assert_eq!(stats.fingerprint(), 0x144a_b58c_5899_f2ce);
+        assert_eq!(SimStats::from_snapshot_bytes(&bytes).unwrap(), stats);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   [`BlockTraceBuilder`] builds it one op at a time, straight from the
 //!   emulator, and [`BlockTrace::lower`] from a held packed trace,
 //! * [`Snapshot`] / [`SnapshotWriter`] / [`SnapshotReader`] — the
-//!   versioned binary checkpoint codec units use to freeze dynamic state
-//!   so a run can be saved, restored and resumed bit-identically,
+//!   versioned binary codec statistics serialize through: what the
+//!   `aurora-serve` result store persists and stats fingerprints hash,
 //! * [`Fnv1a`] — the stable cross-process fingerprint hasher that keys
 //!   every content-addressed cache in the workspace (trace store, config
 //!   fingerprints, the `aurora-serve` result store).
@@ -91,7 +91,7 @@ pub use packed::{PackedOp, PackedTrace};
 pub use program::{DelaySlotError, Program, Segment};
 pub use reg::{FReg, Reg};
 pub use snapshot::{
-    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, CHECKPOINT_FORMAT_VERSION,
+    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, SNAPSHOT_FORMAT_VERSION,
 };
 pub use trace::{ArchReg, MemWidth, OpKind, TraceOp, TraceStats};
 pub use trace_io::{read_trace, write_trace, TraceReader, TraceWriter};

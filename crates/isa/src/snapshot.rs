@@ -1,44 +1,38 @@
-//! Versioned binary checkpoint codec for full-machine snapshots.
+//! Versioned binary codec for statistics snapshots.
 //!
-//! The sampling/fast-forward work needs to freeze a running simulation —
-//! caches, MSHRs, stream buffers, BIU (including its latency RNG), FPU
-//! queues, ROB, scoreboard and clock — and later resume it bit-identically.
-//! This module provides the serialization substrate: a [`Snapshot`] trait
-//! implemented by every stateful unit, plus a [`SnapshotWriter`] /
-//! [`SnapshotReader`] pair speaking a little-endian binary format in the
-//! same style as the `trace_io` trace codec (magic, explicit version,
-//! hard errors on any structural mismatch).
+//! `aurora-core`'s `SimStats` and the per-unit statistics structs it
+//! embeds serialize through this module: a [`Snapshot`] trait plus a
+//! [`SnapshotWriter`] / [`SnapshotReader`] pair speaking a little-endian
+//! binary format in the same style as the `trace_io` trace codec (magic,
+//! explicit version, hard errors on any structural mismatch). The
+//! `aurora-serve` result store persists these images, and
+//! `SimStats::fingerprint` hashes them, header included, so every stats
+//! digest depends on the exact bytes written here.
 //!
-//! Layout: an 12-byte header (`b"AURACKPT"` + format version), then a
-//! sequence of unit sections. Each section opens with a 4-byte ASCII tag
-//! so a reader that has drifted out of sync fails loudly at the next
-//! section boundary instead of silently misinterpreting payload bytes.
-//! Fixed-width integers are little-endian; collection lengths are `u64`.
-//!
-//! Checkpoints are *configuration-relative*: a snapshot records dynamic
-//! state only (tags, queue contents, clocks, counters), never geometry or
-//! capacities. Restoring into a machine built from a different
-//! [`MachineConfig`](../aurora_core/struct.MachineConfig.html) is detected
-//! by the per-unit capacity guards and reported as
-//! [`SnapshotError::Corrupt`].
+//! Layout: a 12-byte header (`b"AURACKPT"` + format version), then a
+//! sequence of sections. Each section opens with a 4-byte ASCII tag so a
+//! reader that has drifted out of sync fails loudly at the next section
+//! boundary instead of silently misinterpreting payload bytes.
+//! Fixed-width integers are little-endian.
 
 use std::fmt;
 use std::io;
 
-/// Version stamp of the checkpoint container format. Bump on any change
-/// to the section layout or per-unit encodings.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 1;
+/// Version stamp of the snapshot container format. Bump on any change
+/// to the section layout or per-unit encodings: every stored result and
+/// every stats fingerprint moves with it.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
 
 const MAGIC: &[u8; 8] = b"AURACKPT";
 
-/// Decode-side failure: structural corruption, truncation, or a
-/// checkpoint/machine mismatch. Copyable and allocation-free so the
+/// Decode-side failure: a foreign or truncated image, or one whose
+/// sections disagree with the reader. Copyable and allocation-free so the
 /// restore path stays cheap and lint-clean.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The buffer does not start with the `AURACKPT` magic.
     BadMagic,
-    /// The container version is not [`CHECKPOINT_FORMAT_VERSION`].
+    /// The container version is not [`SNAPSHOT_FORMAT_VERSION`].
     Version {
         /// Version stamp found in the header.
         found: u32,
@@ -53,27 +47,27 @@ pub enum SnapshotError {
         /// Tag actually present in the buffer.
         found: [u8; 4],
     },
-    /// A decoded value is impossible for the machine being restored into
-    /// (capacity mismatch, out-of-range discriminant, non-boolean byte).
+    /// The image is structurally impossible (trailing bytes after the
+    /// final section).
     Corrupt(&'static str),
 }
 
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::BadMagic => write!(f, "not an Aurora checkpoint (bad magic)"),
+            SnapshotError::BadMagic => write!(f, "not an Aurora snapshot (bad magic)"),
             SnapshotError::Version { found } => write!(
                 f,
-                "unsupported checkpoint version {found} (expected {CHECKPOINT_FORMAT_VERSION})"
+                "unsupported snapshot version {found} (expected {SNAPSHOT_FORMAT_VERSION})"
             ),
-            SnapshotError::Truncated => write!(f, "checkpoint truncated"),
+            SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::Section { expected, found } => write!(
                 f,
-                "checkpoint section mismatch: expected {:?}, found {:?}",
+                "snapshot section mismatch: expected {:?}, found {:?}",
                 core::str::from_utf8(expected).unwrap_or("????"),
                 core::str::from_utf8(found).unwrap_or("????"),
             ),
-            SnapshotError::Corrupt(what) => write!(f, "corrupt checkpoint: {what}"),
+            SnapshotError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
         }
     }
 }
@@ -86,46 +80,34 @@ impl From<SnapshotError> for io::Error {
     }
 }
 
-/// A unit that can serialize its dynamic state into a checkpoint and
-/// later restore it in place.
-///
-/// `restore` mutates an already-constructed unit (built from the same
-/// machine configuration that produced the snapshot) rather than
-/// constructing one, so capacities and geometry act as cross-checks and
-/// the restore path performs no structural allocation beyond refilling
-/// steady-state buffers.
+/// A statistics struct that can serialize its counters into a snapshot
+/// and later restore them in place.
 pub trait Snapshot {
-    /// Appends this unit's state to the checkpoint.
+    /// Appends this value's counters to the snapshot.
     fn save(&self, w: &mut SnapshotWriter);
-    /// Overwrites this unit's state from the checkpoint cursor.
+    /// Overwrites this value's counters from the snapshot cursor.
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError>;
 }
 
-/// Append-only encoder for the checkpoint byte stream.
+/// Append-only encoder for the snapshot byte stream.
 #[derive(Debug)]
 pub struct SnapshotWriter {
     buf: Vec<u8>,
 }
 
 impl SnapshotWriter {
-    /// Starts a checkpoint: writes the magic and format version.
+    /// Starts a snapshot: writes the magic and format version.
     pub fn new() -> SnapshotWriter {
         let mut buf = Vec::with_capacity(4096);
         buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&CHECKPOINT_FORMAT_VERSION.to_le_bytes());
+        buf.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
         SnapshotWriter { buf }
     }
 
-    /// Opens a unit section with a 4-byte ASCII tag.
+    /// Opens a section with a 4-byte ASCII tag.
     #[inline]
     pub fn section(&mut self, tag: [u8; 4]) {
         self.buf.extend_from_slice(&tag);
-    }
-
-    /// Appends a raw byte.
-    #[inline]
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
     }
 
     /// Appends a little-endian `u32`.
@@ -140,37 +122,7 @@ impl SnapshotWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a collection length as a `u64`.
-    #[inline]
-    pub fn put_len(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// Appends a boolean as a single `0`/`1` byte.
-    #[inline]
-    pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
-
-    /// Appends an optional `u64` as a presence byte plus payload.
-    #[inline]
-    pub fn put_opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.put_bool(true);
-                self.put_u64(x);
-            }
-            None => self.put_bool(false),
-        }
-    }
-
-    /// Appends raw bytes verbatim (for pre-packed records).
-    #[inline]
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Finishes the checkpoint and returns the encoded bytes.
+    /// Finishes the snapshot and returns the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
@@ -182,7 +134,7 @@ impl Default for SnapshotWriter {
     }
 }
 
-/// Cursor over an encoded checkpoint. Construction validates the header;
+/// Cursor over an encoded snapshot. Construction validates the header;
 /// every accessor fails with [`SnapshotError`] rather than panicking, so
 /// arbitrary bytes can be fed in safely.
 #[derive(Debug)]
@@ -201,7 +153,7 @@ impl<'a> SnapshotReader<'a> {
             return Err(SnapshotError::BadMagic);
         }
         let version = r.u32()?;
-        if version != CHECKPOINT_FORMAT_VERSION {
+        if version != SNAPSHOT_FORMAT_VERSION {
             return Err(SnapshotError::Version { found: version });
         }
         Ok(r)
@@ -230,13 +182,6 @@ impl<'a> SnapshotReader<'a> {
         Ok(())
     }
 
-    /// Reads a raw byte.
-    #[inline]
-    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
-        let b = self.take(1)?;
-        b.first().copied().ok_or(SnapshotError::Truncated)
-    }
-
     /// Reads a little-endian `u32`.
     #[inline]
     pub fn u32(&mut self) -> Result<u32, SnapshotError> {
@@ -257,46 +202,8 @@ impl<'a> SnapshotReader<'a> {
         Ok(u64::from_le_bytes(b))
     }
 
-    /// Reads a collection length, bounds-checked against `max` so a
-    /// corrupt length cannot trigger a huge allocation.
-    #[inline]
-    pub fn len(&mut self, max: usize) -> Result<usize, SnapshotError> {
-        let v = self.u64()?;
-        let v = usize::try_from(v).map_err(|_| SnapshotError::Corrupt("length overflow"))?;
-        if v > max {
-            return Err(SnapshotError::Corrupt("length exceeds unit capacity"));
-        }
-        Ok(v)
-    }
-
-    /// Reads a boolean; any byte other than `0`/`1` is corruption.
-    #[inline]
-    pub fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Corrupt("non-boolean byte")),
-        }
-    }
-
-    /// Reads an optional `u64` written by [`SnapshotWriter::put_opt_u64`].
-    #[inline]
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
-        if self.bool()? {
-            Ok(Some(self.u64()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Reads exactly `n` raw bytes.
-    #[inline]
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        self.take(n)
-    }
-
-    /// Asserts the checkpoint has been fully consumed — trailing garbage
-    /// means the reader and writer disagree about the state layout.
+    /// Asserts the snapshot has been fully consumed — trailing garbage
+    /// means the reader and writer disagree about the layout.
     pub fn finish(self) -> Result<(), SnapshotError> {
         if self.pos != self.buf.len() {
             return Err(SnapshotError::Corrupt("trailing bytes after final section"));
@@ -313,26 +220,14 @@ mod tests {
     fn header_and_values_round_trip() {
         let mut w = SnapshotWriter::new();
         w.section(*b"TEST");
-        w.put_u8(7);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX);
-        w.put_len(3);
-        w.put_bool(true);
-        w.put_opt_u64(None);
-        w.put_opt_u64(Some(42));
-        w.put_bytes(&[1, 2, 3]);
         let bytes = w.finish();
 
         let mut r = SnapshotReader::new(&bytes).unwrap();
         r.section(*b"TEST").unwrap();
-        assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.len(8).unwrap(), 3);
-        assert!(r.bool().unwrap());
-        assert_eq!(r.opt_u64().unwrap(), None);
-        assert_eq!(r.opt_u64().unwrap(), Some(42));
-        assert_eq!(r.bytes(3).unwrap(), &[1, 2, 3]);
         r.finish().unwrap();
     }
 
@@ -380,27 +275,9 @@ mod tests {
     #[test]
     fn trailing_bytes_detected() {
         let mut w = SnapshotWriter::new();
-        w.put_u8(0);
+        w.put_u32(0);
         let bytes = w.finish();
         let r = SnapshotReader::new(&bytes).unwrap();
         assert!(matches!(r.finish().unwrap_err(), SnapshotError::Corrupt(_)));
-    }
-
-    #[test]
-    fn oversized_length_rejected() {
-        let mut w = SnapshotWriter::new();
-        w.put_len(1_000_000);
-        let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes).unwrap();
-        assert!(matches!(r.len(64).unwrap_err(), SnapshotError::Corrupt(_)));
-    }
-
-    #[test]
-    fn corrupt_bool_rejected() {
-        let mut w = SnapshotWriter::new();
-        w.put_u8(2);
-        let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes).unwrap();
-        assert!(matches!(r.bool().unwrap_err(), SnapshotError::Corrupt(_)));
     }
 }

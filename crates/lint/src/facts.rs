@@ -1,11 +1,10 @@
-//! Per-file analysis facts: the serializable IR between the parser and
-//! the cross-file graph/rule phases.
+//! Per-file analysis facts: the IR between the parser and the cross-file
+//! graph/rule phases.
 //!
 //! Facts are extracted from one file's AST *without* any cross-file
-//! information, which makes them safe to cache by content hash (see
-//! [`cache`](crate::cache)). Receiver types are recorded as *chain
-//! descriptors* — `self.f:obs.m:as_deref_mut.some` — that the graph
-//! phase resolves against the workspace symbol index.
+//! information. Receiver types are recorded as *chain descriptors* —
+//! `self.f:obs.m:as_deref_mut.some` — that the graph phase resolves
+//! against the workspace symbol index.
 //!
 //! Chain grammar (space-free, `.`-separated):
 //! - start: `self` | `t:<Type>` | `fn:<name>` | `?`
@@ -13,8 +12,8 @@
 //!
 //! `some` unwraps one `Option`/`Result`/smart-pointer layer; `elem`
 //! takes a container's element type; `idx` is `elem` introduced by `[]`.
-//! Spaces inside type strings are escaped as `~` for the line-based
-//! cache format.
+//! Spaces inside type strings are escaped as `~`, keeping descriptors
+//! space-free.
 
 use crate::ast::{Binding, Block, Expr, LetStmt, PFn, Stmt};
 use crate::lexer::FieldDef;
@@ -311,7 +310,7 @@ pub fn extract(
     file
 }
 
-/// Escape spaces for the chain/cache format.
+/// Escape spaces for the chain format.
 pub fn esc(s: &str) -> String {
     s.replace(' ', "~")
 }

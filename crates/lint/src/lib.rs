@@ -12,17 +12,20 @@
 //! graph, and enforces those invariants as lint rules L000–L009. Rules
 //! L010–L016 run deeper passes over the same graph: interval dataflow for
 //! wrapping arithmetic, lock-order and atomic-ordering checks, blocking
-//! calls in pool workers, checkpoint codec drift, taint from the
+//! calls in pool workers, snapshot codec drift, taint from the
 //! service's socket boundary, and wire-format drift.
 //!
 //! The pipeline has two phases:
 //!
-//! 1. **Per-file** (pure, cacheable, parallel): lex → parse →
-//!    [`facts::extract`] produces a [`facts::FileFacts`] — call sites with
-//!    receiver *chain descriptors*, rule-relevant events, struct layouts.
-//! 2. **Workspace** (always fresh): [`graph::Graph`] resolves chains
-//!    against the symbol index, computes reachability from the hot roots
-//!    declared in `lint.toml`, and [`rules`] walks the result.
+//! 1. **Per-file**: each file is lexed and parsed once; the
+//!    [`ast::ParsedFile`] stays in the [`Workspace`] for the deep phase,
+//!    and [`facts::extract`] derives a [`facts::FileFacts`] from it —
+//!    call sites with receiver *chain descriptors*, rule-relevant events,
+//!    struct layouts.
+//! 2. **Workspace**: [`graph::Graph`] resolves chains against the symbol
+//!    index, computes reachability from the hot roots declared in
+//!    `lint.toml`, [`summary::deep_phase`] runs the interprocedural
+//!    passes over the parsed bodies, and [`rules`] walks the result.
 //!
 //! Findings are suppressed inline with `// lint:allow(L0xx): <reason>`;
 //! the reason is mandatory, and a pragma without one is itself a finding
@@ -31,12 +34,10 @@
 //! unresolvable (dynamic dispatch). See `docs/LINTS.md` for the catalogue.
 
 pub mod ast;
-pub mod cache;
 pub mod concurrency;
 pub mod config;
 pub mod dataflow;
 pub mod facts;
-pub mod fix;
 pub mod graph;
 pub mod lexer;
 pub mod output;
@@ -47,10 +48,8 @@ pub mod taint;
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-use cache::Cache;
+use ast::ParsedFile;
 use config::LintConfig;
 use facts::FileFacts;
 
@@ -85,61 +84,24 @@ pub struct Report {
     pub findings: Vec<Finding>,
     pub suppressed: usize,
     pub files_scanned: usize,
-    /// Files served from the incremental cache this run.
-    pub cache_hits: usize,
-}
-
-/// Everything derived from one file's content. A pure function of the
-/// source text, which is what makes it safe to cache by content hash.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FileAnalysis {
-    pub facts: FileFacts,
-    pub pragmas: Vec<Pragma>,
-    /// Lines carrying a `// lint:extern` marker.
-    pub externs: Vec<u32>,
-    /// Interprocedural results, valid for the dependency hash they
-    /// carry. `None` until the deep phase has run for this file.
-    pub deep: Option<summary::DeepFacts>,
-}
-
-/// Lex, parse and extract facts from one file's source.
-pub fn analyze_source(src: &str) -> FileAnalysis {
-    let toks = lexer::lex(src);
-    let parsed = parser::parse_file(&toks);
-    let mut facts = facts::extract(
-        &parsed.fns,
-        lexer::all_structs(&toks),
-        lexer::numeric_consts(&toks),
-    );
-    facts.wire_keys = lexer::wire_keys(src);
-    FileAnalysis {
-        facts,
-        pragmas: scan_pragmas(src),
-        externs: scan_externs(src),
-        deep: None,
-    }
 }
 
 pub struct Workspace {
     pub root: PathBuf,
-    /// `(rel path, facts)`, sorted by path — the slice [`graph::Graph`]
-    /// borrows, so file indices here are the graph's file indices.
+    /// `(rel path, facts)`, sorted by path string — the slice
+    /// [`graph::Graph`] borrows, so file indices here are the graph's file
+    /// indices, and [`Workspace::idx`] binary-searches it.
     pub files: Vec<(String, FileFacts)>,
+    /// Each file's parse, index-aligned with `files` (and its functions
+    /// with `FileFacts::fns`): the deep phase walks these bodies.
+    pub parsed: Vec<ParsedFile>,
     /// Index-aligned with `files`.
     pub pragmas: Vec<Vec<Pragma>>,
     /// Index-aligned with `files`.
     pub externs: Vec<Vec<u32>>,
-    /// Raw source text, index-aligned with `files` — the deep phase
-    /// re-parses function bodies from it.
-    pub srcs: Vec<String>,
-    /// Cached interprocedural results, index-aligned with `files`;
-    /// refreshed in place by [`summary::deep_phase`].
-    pub deeps: Vec<Option<summary::DeepFacts>>,
     /// L015 findings produced by the taint worklist: `(file, line,
-    /// message)`. Always recomputed fresh — see [`summary`].
+    /// message)` — see [`summary`].
     pub taints: Vec<(String, u32, String)>,
-    /// Files served from the incremental cache when loading.
-    pub cache_hits: usize,
 }
 
 impl Workspace {
@@ -166,121 +128,56 @@ impl Workspace {
 }
 
 /// Analyze the workspace rooted at `root` (the directory holding
-/// `lint.toml`). Returns the post-suppression report. No cache: tests and
-/// library callers always see fresh facts.
+/// `lint.toml`). Returns the post-suppression report.
 pub fn analyze(root: &Path) -> Result<Report, String> {
     let cfg = LintConfig::load(&root.join("lint.toml")).map_err(|e| e.to_string())?;
-    analyze_with(root, &cfg, None)
+    analyze_with(root, &cfg)
 }
 
-pub fn analyze_with(
-    root: &Path,
-    cfg: &LintConfig,
-    mut cache: Option<&mut Cache>,
-) -> Result<Report, String> {
-    let mut ws = load_workspace_cached(root, cfg, cache.as_deref_mut())?;
-    summary::deep_phase(&mut ws, cfg, cache);
+pub fn analyze_with(root: &Path, cfg: &LintConfig) -> Result<Report, String> {
+    let mut ws = load_workspace(root, cfg)?;
+    summary::deep_phase(&mut ws, cfg);
     let raw = rules::run_all(&ws, cfg);
     Ok(apply_pragmas(&ws, raw))
 }
 
-/// Load and analyze every `.rs` file under `root` not excluded by the
-/// config.
+/// Read, lex and parse every `.rs` file under `root` not excluded by the
+/// config, once each, on the calling thread.
 pub fn load_workspace(root: &Path, cfg: &LintConfig) -> Result<Workspace, String> {
-    load_workspace_cached(root, cfg, None)
-}
-
-/// Like [`load_workspace`], reusing cached per-file analyses for files
-/// whose content is unchanged (mtime+size fast path, FNV hash slow path).
-pub fn load_workspace_cached(
-    root: &Path,
-    cfg: &LintConfig,
-    mut cache: Option<&mut Cache>,
-) -> Result<Workspace, String> {
     let mut paths = Vec::new();
     collect_rs(root, root, &cfg.exclude, &mut paths)?;
-    let mut done: Vec<(String, FileAnalysis)> = Vec::new();
-    let mut jobs: Vec<(String, String, cache::Stamp)> = Vec::new();
-    let mut src_of: std::collections::HashMap<String, String> = std::collections::HashMap::new();
-    for path in paths {
-        let rel = rel_path(root, &path);
-        let src = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let stamp = cache::Stamp::of(&path, &src);
-        if let Some(c) = cache.as_deref_mut() {
-            if let Some(hit) = c.lookup(&rel, &stamp) {
-                src_of.insert(rel.clone(), src);
-                done.push((rel, hit));
-                continue;
-            }
-        }
-        src_of.insert(rel.clone(), src.clone());
-        jobs.push((rel, src, stamp));
-    }
-    let cache_hits = done.len();
-    let parsed = parse_parallel(&jobs);
-    if let Some(c) = cache {
-        for ((rel, _, stamp), (_, analysis)) in jobs.iter().zip(&parsed) {
-            c.insert(rel.clone(), stamp.clone(), analysis.clone());
-        }
-    }
-    done.extend(parsed);
-    done.sort_by(|a, b| a.0.cmp(&b.0));
+    // `idx` binary-searches by string, and `PathBuf` order differs from
+    // string order (`lint-x` sorts after `lint/` component-wise, before it
+    // as a string).
+    let mut rels: Vec<(String, PathBuf)> =
+        paths.into_iter().map(|p| (rel_path(root, &p), p)).collect();
+    rels.sort_by(|a, b| a.0.cmp(&b.0));
     let mut ws = Workspace {
         root: root.to_path_buf(),
-        files: Vec::with_capacity(done.len()),
-        pragmas: Vec::with_capacity(done.len()),
-        externs: Vec::with_capacity(done.len()),
-        srcs: Vec::with_capacity(done.len()),
-        deeps: Vec::with_capacity(done.len()),
+        files: Vec::with_capacity(rels.len()),
+        parsed: Vec::with_capacity(rels.len()),
+        pragmas: Vec::with_capacity(rels.len()),
+        externs: Vec::with_capacity(rels.len()),
         taints: Vec::new(),
-        cache_hits,
     };
-    for (rel, a) in done {
-        ws.srcs.push(src_of.remove(&rel).unwrap_or_default());
-        ws.files.push((rel, a.facts));
-        ws.pragmas.push(a.pragmas);
-        ws.externs.push(a.externs);
-        ws.deeps.push(a.deep);
+    for (rel, path) in rels {
+        let src = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let toks = lexer::lex(&src);
+        let parsed = parser::parse_file(&toks);
+        let mut facts = facts::extract(
+            &parsed.fns,
+            lexer::all_structs(&toks),
+            lexer::numeric_consts(&toks),
+        );
+        facts.wire_keys = lexer::wire_keys(&src);
+        let code_lines: Vec<u32> = toks.iter().map(|t| t.line).collect();
+        ws.pragmas.push(scan_pragmas(&src, &code_lines));
+        ws.externs.push(scan_externs(&src, &code_lines));
+        ws.files.push((rel, facts));
+        ws.parsed.push(parsed);
     }
     Ok(ws)
-}
-
-/// Run [`analyze_source`] over the cache-miss files, fanning out across
-/// threads. Results come back in job order: the caller pairs each one
-/// with its job's cache stamp by position.
-fn parse_parallel(jobs: &[(String, String, cache::Stamp)]) -> Vec<(String, FileAnalysis)> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-        .min(jobs.len());
-    if workers <= 1 {
-        return jobs
-            .iter()
-            .map(|(rel, src, _)| (rel.clone(), analyze_source(src)))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let out: Mutex<Vec<(usize, String, FileAnalysis)>> = Mutex::new(Vec::with_capacity(jobs.len()));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((rel, src, _)) = jobs.get(i) else {
-                    break;
-                };
-                let a = analyze_source(src);
-                out.lock()
-                    .expect("analysis mutex")
-                    .push((i, rel.clone(), a));
-            });
-        }
-    });
-    // Workers finish in completion order, not job order.
-    let mut out = out.into_inner().expect("analysis mutex");
-    out.sort_unstable_by_key(|(i, ..)| *i);
-    out.into_iter().map(|(_, rel, a)| (rel, a)).collect()
 }
 
 fn rel_path(root: &Path, path: &Path) -> String {
@@ -319,7 +216,6 @@ fn collect_rs(
             out.push(path);
         }
     }
-    out.sort();
     Ok(())
 }
 
@@ -327,9 +223,9 @@ fn collect_rs(
 /// string-literal-aware walk ([`lexer::comment_lines`]) so that prose which
 /// merely *mentions* the pragma syntax inside a string (an explain text, a
 /// fixture embedded in a raw literal) never registers as a suppression.
-pub fn scan_pragmas(src: &str) -> Vec<Pragma> {
+/// `code_lines` holds the line of every token of `src`, in order.
+pub fn scan_pragmas(src: &str, code_lines: &[u32]) -> Vec<Pragma> {
     let comments = lexer::comment_lines(src);
-    let code_lines: Vec<u32> = lexer::lex(src).iter().map(|t| t.line).collect();
     let mut out = Vec::new();
     for (line, text) in comments {
         // The pragma must be the comment's leading content.
@@ -379,8 +275,8 @@ pub fn scan_pragmas(src: &str) -> Vec<Pragma> {
 /// line, a standalone comment line applies to the next non-comment line.
 /// Calls on a marked line resolve to no graph edges — the escape hatch for
 /// dynamic dispatch and function pointers the resolver cannot follow.
-pub fn scan_externs(src: &str) -> Vec<u32> {
-    let code_lines: Vec<u32> = lexer::lex(src).iter().map(|t| t.line).collect();
+/// `code_lines` is as for [`scan_pragmas`].
+pub fn scan_externs(src: &str, code_lines: &[u32]) -> Vec<u32> {
     let mut out = Vec::new();
     for (line, text) in lexer::comment_lines(src) {
         let body = text.trim_start_matches(['/', '!']).trim_start();
@@ -473,7 +369,6 @@ fn apply_pragmas(ws: &Workspace, raw: Vec<Finding>) -> Report {
         findings,
         suppressed,
         files_scanned: ws.files.len(),
-        cache_hits: ws.cache_hits,
     }
 }
 
@@ -502,15 +397,7 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
-/// The incremental-cache key: lint.toml's content hash folded with the
-/// rule-set version, so editing configuration or upgrading the analyzer
-/// invalidates every cached per-file verdict instead of serving stale ones.
-pub fn cache_key(config_text: &str) -> u64 {
-    fnv1a64(config_text.as_bytes()) ^ rules::RULE_SET_VERSION.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-/// FNV-1a 64-bit — used for both the trace-format fingerprint and the
-/// facts-cache content hash.
+/// FNV-1a 64-bit — the hash of the trace-format fingerprint (L005).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for b in bytes {

@@ -7,17 +7,13 @@
 //! aurora-lint --explain L002  # print the rationale for a rule
 //! aurora-lint --fingerprint   # print the trace-format record file contents
 //! aurora-lint --root <dir>    # analyze a different workspace root
-//! aurora-lint --no-cache      # ignore target/aurora-lint.cache
-//! aurora-lint --fix           # rewrite stale/malformed pragmas in place
-//! aurora-lint --fix --dry-run # print the rewrites as a diff instead
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use aurora_lint::cache::Cache;
 use aurora_lint::config::LintConfig;
-use aurora_lint::{analyze_with, cache_key, find_root, fix, load_workspace, output, rules};
+use aurora_lint::{analyze_with, find_root, load_workspace, output, rules};
 
 #[derive(PartialEq)]
 enum Format {
@@ -34,15 +30,10 @@ fn main() -> ExitCode {
     let mut canonical = false;
     let mut list = false;
     let mut graph = false;
-    let mut no_cache = false;
-    let mut apply_fix = false;
-    let mut dry_run = false;
     let mut format = Format::Text;
     let mut i = 0usize;
     while i < args.len() {
         match args[i].as_str() {
-            "--fix" => apply_fix = true,
-            "--dry-run" => dry_run = true,
             "--root" => {
                 i += 1;
                 match args.get(i) {
@@ -70,7 +61,6 @@ fn main() -> ExitCode {
             "--canonical" => canonical = true,
             "--list" => list = true,
             "--graph" => graph = true,
-            "--no-cache" => no_cache = true,
             "--help" | "-h" => return usage(""),
             other => return usage(&format!("unknown argument `{other}`")),
         }
@@ -154,57 +144,13 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let cache_path = root.join("target/aurora-lint.cache");
-    let key = std::fs::read_to_string(root.join("lint.toml"))
-        .map(|t| cache_key(&t))
-        .unwrap_or(0);
-    let mut cache = if no_cache {
-        None
-    } else {
-        Some(Cache::load(&cache_path, key))
-    };
-    let report = match analyze_with(&root, &cfg, cache.as_mut()) {
+    let report = match analyze_with(&root, &cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("aurora-lint: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if let Some(c) = &cache {
-        c.save(&cache_path);
-    }
-
-    if apply_fix {
-        let edits = match fix::plan(&root, &report.findings) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("aurora-lint: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if dry_run {
-            print!("{}", fix::render_diff(&edits));
-            eprintln!(
-                "aurora-lint --fix --dry-run: {} edit(s) planned",
-                edits.len()
-            );
-            return ExitCode::SUCCESS;
-        }
-        return match fix::apply(&root, &edits) {
-            Ok(files) => {
-                eprintln!(
-                    "aurora-lint --fix: applied {} edit(s) across {files} file(s); re-run to \
-                     verify",
-                    edits.len()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("aurora-lint: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
 
     // Machine formats own stdout; the human summary moves to stderr so a
     // redirect captures a clean document either way.
@@ -255,8 +201,7 @@ fn usage(err: &str) -> ExitCode {
     }
     eprintln!(
         "usage: aurora-lint [--root <dir>] [--format text|json|sarif] [--graph]\n\
-         \x20                  [--explain L0xx] [--fingerprint] [--list] [--no-cache]\n\
-         \x20                  [--fix [--dry-run]]\n\
+         \x20                  [--explain L0xx] [--fingerprint] [--list]\n\
          \n\
          Parses the workspace rooted at the nearest lint.toml, builds the\n\
          cross-crate call graph, and enforces the hot-path, dead-counter,\n\

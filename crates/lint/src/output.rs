@@ -293,7 +293,6 @@ mod tests {
             ],
             suppressed: 3,
             files_scanned: 17,
-            cache_hits: 0,
         }
     }
 
@@ -324,7 +323,6 @@ mod tests {
             findings: vec![],
             suppressed: 0,
             files_scanned: 0,
-            cache_hits: 0,
         };
         json_well_formed(&render_json(&empty)).unwrap();
         json_well_formed(&render_sarif(&empty)).unwrap();

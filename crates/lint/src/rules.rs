@@ -9,10 +9,6 @@ use crate::facts::{CallFact, Event, FileFacts, FnFacts, NARROW_TARGETS};
 use crate::graph::{head, path_matches, peel_refs, FnId, Graph};
 use crate::{Finding, Workspace};
 
-/// Bumped whenever a rule's semantics change: folded into the incremental
-/// cache key so upgrading the analyzer invalidates cached verdicts.
-pub const RULE_SET_VERSION: u64 = 4;
-
 pub fn run_all(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
     let graph = Graph::new(&ws.files, ws.extern_lines());
     let mut out = Vec::new();
@@ -634,7 +630,7 @@ fn unit_mixing(ws: &Workspace, cfg: &LintConfig, out: &mut Vec<Finding>) {
 
 // -------------------------------------------------------------------- L014
 
-/// Does `f` participate in the checkpoint codec on the given side? Either
+/// Does `f` participate in the snapshot codec on the given side? Either
 /// its signature mentions the writer/reader type, or it constructs one.
 fn codec_side(f: &FnFacts, marker: &str) -> bool {
     f.params.iter().any(|t| t.contains(marker))
@@ -655,16 +651,13 @@ fn self_fields(f: &FnFacts, writes_only: bool) -> HashSet<&str> {
 /// L014: cross-check each Snapshot save/restore pair against the fields
 /// the two sides actually touch. A field save serializes but restore never
 /// mentions — or restore writes but save never serialized — is drift: the
-/// checkpoint byte stream and the struct disagree, the statically visible
-/// shape of the FPU queue-capacity restore bug PR 7 caught dynamically.
+/// snapshot byte stream and the struct disagree.
 ///
 /// "Touched" is asymmetric on purpose: the save side counts *any* access
 /// (serializing `self.tags.len()` covers `tags`), while the restore side
 /// fires only on *writes* for the never-saved direction — restore reading
 /// `self.cfg.instr_queue` to size a buffer is a bound, not state.
 fn checkpoint_drift(ws: &Workspace, cfg: &LintConfig, out: &mut Vec<Finding>) {
-    const SAVE_NAMES: &[&str] = &["save", "save_checkpoint"];
-    const RESTORE_NAMES: &[&str] = &["restore", "restore_checkpoint"];
     for (rel, facts) in &ws.files {
         let mut pairs: HashMap<&str, (Option<&FnFacts>, Option<&FnFacts>)> = HashMap::new();
         for f in facts
@@ -672,10 +665,10 @@ fn checkpoint_drift(ws: &Workspace, cfg: &LintConfig, out: &mut Vec<Finding>) {
             .iter()
             .filter(|f| !f.in_test && !f.self_ty.is_empty())
         {
-            if SAVE_NAMES.contains(&f.name.as_str()) && codec_side(f, &cfg.checkpoint.writer) {
+            if f.name == "save" && codec_side(f, &cfg.checkpoint.writer) {
                 pairs.entry(&f.self_ty).or_default().0 = Some(f);
             }
-            if RESTORE_NAMES.contains(&f.name.as_str()) && codec_side(f, &cfg.checkpoint.reader) {
+            if f.name == "restore" && codec_side(f, &cfg.checkpoint.reader) {
                 pairs.entry(&f.self_ty).or_default().1 = Some(f);
             }
         }
@@ -1095,14 +1088,14 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "For every type whose `save`/`restore` signature uses the Snapshot codec \
          (SnapshotWriter/SnapshotReader, configurable under [checkpoint] in lint.toml), \
          the two sides must touch the same fields: a field save serializes but restore \
-         never mentions leaves restored machines running with pre-restore state, and a \
-         field restore writes but save never serialized consumes bytes the checkpoint \
-         does not carry — both are the statically visible shape of the FPU queue-capacity \
-         restore bug the differential suite caught dynamically in PR 7. Reads count as \
-         coverage on the restore side (sizing a buffer from `self.cfg` is a bound, not \
-         state), and deliberately uncheckpointed diagnostics belong in a named helper \
-         called outside restore, not in the restore body — see the checkpoint codec \
-         checklist in docs/LINTS.md.",
+         never mentions keeps whatever value it had before the restore, and a field \
+         restore writes but save never serialized consumes bytes the image does not \
+         carry. The codec persists `SimStats` in the aurora-serve result store and is \
+         what `SimStats::fingerprint` hashes, so either kind of drift corrupts stored \
+         results or moves every stats digest. Reads count as coverage on the restore side \
+         (sizing a buffer from `self.cfg` is a bound, not state), and state a snapshot \
+         deliberately leaves out belongs in a named helper called outside restore, not in \
+         the restore body — see the snapshot codec checklist in docs/LINTS.md.",
     ),
     (
         "L015",

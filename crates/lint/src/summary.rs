@@ -1,67 +1,49 @@
 //! The interprocedural "deep" phase: function summaries and the taint
 //! worklist.
 //!
-//! Phase order inside one analyzer run:
+//! Phase order inside one analyzer run, over the bodies the workspace
+//! parsed when it loaded:
 //!
-//! 1. **Dependency hashes.** Each file's deep results are valid for a
-//!    hash folding its own content with the content of every file it
-//!    (transitively) calls into, so editing a leaf invalidates the deep
-//!    cache of all its callers without touching their per-file facts.
-//! 2. **Summary fixpoint.** Files whose dependency hash changed are
-//!    re-parsed and every function gets a [`FnSummary`] — the joined
-//!    return interval from the range analysis and the parameter→return
-//!    taint mask — computed callee-first over the call graph, iterating
-//!    a bounded number of passes so cycles settle. L010's arithmetic
-//!    risks are recomputed in the same walk with callee summaries in
-//!    scope (a call to a function proven to return `[0, 7]` no longer
-//!    widens to top).
-//! 3. **Taint worklist.** Functions named under `[[untrusted]]` in
+//! 1. **Summary fixpoint.** Every function gets a `FnSummary` — the
+//!    joined return interval from the range analysis and the
+//!    parameter→return taint mask — computed callee-first over the call
+//!    graph, iterating a bounded number of passes so cycles settle.
+//!    L010's arithmetic risks are computed in the same walk with callee
+//!    summaries in scope (a call to a function proven to return `[0, 7]`
+//!    no longer widens to top).
+//! 2. **Taint worklist.** Functions named under `[[untrusted]]` in
 //!    `lint.toml` seed a forward worklist: their parameters are
 //!    attacker-controlled. Taint flows into callees through arguments,
 //!    and back to callers of any function whose return value is
 //!    (transitively) derived from untrusted input. A final walk over
 //!    every reached function records the L015 sink hits with their
-//!    source chains. Taint results are *not* cached: they depend on a
-//!    function's callers, which the callee-directed dependency hash
-//!    deliberately does not cover.
+//!    source chains.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use crate::ast::{PFn, ParsedFile};
-use crate::cache::Cache;
+use crate::ast::PFn;
 use crate::config::LintConfig;
 use crate::dataflow::{arith_risks_with, Interval};
 use crate::facts::Event;
 use crate::graph::{FnId, Graph};
 use crate::taint::{self, param_bit, CallModel, ROOT_BIT};
-use crate::{fnv1a64, Workspace};
+use crate::Workspace;
 
 /// Per-function interprocedural summary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FnSummary {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FnSummary {
     /// Joined interval of all bounded return paths; `None` when the
     /// function does not return a bare integer or nothing was provable.
-    pub ret: Option<Interval>,
+    ret: Option<Interval>,
     /// Bit *i* set when parameter *i* may flow into the return value.
-    pub ret_taint: u64,
+    ret_taint: u64,
 }
 
 /// Deep (interprocedural) results for one function.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FnDeep {
-    pub summary: FnSummary,
+struct FnDeep {
+    summary: FnSummary,
     /// L010 arithmetic risks computed with callee summaries in scope.
-    pub ariths: Vec<(String, u32)>,
-}
-
-/// Deep results for one file, cache-persisted next to its facts.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeepFacts {
-    /// FNV over the sorted `(path, content hash)` set of this file and
-    /// every file reachable from it through resolved call edges.
-    pub dep_hash: u64,
-    /// Index-aligned with `FileFacts::fns`.
-    pub fns: Vec<FnDeep>,
+    ariths: Vec<(String, u32)>,
 }
 
 /// One L015 finding before rule packaging: `(file, line, message)`.
@@ -70,33 +52,24 @@ pub type TaintFinding = (String, u32, String);
 /// Resolved call sites of one function: `(callee name, line)` → targets.
 type SiteMap = HashMap<(String, u32), Vec<FnId>>;
 
-/// Run the deep phase over a loaded workspace: recompute stale
-/// summaries, merge the interprocedural L010 events into the in-memory
-/// facts, run the taint worklist into `ws.taints`, and persist fresh
-/// deep results into `cache`.
-pub fn deep_phase(ws: &mut Workspace, cfg: &LintConfig, cache: Option<&mut Cache>) {
+/// Run the deep phase over a loaded workspace: compute every function's
+/// summary, merge the interprocedural L010 events into the in-memory
+/// facts, and run the taint worklist into `ws.taints`.
+pub fn deep_phase(ws: &mut Workspace, cfg: &LintConfig) {
     let n = ws.files.len();
-    let hashes: Vec<u64> = ws.srcs.iter().map(|s| fnv1a64(s.as_bytes())).collect();
-
-    let mut fresh: HashMap<usize, DeepFacts> = HashMap::new();
+    let mut deep_fns: HashMap<FnId, FnDeep> = HashMap::new();
     let mut taints: Vec<TaintFinding> = Vec::new();
     {
         let g = Graph::new(&ws.files, ws.extern_lines());
 
         // Resolve every call site once: per fn, `(name, line)` → targets.
         let mut sites: Vec<Vec<SiteMap>> = Vec::with_capacity(n);
-        let mut file_callees: Vec<HashSet<usize>> = vec![HashSet::new(); n];
         for (fi, (_, facts)) in ws.files.iter().enumerate() {
             let mut per_file = Vec::new();
             for (j, f) in facts.fns.iter().enumerate() {
                 let mut m: SiteMap = HashMap::new();
                 for c in &f.calls {
                     let targets = g.resolve_call(c, (fi, j));
-                    for t in &targets {
-                        if t.0 != fi && !f.in_test {
-                            file_callees[fi].insert(t.0);
-                        }
-                    }
                     m.entry((c.name().to_string(), c.line()))
                         .or_default()
                         .extend(targets);
@@ -110,38 +83,6 @@ pub fn deep_phase(ws: &mut Workspace, cfg: &LintConfig, cache: Option<&mut Cache
             sites.push(per_file);
         }
 
-        // Dependency hash: own content + transitive callee files.
-        let mut dep_hashes = vec![0u64; n];
-        for (fi, dep_hash) in dep_hashes.iter_mut().enumerate() {
-            let mut seen: HashSet<usize> = HashSet::new();
-            seen.insert(fi);
-            let mut stack = vec![fi];
-            while let Some(f) = stack.pop() {
-                for &c in &file_callees[f] {
-                    if seen.insert(c) {
-                        stack.push(c);
-                    }
-                }
-            }
-            let mut reach: Vec<usize> = seen.into_iter().collect();
-            reach.sort_unstable();
-            let mut acc = String::new();
-            for r in reach {
-                acc.push_str(&ws.files[r].0);
-                acc.push(' ');
-                acc.push_str(&hashes[r].to_string());
-                acc.push('\n');
-            }
-            *dep_hash = fnv1a64(acc.as_bytes());
-        }
-
-        let dirty: Vec<bool> = (0..n)
-            .map(|fi| match &ws.deeps[fi] {
-                Some(d) => d.dep_hash != dep_hashes[fi] || d.fns.len() != ws.files[fi].1.fns.len(),
-                None => true,
-            })
-            .collect();
-
         // Untrusted roots and declared sanitizers from config.
         let mut roots: HashSet<FnId> = HashSet::new();
         let mut sanitizers: HashSet<FnId> = HashSet::new();
@@ -154,84 +95,28 @@ pub fn deep_phase(ws: &mut Workspace, cfg: &LintConfig, cache: Option<&mut Cache
             }
         }
 
-        // Files needing parsed bodies: deep-dirty ones, plus the
-        // undirected call-graph closure around the untrusted roots (the
-        // taint worklist flows both down into callees and up to callers
-        // of untrusted-returning functions).
-        let mut need_parse: Vec<bool> = dirty.clone();
-        if !roots.is_empty() {
-            let mut undirected: Vec<HashSet<usize>> = file_callees.clone();
-            for (fi, callees) in file_callees.iter().enumerate() {
-                for &c in callees {
-                    undirected[c].insert(fi);
-                }
-            }
-            let mut stack: Vec<usize> = roots.iter().map(|r| r.0).collect();
-            let mut seen: HashSet<usize> = stack.iter().copied().collect();
-            while let Some(f) = stack.pop() {
-                need_parse[f] = true;
-                for &x in &undirected[f] {
-                    if seen.insert(x) {
-                        stack.push(x);
-                    }
-                }
-            }
-        }
-        let parsed: Vec<Option<ParsedFile>> = (0..n)
-            .map(|fi| {
-                if !need_parse[fi] {
-                    return None;
-                }
-                let p = crate::parser::parse_file(&crate::lexer::lex(&ws.srcs[fi]));
-                // Facts and bodies must be index-aligned; a mismatch
-                // (which would mean the cache and the source disagree)
-                // conservatively disables deep analysis for the file.
-                (p.fns.len() == ws.files[fi].1.fns.len()).then_some(p)
-            })
-            .collect();
-        let pfn = |id: FnId| -> Option<&PFn> { parsed[id.0].as_ref().map(|p| &p.fns[id.1]) };
+        let pfn = |id: FnId| -> &PFn { &ws.parsed[id.0].fns[id.1] };
 
-        // Seed summaries from still-valid cached deep results.
-        let mut summaries: HashMap<FnId, FnSummary> = HashMap::new();
-        for (fi, is_dirty) in dirty.iter().enumerate() {
-            if *is_dirty {
-                continue;
-            }
-            if let Some(d) = &ws.deeps[fi] {
-                for (j, df) in d.fns.iter().enumerate() {
-                    summaries.insert((fi, j), df.summary);
-                }
-            }
-        }
-
-        // Callee-first order over the dirty functions.
+        // Callee-first order over every function.
         let mut kids: HashMap<FnId, Vec<FnId>> = HashMap::new();
-        let mut dirty_fns: Vec<FnId> = Vec::new();
-        for fi in 0..n {
-            if !dirty[fi] {
-                continue;
-            }
-            for (j, site) in sites[fi].iter().enumerate() {
+        let mut all_fns: Vec<FnId> = Vec::new();
+        for (fi, file_sites) in sites.iter().enumerate() {
+            for (j, site) in file_sites.iter().enumerate() {
                 let id = (fi, j);
-                dirty_fns.push(id);
-                let mut ks: Vec<FnId> = site
-                    .values()
-                    .flatten()
-                    .copied()
-                    .filter(|t| dirty[t.0])
-                    .collect();
+                all_fns.push(id);
+                let mut ks: Vec<FnId> = site.values().flatten().copied().collect();
                 ks.sort_unstable();
                 ks.dedup();
                 kids.insert(id, ks);
             }
         }
-        let order = post_order(&dirty_fns, &kids);
+        let order = post_order(&all_fns, &kids);
 
-        let mut deep_fns: HashMap<FnId, FnDeep> = HashMap::new();
+        let mut summaries: HashMap<FnId, FnSummary> = HashMap::new();
         for _pass in 0..3 {
             let mut changed = false;
             for &id in &order {
-                let Some(f) = pfn(id) else { continue };
+                let f = pfn(id);
                 let site_map = &sites[id.0][id.1];
                 let ff = {
                     let oracle = |name: &str, line: u32| -> Option<Interval> {
@@ -274,21 +159,6 @@ pub fn deep_phase(ws: &mut Workspace, cfg: &LintConfig, cache: Option<&mut Cache
             if !changed {
                 break;
             }
-        }
-        for fi in 0..n {
-            if !dirty[fi] || parsed[fi].is_none() {
-                continue;
-            }
-            let fns = (0..ws.files[fi].1.fns.len())
-                .map(|j| deep_fns.remove(&(fi, j)).unwrap_or_default())
-                .collect();
-            fresh.insert(
-                fi,
-                DeepFacts {
-                    dep_hash: dep_hashes[fi],
-                    fns,
-                },
-            );
         }
 
         // ---- Taint worklist ----
@@ -335,7 +205,7 @@ pub fn deep_phase(ws: &mut Workspace, cfg: &LintConfig, cache: Option<&mut Cache
                 if ws.files[id.0].1.fns[id.1].in_test {
                     continue;
                 }
-                let Some(f) = pfn(id) else { continue };
+                let f = pfn(id);
                 walked.insert(id);
                 let tmask = st.tainted.get(&id).copied().unwrap_or(0);
                 let live = tmask | ROOT_BIT;
@@ -360,14 +230,6 @@ pub fn deep_phase(ws: &mut Workspace, cfg: &LintConfig, cache: Option<&mut Cache
                 // globally would poison call sites with clean arguments.
                 let ret_untrusted =
                     out.ret & ROOT_BIT != 0 || (roots.contains(&id) && out.ret & live != 0);
-                if ret_untrusted && std::env::var("LINT_TAINT_DEBUG").is_ok() {
-                    eprintln!(
-                        "RET_UNTRUSTED {}:{} tmask={:#x}",
-                        ws.files[id.0].0,
-                        ws.files[id.0].1.fns[id.1].qual_name(),
-                        tmask
-                    );
-                }
                 if ret_untrusted && st.ret_untrusted.insert(id) {
                     if let Some(cs) = callers.get(&id) {
                         for &c in cs {
@@ -388,7 +250,7 @@ pub fn deep_phase(ws: &mut Workspace, cfg: &LintConfig, cache: Option<&mut Cache
             final_ids.sort_unstable();
             for id in final_ids {
                 let facts_fn = &ws.files[id.0].1.fns[id.1];
-                let Some(f) = pfn(id) else { continue };
+                let f = pfn(id);
                 let tmask = st.tainted.get(&id).copied().unwrap_or(0);
                 let live = tmask | ROOT_BIT;
                 let masks: Vec<u64> = (0..f.params.len()).map(|i| param_bit(i) & tmask).collect();
@@ -427,36 +289,22 @@ pub fn deep_phase(ws: &mut Workspace, cfg: &LintConfig, cache: Option<&mut Cache
     }
 
     // ---- Merge back into the workspace ----
-    for (fi, deep) in &fresh {
-        ws.deeps[*fi] = Some(deep.clone());
-    }
-    for fi in 0..n {
-        let ariths: Vec<Vec<(String, u32)>> = match &ws.deeps[fi] {
-            Some(d) => d.fns.iter().map(|df| df.ariths.clone()).collect(),
-            None => continue,
-        };
-        for (j, list) in ariths.into_iter().enumerate() {
-            if j >= ws.files[fi].1.fns.len() {
-                break;
-            }
-            for (what, line) in list {
-                ws.files[fi].1.fns[j]
-                    .events
-                    .push(Event::Arith { what, line });
+    for (fi, (_, facts)) in ws.files.iter_mut().enumerate() {
+        for (j, f) in facts.fns.iter_mut().enumerate() {
+            let Some(deep) = deep_fns.remove(&(fi, j)) else {
+                continue;
+            };
+            for (what, line) in deep.ariths {
+                f.events.push(Event::Arith { what, line });
             }
         }
     }
     taints.sort();
     taints.dedup();
     ws.taints = taints;
-    if let Some(c) = cache {
-        for (fi, deep) in fresh {
-            c.set_deep(&ws.files[fi].0, deep);
-        }
-    }
 }
 
-/// Iterative callee-first DFS over the dirty functions.
+/// Iterative callee-first DFS over the given functions.
 fn post_order(starts: &[FnId], kids: &HashMap<FnId, Vec<FnId>>) -> Vec<FnId> {
     let mut order = Vec::new();
     let mut mark: HashMap<FnId, u8> = HashMap::new();

@@ -8,7 +8,7 @@
 //!
 //! - **Summary mode** ([`ret_taint_of`]): seed each parameter with its
 //!   own bit and collect the join of all return paths — the
-//!   parameter→return flow mask cached per function by the deep phase.
+//!   parameter→return flow mask the deep phase keeps per function.
 //! - **Detection mode** ([`run`] with a non-zero `live` mask): seed the
 //!   parameters the interprocedural worklist marked tainted, record
 //!   every catalogued sink a live-tainted value reaches, and report the

@@ -187,57 +187,6 @@ fn semantic_findings_carry_their_chains() {
     );
 }
 
-fn copy_tree(from: &Path, to: &Path) {
-    std::fs::create_dir_all(to).expect("create copy dir");
-    for entry in std::fs::read_dir(from).expect("read fixture dir") {
-        let entry = entry.expect("dir entry");
-        let dest = to.join(entry.file_name());
-        if entry.path().is_dir() {
-            copy_tree(&entry.path(), &dest);
-        } else {
-            std::fs::copy(entry.path(), &dest).expect("copy fixture file");
-        }
-    }
-}
-
-/// `--fix` round-trip: apply the mechanical pragma fixes to a copy of
-/// the fixture tree until the planner runs dry, then assert the
-/// pragma-hygiene rules are clean while the deliberate violations are
-/// untouched. Two passes are expected: repairing a reasonless pragma can
-/// expose it as stale (the CLI prints "re-run to verify" for exactly
-/// this reason).
-#[test]
-fn fix_converges_and_clears_pragma_hygiene() {
-    let dir = std::env::temp_dir().join(format!("aurora-lint-fix-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    copy_tree(&fixtures_root(), &dir);
-    let mut passes = 0usize;
-    loop {
-        let report = aurora_lint::analyze(&dir).expect("copy analysis succeeds");
-        let edits = aurora_lint::fix::plan(&dir, &report.findings).expect("plan fixes");
-        if edits.is_empty() {
-            break;
-        }
-        aurora_lint::fix::apply(&dir, &edits).expect("apply fixes");
-        passes += 1;
-        assert!(passes <= 3, "--fix failed to converge");
-    }
-    assert!(passes >= 1, "the fixture tree must need at least one fix");
-    let fixed = aurora_lint::analyze(&dir).expect("fixed copy analysis succeeds");
-    for f in &fixed.findings {
-        assert!(
-            f.rule != "L000" && f.rule != "L009",
-            "pragma-hygiene finding survived --fix: {f}"
-        );
-    }
-    // The non-mechanical violations are deliberately left alone.
-    assert!(
-        fixed.findings.iter().any(|f| f.rule == "L001"),
-        "--fix must not touch non-pragma findings"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The shipped tree must be clean: this is the same gate ci.sh runs, kept
 /// here too so a plain `cargo test` catches new violations early.
 #[test]

@@ -285,34 +285,6 @@ impl Snapshot for BiuStats {
     }
 }
 
-impl Snapshot for Biu {
-    /// Bus occupancy horizons, the raw xoshiro256++ latency-RNG state and
-    /// the counters. Serializing the RNG is what makes a resumed run draw
-    /// the same `Uniform`/`Bimodal` latency sequence as an uninterrupted
-    /// one — without it every subsequent miss time would diverge.
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.section(*b"BIU_");
-        w.put_u64(self.transmit_free_at);
-        w.put_u64(self.receive_free_at);
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
-        self.stats.save(w);
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.section(*b"BIU_")?;
-        self.transmit_free_at = r.u64()?;
-        self.receive_free_at = r.u64()?;
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = r.u64()?;
-        }
-        self.rng = SmallRng::from_state(state);
-        self.stats.restore(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -160,32 +160,6 @@ impl Snapshot for CacheStats {
     }
 }
 
-impl Snapshot for DirectMappedCache {
-    /// Geometry is configuration, not state: only the tag array and the
-    /// counters are recorded, and a restore into a cache with a different
-    /// line count fails as corruption.
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.section(*b"CACH");
-        w.put_len(self.tags.len());
-        for &tag in &self.tags {
-            w.put_opt_u64(tag);
-        }
-        self.stats.save(w);
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.section(*b"CACH")?;
-        let n = r.len(self.tags.len())?;
-        if n != self.tags.len() {
-            return Err(SnapshotError::Corrupt("cache line count mismatch"));
-        }
-        for slot in self.tags.iter_mut() {
-            *slot = r.opt_u64()?;
-        }
-        self.stats.restore(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

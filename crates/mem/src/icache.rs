@@ -9,8 +9,6 @@
 //!   folding: the target can be fetched the cycle after the branch with no
 //!   pipeline bubble.
 
-use aurora_isa::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
-
 use crate::addr::Geometry;
 use crate::cache::{CacheStats, DirectMappedCache};
 
@@ -142,50 +140,6 @@ impl DecodedICache {
     /// Resets statistics (keeps contents).
     pub fn reset_stats(&mut self) {
         self.cache.reset_stats();
-    }
-}
-
-impl Snapshot for DecodedICache {
-    /// Records the tag array (via the inner cache) and every pre-decode
-    /// slot, so folding behaviour resumes exactly where it left off.
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.section(*b"ICAC");
-        self.cache.save(w);
-        w.put_len(self.pairs.len());
-        for info in &self.pairs {
-            match info {
-                Some(p) => {
-                    w.put_bool(true);
-                    w.put_bool(p.dual_issue_inhibit);
-                    w.put_bool(p.has_control_flow);
-                    w.put_opt_u64(p.folded_target);
-                }
-                None => w.put_bool(false),
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.section(*b"ICAC")?;
-        self.cache.restore(r)?;
-        let n = r.len(self.pairs.len())?;
-        if n != self.pairs.len() {
-            return Err(SnapshotError::Corrupt(
-                "icache pre-decode slot count mismatch",
-            ));
-        }
-        for slot in self.pairs.iter_mut() {
-            *slot = if r.bool()? {
-                Some(PairInfo {
-                    dual_issue_inhibit: r.bool()?,
-                    has_control_flow: r.bool()?,
-                    folded_target: r.opt_u64()?,
-                })
-            } else {
-                None
-            };
-        }
-        Ok(())
     }
 }
 

@@ -190,35 +190,6 @@ impl Snapshot for MshrStats {
     }
 }
 
-impl Snapshot for MshrFile {
-    /// Live entries plus the `next_ready` acceleration value and counters;
-    /// capacity is configuration and acts as a restore cross-check.
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.section(*b"MSHR");
-        w.put_len(self.entries.len());
-        for e in &self.entries {
-            w.put_u64(e.line.0);
-            w.put_u64(e.ready_at);
-        }
-        w.put_u64(self.next_ready);
-        self.stats.save(w);
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.section(*b"MSHR")?;
-        let n = r.len(self.capacity)?;
-        self.entries.clear();
-        for _ in 0..n {
-            self.entries.push(Entry {
-                line: LineAddr(r.u64()?),
-                ready_at: r.u64()?,
-            });
-        }
-        self.next_ready = r.u64()?;
-        self.stats.restore(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

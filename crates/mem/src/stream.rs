@@ -271,53 +271,6 @@ impl Snapshot for StreamStats {
     }
 }
 
-impl Snapshot for StreamBuffers {
-    /// Records every buffer's prefetch queue (line + arrival cycle), the
-    /// per-stream bookkeeping and the round-robin cursor, so replacement
-    /// decisions after a restore match the uninterrupted run exactly.
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.section(*b"STRM");
-        w.put_len(self.buffers.len());
-        for buf in &self.buffers {
-            w.put_len(buf.slots.len());
-            for &(line, SlotState::Arriving(at)) in &buf.slots {
-                w.put_u64(line.0);
-                w.put_u64(at);
-            }
-            w.put_u64(buf.next_line.0);
-            w.put_u64(buf.last_used);
-            w.put_bool(buf.deepened);
-        }
-        w.put_u64(self.clock);
-        w.put_len(self.next_victim);
-        self.stats.save(w);
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.section(*b"STRM")?;
-        let n = r.len(self.buffers.len())?;
-        if n != self.buffers.len() {
-            return Err(SnapshotError::Corrupt("stream buffer count mismatch"));
-        }
-        let depth = self.depth;
-        for buf in self.buffers.iter_mut() {
-            let slots = r.len(depth)?;
-            buf.slots.clear();
-            for _ in 0..slots {
-                let line = LineAddr(r.u64()?);
-                let at = r.u64()?;
-                buf.slots.push((line, SlotState::Arriving(at)));
-            }
-            buf.next_line = LineAddr(r.u64()?);
-            buf.last_used = r.u64()?;
-            buf.deepened = r.bool()?;
-        }
-        self.clock = r.u64()?;
-        self.next_victim = r.len(self.buffers.len().saturating_sub(1))?;
-        self.stats.restore(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -315,39 +315,6 @@ impl Snapshot for WriteCacheStats {
     }
 }
 
-impl Snapshot for WriteCache {
-    /// Capacity and geometry are configuration; the valid lines (with
-    /// their LRU stamps), the LRU clock and the counters are state.
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.section(*b"WCAC");
-        w.put_len(self.lines.len());
-        for line in &self.lines {
-            w.put_u64(line.line.0);
-            w.put_u64(line.page);
-            w.put_u8(line.word_mask);
-            w.put_u64(line.last_used);
-        }
-        w.put_u64(self.clock);
-        self.stats.save(w);
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.section(*b"WCAC")?;
-        let n = r.len(self.capacity)?;
-        self.lines.clear();
-        for _ in 0..n {
-            self.lines.push(Line {
-                line: LineAddr(r.u64()?),
-                page: r.u64()?,
-                word_mask: r.u8()?,
-                last_used: r.u64()?,
-            });
-        }
-        self.clock = r.u64()?;
-        self.stats.restore(r)
-    }
-}
-
 /// Bitmask of the words in a line touched by an access.
 fn word_mask(addr: u64, bytes: u32) -> u8 {
     let first = ((addr >> 2) & (WORDS_PER_LINE as u64 - 1)) as u32;

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! [magic "AURSTOR1": 8][store version: u32][trace format version: u32]
-//! [checkpoint format version: u32]            -- 20-byte header
+//! [snapshot format version: u32]              -- 20-byte header
 //! record*                                     -- zero or more records
 //! record := [payload_len: u32][payload: payload_len bytes]
 //!           [checksum: u64 = FNV-1a(payload)]
@@ -34,8 +34,8 @@
 //! does not match — wrong magic, or any of the three format versions
 //! differ — is discarded and rebuilt empty: memoised results are pure
 //! caches of deterministic simulations, so invalidation is always safe,
-//! and a version bump in the trace codec or snapshot container would
-//! otherwise let stale bytes masquerade as current results.
+//! and a version bump in the trace codec or the `SimStats` snapshot
+//! codec would otherwise let stale bytes masquerade as current results.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use aurora_core::SimStats;
-use aurora_isa::{Fnv1a, CHECKPOINT_FORMAT_VERSION, TRACE_FORMAT_VERSION};
+use aurora_isa::{Fnv1a, SNAPSHOT_FORMAT_VERSION, TRACE_FORMAT_VERSION};
 
 /// Number of segment files a store is sharded over. Sharding bounds
 /// lock contention between concurrent queries (each shard has its own
@@ -330,7 +330,7 @@ impl Shard {
             header.extend_from_slice(MAGIC);
             header.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
             header.extend_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
-            header.extend_from_slice(&CHECKPOINT_FORMAT_VERSION.to_le_bytes());
+            header.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
             write_atomically(path, &header)?;
         } else if valid_len < bytes.len() {
             // Damaged tail: truncate to the last intact record so the
@@ -347,7 +347,7 @@ fn header_is_current(bytes: &[u8]) -> bool {
         && &bytes[..8] == MAGIC
         && bytes[8..12] == STORE_FORMAT_VERSION.to_le_bytes()
         && bytes[12..16] == TRACE_FORMAT_VERSION.to_le_bytes()
-        && bytes[16..20] == CHECKPOINT_FORMAT_VERSION.to_le_bytes()
+        && bytes[16..20] == SNAPSHOT_FORMAT_VERSION.to_le_bytes()
 }
 
 /// Scans the record region, returning the decoded index, the byte
