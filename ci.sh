@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Offline CI gate: format, lint, build, test, and check capture/replay
-# equivalence. Run from the repo root; exits non-zero on any failure.
+# Offline CI gate: format, lint, build, test, docs, clippy, and smoke
+# runs of the trace cache, the observability report and the daemon.
+# Run from the repo root; exits non-zero on any failure.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -26,10 +27,11 @@ echo "== build (release) =="
 cargo build --release --workspace
 
 echo "== tests =="
+# Every suite runs here once: the root package's integration tests
+# (packed_replay, event_horizon_differential, block_replay_differential
+# and the rest) and every crate's tests, aurora-lint's fixture
+# self-tests included.
 cargo test -q --workspace
-
-echo "== aurora-lint self-tests (fixture rules) =="
-cargo test -q -p aurora-lint
 
 echo "== rustdoc (missing/broken docs are errors; vendored crates excluded) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
@@ -41,15 +43,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== clippy perf lints (hot-path + codec crates) =="
 cargo clippy -p aurora-core -p aurora-mem -p aurora-isa -- -D clippy::perf
-
-echo "== capture/replay equivalence =="
-cargo test -q --test packed_replay
-
-echo "== cycle-skip differential equivalence =="
-cargo test -q --test event_horizon_differential
-
-echo "== block-replay differential equivalence =="
-cargo test -q --test block_replay_differential
 
 echo "== trace-cache smoke (AURORA_TRACE_CACHE persists .trc captures, no .blk) =="
 # The three runs cover the block builder's three inputs: the first

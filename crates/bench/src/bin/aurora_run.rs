@@ -9,9 +9,17 @@
 
 use std::process::exit;
 
-use aurora_core::{IssueWidth, MachineModel, Simulator, StallKind};
+use aurora_core::{IssueWidth, MachineModel, ObsEventKind, Observer, Simulator, StallKind};
 use aurora_isa::{Assembler, Emulator, RunOutcome};
 use aurora_mem::LatencyModel;
+
+/// Observer events one instruction records at most (fetch, issue,
+/// retire, a split stall, a miss, MSHR allocate and free, a queue
+/// sample): `--timeline` sizes its ring for `--limit` instructions.
+const TIMELINE_EVENTS_PER_OP: u64 = 8;
+/// Cap on that ring (24 MiB of events); a longer run keeps its newest
+/// events and reports how many it dropped.
+const TIMELINE_MAX_EVENTS: u64 = 1 << 20;
 
 struct Options {
     path: String,
@@ -107,7 +115,11 @@ fn main() {
         .config(opts.issue, LatencyModel::Fixed(opts.latency));
     let mut sim = Simulator::new(&cfg);
     if opts.timeline {
-        sim.enable_issue_log(100_000);
+        let events = opts
+            .limit
+            .saturating_mul(TIMELINE_EVENTS_PER_OP)
+            .min(TIMELINE_MAX_EVENTS);
+        sim.enable_observer(usize::try_from(events).unwrap_or(usize::MAX));
     }
     let mut emu = Emulator::new(&program);
     let outcome = emu
@@ -120,25 +132,10 @@ fn main() {
         eprintln!("warning: instruction limit reached before `break`");
     }
 
-    if opts.timeline {
-        println!("{:>8}  {:<10} {:<6} stall", "cycle", "pc", "pair");
-        for r in sim.issue_log() {
-            let stall = match r.stall_cause {
-                Some(c) if r.stall_cycles > 0 => format!("{c} x{}", r.stall_cycles),
-                _ => String::new(),
-            };
-            println!(
-                "{:>8}  {:<10} {:<6} {}",
-                r.cycle,
-                format!("{:#x}", r.pc),
-                if r.dual_with_prev { "<pair" } else { "" },
-                stall
-            );
-        }
-        println!();
+    let (stats, obs) = sim.finish_observed();
+    if let Some(obs) = obs {
+        print_timeline(&obs);
     }
-
-    let stats = sim.finish();
     println!("machine: {cfg}");
     println!("{stats}");
     println!();
@@ -149,4 +146,30 @@ fn main() {
             println!("  {:<10} {v:.3}", kind.label());
         }
     }
+}
+
+/// Prints one row per issued instruction from the observer's events:
+/// its cycle, pc, pair marker, and the stall regions charged just
+/// before it (an I-cache stall shows its unfolded-branch bubble
+/// separately).
+fn print_timeline(obs: &Observer) {
+    println!("{:>8}  {:<10} {:<6} stall", "cycle", "pc", "pair");
+    let mut stalls: Vec<String> = Vec::new();
+    for ev in obs.events() {
+        match ev.kind {
+            ObsEventKind::Stall { cause, cycles } => stalls.push(format!("{cause} x{cycles}")),
+            ObsEventKind::Issue { pc, dual } => {
+                println!(
+                    "{:>8}  {:<10} {:<6} {}",
+                    ev.cycle,
+                    format!("{pc:#x}"),
+                    if dual { "<pair" } else { "" },
+                    stalls.join(", ")
+                );
+                stalls.clear();
+            }
+            _ => {}
+        }
+    }
+    println!("dropped events {}\n", obs.dropped());
 }

@@ -272,7 +272,8 @@ pub struct MachineConfig {
     pub icache_bytes: u32,
     /// External data cache size in bytes.
     pub dcache_bytes: u32,
-    /// Cache line size in bytes (32 = 8 words everywhere in the paper).
+    /// Cache line size in bytes (32 = 8 words everywhere in the paper):
+    /// a power of two holding at least one 8-byte fetch pair.
     pub line_bytes: u32,
     /// Coalescing write-cache lines.
     pub write_cache_lines: usize,
@@ -414,7 +415,9 @@ impl MachineConfig {
         if !self.dcache_bytes.is_power_of_two() || self.dcache_bytes < self.line_bytes {
             return Err(format!("dcache_bytes {} invalid", self.dcache_bytes));
         }
-        if !self.line_bytes.is_power_of_two() {
+        // A line holds at least one aligned 8-byte fetch pair, the
+        // granule functional warming tracks.
+        if !self.line_bytes.is_power_of_two() || self.line_bytes < 8 {
             return Err(format!("line_bytes {} invalid", self.line_bytes));
         }
         for (name, v) in [
@@ -513,6 +516,22 @@ mod tests {
         let mut cfg = MachineModel::Small.config(IssueWidth::Single, LatencyModel::Fixed(17));
         cfg.fpu.result_busses = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn lines_hold_at_least_one_fetch_pair() {
+        let mut cfg = MachineModel::Small.config(IssueWidth::Single, LatencyModel::Fixed(17));
+        for bytes in [1, 2, 4] {
+            cfg.line_bytes = bytes;
+            assert!(
+                cfg.validate().unwrap_err().contains("line_bytes"),
+                "{bytes}"
+            );
+        }
+        for bytes in [8, 16, 32, 64] {
+            cfg.line_bytes = bytes;
+            assert_eq!(cfg.validate(), Ok(()), "{bytes}");
+        }
     }
 
     #[test]

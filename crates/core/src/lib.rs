@@ -14,8 +14,14 @@
 //!   reorder buffer, LSU with non-blocking external data cache and
 //!   coalescing write cache, stream-buffer prefetching, split-transaction
 //!   BIU) coupled to the decoupled FPU,
+//! * [`replay_blocks`] — block replay of a lowered trace through the
+//!   batched issue loop, bit-identical to the per-op oracle [`replay`],
 //! * [`SimStats`] — CPI plus the stall-cycle breakdown of Figure 6 and
 //!   per-structure statistics for every table in the paper,
+//! * [`Observer`] — the one cycle-event recorder (issue, stall cause,
+//!   miss and queue events, histograms, Perfetto export), attached with
+//!   [`Simulator::enable_observer`]; block replay under an observer
+//!   takes the per-op walk,
 //! * [`run_sampled`] — SMARTS-style sampled simulation: detailed windows
 //!   over a functional-warming fast-forward ([`Simulator::warm_digest`])
 //!   and CPI estimates with confidence intervals ([`SampledStats`]).
@@ -62,8 +68,6 @@ pub use config::{
 };
 pub use obs::{Histogram, ObsEvent, ObsEventKind, Observer, StallCause};
 pub use rob::ReorderBuffer;
-pub use sample::{run_sampled, run_sampled_digest, run_sampled_records, SampledStats};
-pub use sim::{
-    replay, replay_blocks, simulate, simulate_program, IssueRecord, Simulator, WarmDigest,
-};
+pub use sample::{run_sampled, run_sampled_digest, SampledStats};
+pub use sim::{replay, replay_blocks, simulate, simulate_program, Simulator, WarmDigest};
 pub use stats::{SimStats, StallBreakdown, StallKind};

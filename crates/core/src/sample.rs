@@ -6,7 +6,7 @@
 //! [`SamplingConfig::interval_ops`] instructions. Within each unit the
 //! simulator:
 //!
-//! 1. **fast-forwards** through [`Simulator::warm_records`]: ops retire at
+//! 1. **fast-forwards** through [`Simulator::warm_digest`]: ops retire at
 //!    near-emulator speed while I-cache tags and pre-decode, D-cache
 //!    tags, write-cache lines and stream-buffer allocation keep evolving,
 //!    so the long-history state a window depends on is warm;
@@ -67,7 +67,9 @@ impl SampledStats {
 }
 
 /// Runs `trace` under `cfg` in sampling mode and returns the CPI
-/// estimate. See the [module docs](self) for the procedure.
+/// estimate. See the [module docs](self) for the procedure. Builds the
+/// trace's [`WarmDigest`] at the machine's line size for this one run;
+/// [`run_sampled_digest`] reuses a digest across runs.
 ///
 /// # Panics
 ///
@@ -78,30 +80,33 @@ pub fn run_sampled(
     sampling: &SamplingConfig,
     trace: &PackedTrace,
 ) -> SampledStats {
-    run_sampled_inner(cfg, sampling, trace.records(), None)
+    let digest = WarmDigest::build(trace.records(), cfg.line_bytes);
+    run_sampled_inner(cfg, sampling, trace.records(), &digest)
 }
 
-/// [`run_sampled`] with the fast-forward driven by a pre-built
-/// [`WarmDigest`] instead of raw record decode, amortizing the trace
-/// scan across models and repetitions (the digest depends only on the
-/// trace and line granule). Falls back to raw-record warming when the
-/// digest's line granule does not match `cfg` — the result is defined
-/// either way, the digest is purely a fast path.
+/// [`run_sampled`] with a pre-built [`WarmDigest`] of `ops`, amortizing
+/// the trace scan across models and repetitions (the digest depends
+/// only on the trace and line granule). A digest of another line size
+/// than `cfg`'s is rebuilt at `cfg`'s, so the result never depends on
+/// which digest the caller held.
 pub fn run_sampled_digest(
     cfg: &MachineConfig,
     sampling: &SamplingConfig,
     ops: &[PackedOp],
     digest: &WarmDigest,
 ) -> SampledStats {
-    let digest = (digest.line_bytes() == cfg.line_bytes).then_some(digest);
-    run_sampled_inner(cfg, sampling, ops, digest)
+    if digest.line_bytes() == cfg.line_bytes {
+        run_sampled_inner(cfg, sampling, ops, digest)
+    } else {
+        run_sampled_inner(cfg, sampling, ops, &WarmDigest::build(ops, cfg.line_bytes))
+    }
 }
 
 fn run_sampled_inner(
     cfg: &MachineConfig,
     sampling: &SamplingConfig,
     ops: &[PackedOp],
-    digest: Option<&WarmDigest>,
+    digest: &WarmDigest,
 ) -> SampledStats {
     sampling
         .validate()
@@ -124,10 +129,6 @@ fn run_sampled_inner(
     let detail = sampling.warmup_ops + sampling.window_ops;
     // Free ops around the detailed chunk within one interval.
     let slots = unit - detail;
-    let warm = |sim: &mut Simulator<'_>, lo: usize, hi: usize| match digest {
-        Some(d) => sim.warm_digest(d, lo..hi),
-        None => sim.warm_records(&ops[lo..hi]),
-    };
     let mut cpis: Vec<f64> = Vec::with_capacity(ops.len() / unit.max(1) + 1);
     let mut detailed = 0u64;
     let mut i = 0usize;
@@ -142,7 +143,7 @@ fn run_sampled_inner(
         // so runs stay exactly reproducible, while the positions are
         // incommensurate with any workload period.
         let off = ((k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize) % (slots + 1);
-        warm(&mut sim, i, i + off);
+        sim.warm_digest(digest, i..i + off);
         sim.feed_records(&ops[i + off..i + off + sampling.warmup_ops]);
         let (c0, n0) = (sim.cycle(), sim.retired_instructions());
         sim.feed_records(&ops[i + off + sampling.warmup_ops..i + off + detail]);
@@ -150,7 +151,7 @@ fn run_sampled_inner(
         if n1 > n0 {
             cpis.push((c1 - c0) as f64 / (n1 - n0) as f64);
         }
-        warm(&mut sim, i + off + detail, i + unit);
+        sim.warm_digest(digest, i + off + detail..i + unit);
         detailed += detail as u64;
         i += unit;
         k += 1;
@@ -158,7 +159,7 @@ fn run_sampled_inner(
     // The sub-unit tail is warmed, not measured: its share of the
     // estimate comes from the windows, weighted like every other
     // fast-forwarded stretch.
-    warm(&mut sim, i.min(ops.len()), ops.len());
+    sim.warm_digest(digest, i.min(ops.len())..ops.len());
 
     let n = cpis.len();
     let mean = cpis.iter().sum::<f64>() / n.max(1) as f64;
@@ -175,16 +176,6 @@ fn run_sampled_inner(
         cpi: mean,
         ci_half_width: ci,
     }
-}
-
-/// [`run_sampled`] over a raw record slice (the harness's cached traces
-/// hand out slices of a shared capture).
-pub fn run_sampled_records(
-    cfg: &MachineConfig,
-    sampling: &SamplingConfig,
-    ops: &[PackedOp],
-) -> SampledStats {
-    run_sampled_inner(cfg, sampling, ops, None)
 }
 
 #[cfg(test)]
@@ -385,11 +376,6 @@ mod tests {
 
         let mut sim = Simulator::new(&cfg);
         let t = Instant::now();
-        sim.warm_records(ops);
-        let recs = t.elapsed().as_secs_f64();
-
-        let mut sim = Simulator::new(&cfg);
-        let t = Instant::now();
         sim.warm_digest(&digest, 0..ops.len());
         let dig = t.elapsed().as_secs_f64();
 
@@ -401,14 +387,12 @@ mod tests {
         println!(
             "ops {} events {} ({:.1}%)\n\
              digest build   {:8.1} Mops/s\n\
-             warm_records   {:8.1} Mops/s\n\
              warm_digest    {:8.1} Mops/s ({:.1} Mevents/s)\n\
              feed (detail)  {:8.1} Mops/s",
             ops.len(),
             digest.len(),
             100.0 * digest.len() as f64 / ops.len() as f64,
             rate(ops.len(), build),
-            rate(ops.len(), recs),
             rate(ops.len(), dig),
             rate(digest.len(), dig),
             rate(ops.len(), feed),

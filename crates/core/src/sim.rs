@@ -41,7 +41,7 @@ use std::ops::Range;
 
 use aurora_isa::{
     ArchReg, BlockTemplate, BlockTrace, EmuError, Emulator, OpKind, PackedOp, PackedTrace, Program,
-    SegPlan, TraceOp, HILO_BIT,
+    TraceOp,
 };
 use aurora_mem::{
     Biu, DecodedICache, DirectMappedCache, Geometry, LineAddr, MshrFile, PairInfo, StreamBuffers,
@@ -85,27 +85,6 @@ const MIN_FAST_RUN: usize = 2;
 struct Redirect {
     branch_pc: u64,
     foldable: bool,
-}
-
-/// One instruction as seen by the issue stage — the unit of the optional
-/// issue log (see [`Simulator::enable_issue_log`]), useful for pipeline
-/// visualisation and debugging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IssueRecord {
-    /// Cycle the instruction issued.
-    pub cycle: u64,
-    /// Its address.
-    pub pc: u32,
-    /// What it was.
-    pub kind: OpKind,
-    /// Whether it issued as the second member of a dual pair.
-    pub dual_with_prev: bool,
-    /// Whole-pipeline stall cycles charged immediately before this issue.
-    pub stall_cycles: u64,
-    /// The binding stall cause when `stall_cycles > 0`, in the
-    /// fine-grained observability taxonomy. The coarse Figure 6 category
-    /// is `cause.kind()`.
-    pub stall_cause: Option<StallCause>,
 }
 
 /// The cycle-level simulator. Feed it a trace with [`Simulator::feed`]
@@ -157,7 +136,6 @@ pub struct Simulator<'cfg> {
     fpu: Fpu,
     // Issue buffering (one pair of look-ahead for dual issue).
     pending: VecDeque<TraceOp>,
-    issue_log: Option<(usize, VecDeque<IssueRecord>)>,
     /// Fetch bubble charged by the most recent [`Simulator::fetch`] (0 or
     /// 1): lets stall attribution split an ICache-bound stall into its
     /// branch-bubble and miss-service parts without changing the coarse
@@ -223,7 +201,6 @@ impl<'cfg> Simulator<'cfg> {
             dstream: StreamStats::default(),
             fpu: Fpu::new(cfg.fpu.clone()),
             pending: VecDeque::with_capacity(2),
-            issue_log: None,
             fetch_bubble: 0,
             obs: cfg
                 .observe
@@ -320,28 +297,6 @@ impl<'cfg> Simulator<'cfg> {
     /// The attached observer, if any.
     pub fn observer(&self) -> Option<&Observer> {
         self.obs.as_deref()
-    }
-
-    /// Keeps a rolling log of the most recent `capacity` issued
-    /// instructions (cycle, stall attribution, pairing) for inspection
-    /// with [`Simulator::issue_log`].
-    pub fn enable_issue_log(&mut self, capacity: usize) {
-        self.issue_log = Some((capacity.max(1), VecDeque::with_capacity(capacity.max(1))));
-    }
-
-    /// The rolling issue log, oldest first (empty unless
-    /// [`Simulator::enable_issue_log`] was called).
-    pub fn issue_log(&self) -> impl Iterator<Item = &IssueRecord> {
-        self.issue_log.iter().flat_map(|(_, log)| log.iter())
-    }
-
-    fn log_issue(&mut self, rec: IssueRecord) {
-        if let Some((cap, log)) = self.issue_log.as_mut() {
-            if log.len() == *cap {
-                log.pop_front();
-            }
-            log.push_back(rec);
-        }
     }
 
     /// The configuration this simulator runs.
@@ -443,8 +398,8 @@ impl<'cfg> Simulator<'cfg> {
         }
     }
 
-    /// Feeds a lowered [`BlockTrace`], replaying whole basic-block
-    /// superinstructions at a time.
+    /// Feeds a lowered [`BlockTrace`], replaying a whole basic block at
+    /// a time.
     ///
     /// Each dynamic block instance resolves to a pre-decoded template:
     /// no per-op unpack, and the template pool stays hot in cache while
@@ -462,7 +417,7 @@ impl<'cfg> Simulator<'cfg> {
     /// transition). Runs may be entered at any interior op, so the
     /// fast path re-engages right after the delay-slot/redirect groups
     /// that follow a taken branch. Anything the loop does not model —
-    /// an attached observer or issue log, the naive reference engine —
+    /// an attached observer, the naive reference engine —
     /// falls back to the full per-op [`issue_pair`](Simulator::feed) path,
     /// so [`SimStats`] stay bit-identical to per-op replay (asserted
     /// by the block differential suite).
@@ -470,7 +425,7 @@ impl<'cfg> Simulator<'cfg> {
         // The fast path replicates the per-op walk only under the
         // default skip-mode semantics with no event consumers attached;
         // anything else falls back wholesale.
-        let fast_ok = self.horizon_jump && self.obs.is_none() && self.issue_log.is_none();
+        let fast_ok = self.horizon_jump && self.obs.is_none();
         // The operand stream still to replay: each block instance takes
         // its memory ops' effective addresses off the front.
         let mut addrs = blocks.addrs();
@@ -485,7 +440,7 @@ impl<'cfg> Simulator<'cfg> {
                 ops: blocks.ops_of(tmpl),
                 addrs,
             };
-            addrs = addrs.get(usize::from(tmpl.demand.mem_ops)..).unwrap_or(&[]);
+            addrs = addrs.get(tmpl.mem_ops()..).unwrap_or(&[]);
             let mut i = 0usize;
             // Ops buffered by earlier feed() calls pair among themselves
             // first (only possible before the first block; block replay
@@ -537,7 +492,7 @@ impl<'cfg> Simulator<'cfg> {
 
     /// Executes the batchable run containing op index `i` (entered at
     /// `i`, which may lie anywhere inside the run) through the
-    /// superinstruction fast path. Returns the next op index (> `i`)
+    /// batched fast path. Returns the next op index (> `i`)
     /// when the run was taken, or `None` to fall back to the generic
     /// per-op path for this position.
     ///
@@ -549,9 +504,8 @@ impl<'cfg> Simulator<'cfg> {
     /// * *Fetch* collapses to a residency check and probe on pair
     ///   transition. A resident line's probe is a guaranteed hit and
     ///   never binds (nothing in a run can evict an I-cache line); a
-    ///   non-resident line exits the batch at the missing op, leaving
-    ///   the miss to the generic path — so a run batches exactly its
-    ///   resident prefix.
+    ///   non-resident line or an armed delay-slot redirect takes the
+    ///   generic path's own `fetch` call, miss service included.
     /// * *Sources* are checked only for ops whose `need_src` bit is
     ///   set: live-in readers and readers of an in-run load or mul/div
     ///   result. A not-ready source binds the group's issue time with
@@ -583,22 +537,6 @@ impl<'cfg> Simulator<'cfg> {
         // A group whose partner would lie beyond the run exits to the
         // generic path, which owns every cross-boundary pairing call.
         while j + 1 < end {
-            // Superinstruction apply: a pre-compiled schedule covers
-            // this position, no redirect is armed, and the grouping was
-            // computed under this issue width — check its preconditions
-            // once and apply the whole stretch in O(registers + lines).
-            if bit(tmpl.plan_mask, j) && self.delay_pending.is_none() && self.after_ctl.is_none() {
-                let rank = (tmpl.plan_mask & ((1u64 << (j as u32 & 63)) - 1)).count_ones() as usize;
-                if let Some(plan) = tmpl.plans.get(rank) {
-                    debug_assert_eq!(usize::from(plan.entry), j);
-                    if dual_width || plan.duals == 0 {
-                        if let Some(n) = self.try_apply_plan(plan, block) {
-                            j += n;
-                            continue;
-                        }
-                    }
-                }
-            }
             #[cfg(debug_assertions)]
             self.horizon_probe.set(None);
             if self.next_fill_at <= self.now {
@@ -749,175 +687,9 @@ impl<'cfg> Simulator<'cfg> {
             self.now = t + 1;
             j += if dual { 2 } else { 1 };
         }
-        // A break on the very first group (non-resident fetch line at
-        // the entry op) made no progress: report "not taken" so the
-        // caller's generic path services the miss.
+        // The run holds at least MIN_FAST_RUN ops, so the loop issued
+        // at least one group.
         (j > i).then_some(j)
-    }
-
-    /// Applies a pre-compiled segment schedule ([`SegPlan`]) when none
-    /// of its dynamic preconditions can bind. Under those
-    /// preconditions every group the batched loop would form resolves
-    /// at the fetch lower bound — `t == now` for each group, one cycle
-    /// apart — with the exact grouping the lowering computed:
-    ///
-    /// * every flagged source (live-in or slow in-run producer) ready
-    ///   at entry — stricter than the per-group check at each group's
-    ///   later issue time, so rejection only falls back, never
-    ///   diverges. Flagged readers of *in-stretch* slow results were
-    ///   excluded at lowering time;
-    /// * ROB space for every op up front, after at most one eager
-    ///   drain. Retirement times are fixed by the push sequence and
-    ///   `drain` is idempotent, so draining earlier than the lazy
-    ///   per-group drains is unobservable (peak occupancy is updated
-    ///   inside `try_push` and the push times are identical);
-    /// * for stretches with memory ops, an idle data-cache port and a
-    ///   free MSHR per memory op. In-plan updates keep both
-    ///   non-binding: each memory op holds the port exactly one cycle
-    ///   and the next group issues a cycle later, and allocations
-    ///   cannot exhaust the pre-counted registers (expiry only frees
-    ///   more);
-    /// * every fetch-pair transition lands on a resident line — the
-    ///   per-group walk would probe each exactly once, all hits, and
-    ///   nothing inside a stretch can evict an I-cache line.
-    ///
-    /// Pure-ALU stretches (`dynamic_ops == 0`, no fill due before the
-    /// last group) then apply the pre-summed effects in
-    /// O(registers + lines): `credit_hits` for the probes, one
-    /// scoreboard write per live register, the ROB pushes. Stretches
-    /// with loads, stores or mul/div walk their groups through a
-    /// stripped schedule instead — only the LSU execution and the
-    /// per-cycle fill-arrival check remain; a due fill stops the walk
-    /// at that group boundary, where the state equals the per-group
-    /// loop's, and hands the rest back.
-    ///
-    /// Returns the ops consumed, or `None` when any precondition
-    /// fails and the caller's per-group loop must walk the stretch.
-    fn try_apply_plan(&mut self, plan: &SegPlan, block: &Instance<'_>) -> Option<usize> {
-        let ops = block.ops;
-        let now = self.now;
-        let entry = usize::from(plan.entry);
-        let entry_pc = ops.get(entry).map_or(0, |op| op.pc);
-        let mut srcs = plan.src_mask & ((1u64 << HILO_BIT) - 1);
-        while srcs != 0 {
-            let r = srcs.trailing_zeros() as usize;
-            srcs &= srcs - 1;
-            if self.int_score.get(r).is_some_and(|s| s.0 > now) {
-                return None;
-            }
-        }
-        if plan.src_mask >> HILO_BIT != 0 && self.hilo.0 > now {
-            return None;
-        }
-        if plan.reads_fpcond && self.fpu.fpcc_ready() > now {
-            return None;
-        }
-        let need = usize::from(plan.consumed);
-        if self.rob.capacity() - self.rob.occupancy() < need {
-            self.rob.drain(now);
-            if self.rob.capacity() - self.rob.occupancy() < need {
-                return None;
-            }
-        }
-        if plan.mem_ops > 0 {
-            if self.dcache_port_free > now {
-                return None;
-            }
-            self.mshrs.expire(now);
-            if self.mshrs.capacity() - self.mshrs.occupancy() < usize::from(plan.mem_ops) {
-                return None;
-            }
-        }
-        let entry_trans = self.last_fetch_pair != Some(u64::from(entry_pc) >> 3);
-        if entry_trans && !self.icache.contains(u64::from(entry_pc)) {
-            return None;
-        }
-        for &pc in &plan.probe_pcs {
-            if !self.icache.contains(u64::from(pc)) {
-                return None;
-            }
-        }
-        #[cfg(debug_assertions)]
-        self.horizon_probe.set(None);
-        if plan.dynamic_ops == 0 {
-            // Bulk apply: every effect is static. Requires no fill due
-            // before the stretch's last group, matching the
-            // `next_fill_at` checks the per-group loop makes at each
-            // of its `groups` cycles.
-            if self.next_fill_at < now + u64::from(plan.groups) {
-                return None;
-            }
-            self.icache
-                .credit_hits(plan.probe_pcs.len() as u64 + u64::from(entry_trans));
-            self.last_fetch_pair = Some(u64::from(plan.final_pair));
-            self.fetch_bubble = 0;
-            for &(reg, g) in &plan.writes {
-                if let Some(slot) = self.int_score.get_mut(usize::from(reg)) {
-                    *slot = (now + u64::from(g) + 1, StallCause::RawDep);
-                }
-            }
-            if let Some(g) = plan.hilo_write {
-                self.hilo = (now + u64::from(g) + 1, StallCause::RawDep);
-            }
-            for &g in &plan.rob_groups {
-                let pushed = self.rob.try_push(now + u64::from(g) + 2);
-                debug_assert!(pushed, "plan pre-checked ROB space for every op");
-            }
-            self.stats.instructions += u64::from(plan.consumed);
-            self.stats.dual_issues += u64::from(plan.duals);
-            self.now = now + u64::from(plan.groups);
-            return Some(usize::from(plan.consumed));
-        }
-        // Group walk with all issue decisions pre-resolved.
-        let mut j = entry;
-        let mut t = now;
-        let mut walked = 0u64;
-        let mut dual_groups = 0u64;
-        for g in 0..usize::from(plan.groups) {
-            if self.next_fill_at <= t {
-                break;
-            }
-            if g == 0 {
-                if entry_trans {
-                    let hit = self.icache.probe(u64::from(entry_pc));
-                    debug_assert!(hit, "plan pre-checked the entry line");
-                    self.last_fetch_pair = Some(u64::from(entry_pc) >> 3);
-                }
-            } else if bit(plan.probe_mask, g) {
-                let pc = ops.get(j).map_or(0, |op| u64::from(op.pc));
-                let hit = self.icache.probe(pc);
-                debug_assert!(hit, "plan pre-checked every transition line");
-                self.last_fetch_pair = Some(pc >> 3);
-            }
-            let Some(a) = ops.get(j) else { break };
-            let dual = bit(plan.dual_mask, g);
-            // The per-group loop expires MSHRs at `t` before executing a
-            // memory op (advance_to for a leader, the dual-partner check
-            // for a partner); allocation-time occupancy — and thus
-            // `peak_occupancy` — depends on it.
-            if a.kind.is_memory() || (dual && ops.get(j + 1).is_some_and(|b| b.kind.is_memory())) {
-                self.mshrs.expire(t);
-            }
-            self.exec_batched(block, j, a, t);
-            walked += 1;
-            if dual {
-                if let Some(b) = ops.get(j + 1) {
-                    self.exec_batched(block, j + 1, b, t);
-                    walked += 1;
-                    dual_groups += 1;
-                }
-            }
-            j += 1 + usize::from(dual);
-            t += 1;
-        }
-        if j == entry {
-            return None;
-        }
-        self.fetch_bubble = 0;
-        self.stats.instructions += walked;
-        self.stats.dual_issues += dual_groups;
-        self.now = t;
-        Some(j - entry)
     }
 
     /// [`execute`](Simulator::feed) for op `j` of a block instance
@@ -1091,17 +863,6 @@ impl<'cfg> Simulator<'cfg> {
                 },
             );
         }
-        if self.issue_log.is_some() {
-            let stall_cycles = t.saturating_sub(pre_issue_now);
-            self.log_issue(IssueRecord {
-                cycle: t,
-                pc: first.pc,
-                kind: first.kind,
-                dual_with_prev: false,
-                stall_cycles,
-                stall_cause: (stall_cycles > 0).then_some(cause),
-            });
-        }
         if let (true, Some(s)) = (dual, second) {
             self.execute(s, t);
             self.stats.instructions += 1;
@@ -1114,16 +875,6 @@ impl<'cfg> Simulator<'cfg> {
                         dual: true,
                     },
                 );
-            }
-            if self.issue_log.is_some() {
-                self.log_issue(IssueRecord {
-                    cycle: t,
-                    pc: s.pc,
-                    kind: s.kind,
-                    dual_with_prev: true,
-                    stall_cycles: 0,
-                    stall_cause: None,
-                });
             }
         }
         // One cold flush per issue group; a single compare when no
@@ -1658,102 +1409,6 @@ impl<'cfg> Simulator<'cfg> {
 
     // --- Functional warming (SMARTS-style fast-forward) -----------------
 
-    /// Fast-forwards over a captured trace with *functional warming*: ops
-    /// retire at near-emulator speed — no issue constraints, no stall
-    /// attribution, no clock movement — while the long-history state that
-    /// determines a later window's accuracy keeps updating: I-cache tags
-    /// and pre-decode, D-cache tags, write-cache lines, and stream-buffer
-    /// allocation. Short-history state (scoreboard, ROB, queues, BIU
-    /// busses) is left untouched; a detailed warm-up window re-fills it
-    /// before measurement starts, exactly as SMARTS prescribes.
-    ///
-    /// Warming advances unit *state* silently: hit/miss/access counters
-    /// do not move (residency checks are the stat-free `contains`
-    /// variants), so statistics keep describing detailed execution
-    /// only. A sampling estimator should nevertheless measure windows
-    /// as *deltas* of `(cycle, instructions)` around the detailed
-    /// region — which is what
-    /// [`run_sampled`](crate::sample::run_sampled) does.
-    pub fn warm_packed(&mut self, trace: &PackedTrace) {
-        self.warm_records(trace.records());
-    }
-
-    /// [`Simulator::warm_packed`] over a raw record slice.
-    pub fn warm_records(&mut self, ops: &[PackedOp]) {
-        // Flush the dual-issue look-ahead through the detailed path so
-        // warming starts from a consistent boundary, then drop any armed
-        // control-transfer redirect: its timing context belongs to the
-        // detailed region being abandoned.
-        while !self.pending.is_empty() {
-            self.issue_group();
-        }
-        self.after_ctl = None;
-        self.delay_pending = None;
-        // Warming never reads register operands: decode only pc + kind
-        // (see `PackedOp::kind_only`). Two one-line memos elide repeated
-        // probes of the line just touched: consecutive probes of one
-        // line are idempotent on tag and LRU state (the first touch
-        // makes it resident and most-recent; repeats change nothing),
-        // so skipping them alters only probe counters — and warming
-        // statistics are pollution the estimator ignores anyway. Each
-        // memo is invalidated the moment a different line (or, for the
-        // data side, any store) could disturb the residency it recalls.
-        let mut warm_iline: Option<LineAddr> = None;
-        let mut warm_dline: Option<LineAddr> = None;
-        for rec in ops {
-            let pc32 = rec.pc();
-            let pc = u64::from(pc32);
-            // I-stream: tag and pre-decode maintenance on pair
-            // transition, mirroring fetch() minus all timing.
-            if self.last_fetch_pair != Some(pc >> 3) {
-                self.last_fetch_pair = Some(pc >> 3);
-                let line = self.icache.geometry().line(pc);
-                if warm_iline != Some(line) {
-                    if !self.icache.contains(pc) {
-                        self.warm_stream(line, true);
-                        self.icache.fill(pc);
-                    }
-                    warm_iline = Some(line);
-                }
-            }
-            match rec.kind_only() {
-                OpKind::Load { ea, width } | OpKind::FpLoad { ea, width } => {
-                    let ea = u64::from(ea);
-                    let line = self.dcache.geometry().line(ea);
-                    if warm_dline != Some(line) {
-                        if !self.write_cache.load_covers(ea, width.bytes())
-                            && !self.dcache.contains(ea)
-                        {
-                            self.warm_stream(line, false);
-                            self.dcache.fill_line(line);
-                        }
-                        warm_dline = Some(line);
-                    }
-                }
-                OpKind::Store { ea, width } | OpKind::FpStore { ea, width } => {
-                    let ea = u64::from(ea);
-                    // The eviction/validation outcome is bus traffic —
-                    // timing state; warming only needs the line
-                    // occupancy to evolve. A write-cache eviction or a
-                    // data-cache fill here may displace whatever the
-                    // load memo recalls, so drop it.
-                    self.write_cache.warm_store(ea, width.bytes());
-                    if !self.dcache.contains(ea) {
-                        self.dcache.fill(ea);
-                    }
-                    warm_dline = None;
-                }
-                OpKind::Branch { target, .. } => {
-                    self.record_ctl_pair(pc32, Some(u64::from(target)));
-                }
-                OpKind::Jump { target, register } => {
-                    self.record_ctl_pair(pc32, (!register).then_some(u64::from(target)));
-                }
-                _ => {}
-            }
-        }
-    }
-
     /// Stream-buffer maintenance for a warmed miss: the same probe /
     /// deepen / allocate sequence [`Simulator::service_miss`] performs,
     /// with zero-cycle issue callbacks in place of BIU requests so the
@@ -1793,26 +1448,38 @@ impl<'cfg> Simulator<'cfg> {
     }
 
     /// Fast-forwards over the ops at `range` of the trace a
-    /// [`WarmDigest`] was built from. Semantically this is
-    /// [`Simulator::warm_records`] over the same slice — the digest just
-    /// pre-extracts the events warming reacts to (cache-line
-    /// transitions, memory references, control transfers) so the
-    /// per-op decode and same-line skip checks are paid once per trace
-    /// instead of once per model × sampling pass.
+    /// [`WarmDigest`] was built from, with *functional warming*: ops
+    /// retire at near-emulator speed — no issue constraints, no stall
+    /// attribution, no clock movement — while the long-history state
+    /// that determines a later window's accuracy keeps updating: I-cache
+    /// tags and pre-decode, D-cache tags, write-cache lines, and
+    /// stream-buffer allocation. Short-history state (scoreboard, ROB,
+    /// queues, BIU busses) is left untouched; a detailed warm-up window
+    /// re-fills it before measurement starts, exactly as SMARTS
+    /// prescribes.
+    ///
+    /// Warming advances unit *state* silently: hit/miss/access counters
+    /// do not move (residency checks are the stat-free `contains`
+    /// variants), so statistics keep describing detailed execution
+    /// only. A sampling estimator should nevertheless measure windows
+    /// as *deltas* of `(cycle, instructions)` around the detailed
+    /// region — which is what [`run_sampled`] does.
+    ///
+    /// The digest pre-extracts the events warming reacts to (cache-line
+    /// transitions, memory references, control transfers), so the
+    /// per-op decode and same-line checks are paid once per trace
+    /// instead of once per model × sampling pass. The fetch-pair
+    /// tracker advances per line transition rather than per pair, so it
+    /// may lag within the final line of the range; the first detailed
+    /// fetch after warming then re-probes a pair that was already
+    /// resident — a deterministic, warm-up-absorbed perturbation.
     ///
     /// The caller must build the digest with this machine's line size
-    /// ([`WarmDigest::line_bytes`]); [`run_sampled`] falls back to
-    /// [`Simulator::warm_records`] when the geometry disagrees.
-    ///
-    /// One deliberate divergence from `warm_records`: the fetch-pair
-    /// tracker advances per line transition rather than per pair, so it
-    /// may lag within the final line of the range. The first detailed
-    /// fetch after warming then re-probes a pair that was already
-    /// resident — a deterministic, warm-up-absorbed perturbation —
-    /// while tags, pre-decode, write cache and stream allocation state
-    /// evolve identically.
+    /// ([`WarmDigest::line_bytes`]); [`run_sampled_digest`] builds a
+    /// matching one when handed another.
     ///
     /// [`run_sampled`]: crate::sample::run_sampled
+    /// [`run_sampled_digest`]: crate::sample::run_sampled_digest
     pub fn warm_digest(&mut self, digest: &WarmDigest, range: Range<usize>) {
         debug_assert_eq!(
             digest.line_bytes(),
@@ -1895,10 +1562,9 @@ struct WarmEvent {
 /// to, pre-extracted once so every warm pass skips the ops that cannot
 /// change warm state.
 ///
-/// Warming over raw records ([`Simulator::warm_records`]) decodes every
-/// op only to ignore most of them: ALU and FP arithmetic touch no warm
-/// state, and instruction-side probes collapse to one per cache-line
-/// transition. A digest walks the trace once, keeps only line
+/// Warming op by op would decode every op only to ignore most of them:
+/// ALU and FP arithmetic touch no warm state, and instruction-side
+/// probes collapse to one per cache-line transition. A digest walks the trace once, keeps only line
 /// transitions, memory references and control transfers — each stamped
 /// with its op index — and [`Simulator::warm_digest`] then replays an
 /// arbitrary index range by binary-searching the event list. The digest
@@ -2123,7 +1789,7 @@ pub fn replay(cfg: &MachineConfig, trace: &PackedTrace) -> SimStats {
 /// block-granular engine ([`Simulator::feed_blocks`]) and returns the
 /// run's statistics — bit-identical to [`replay`] on the source trace
 /// and to [`simulate`] on the op stream, only faster: pre-decoded
-/// superinstruction templates replace per-op unpacking, and
+/// block templates replace per-op unpacking, and
 /// scoreboard-only runs execute with per-group work reduced to a few
 /// stores.
 ///
@@ -2565,29 +2231,37 @@ mod tests {
     }
 
     #[test]
-    fn issue_log_records_pairing_and_stalls() {
+    fn observer_records_pairing_and_stalls() {
         let cfg = cfg(MachineModel::Baseline, IssueWidth::Dual);
         let mut sim = Simulator::new(&cfg);
-        sim.enable_issue_log(64);
+        sim.enable_observer(64);
         // Independent pair, then a load and its immediate consumer.
         sim.feed(alu(BASE, 8, 9));
         sim.feed(alu(BASE + 4, 10, 11));
         sim.feed(load(BASE + 8, 12, 0x2000));
         sim.feed(alu(BASE + 12, 13, 12));
         sim.feed(alu(BASE + 16, 14, 14));
-        let records: Vec<IssueRecord> = {
-            // finish() consumes; collect the log before.
-            sim.issue_log().copied().collect()
-        };
-        let stats = sim.finish();
+        let (stats, obs) = sim.finish_observed();
+        let obs = obs.expect("observer attached");
         assert_eq!(stats.instructions, 5);
+        assert_eq!(obs.dropped(), 0);
+        let issues: Vec<(u64, bool)> = obs
+            .events()
+            .filter_map(|e| match e.kind {
+                ObsEventKind::Issue { dual, .. } => Some((e.cycle, dual)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(issues.len(), 5);
         assert!(
-            records.iter().any(|r| r.dual_with_prev),
+            issues.iter().any(|&(_, dual)| dual),
             "pair should dual issue"
         );
-        // At least one record carries a stall (icache cold miss or load use).
-        assert!(records.iter().any(|r| r.stall_cycles > 0));
-        assert!(records.windows(2).all(|w| w[0].cycle <= w[1].cycle));
+        // At least one stall (icache cold miss or load use) is recorded.
+        assert!(obs
+            .events()
+            .any(|e| matches!(e.kind, ObsEventKind::Stall { cycles, .. } if cycles > 0)));
+        assert!(issues.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 
     #[test]
@@ -2766,7 +2440,8 @@ mod tests {
         let capture = PackedTrace::from_ops(trace.iter().copied());
         let cold = replay(&c, &capture);
         let mut sim = Simulator::new(&c);
-        sim.warm_packed(&capture);
+        let digest = WarmDigest::build(capture.records(), c.line_bytes);
+        sim.warm_digest(&digest, 0..capture.len());
         sim.mark_warm();
         sim.feed_packed(&capture);
         let warm = sim.finish();

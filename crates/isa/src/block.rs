@@ -1,4 +1,4 @@
-//! Basic-block superinstruction lowering for the replay fast path.
+//! Basic-block lowering for the replay fast path.
 //!
 //! A configuration sweep replays the same [`PackedTrace`] hundreds of
 //! times (§4.1 capture-once / replay-many). Walking it one record at a
@@ -7,10 +7,10 @@
 //! that work at lowering time: the dynamic trace is segmented into
 //! *basic blocks* — maximal runs of ops ending at each control-flow
 //! change — and blocks of identical static code are deduplicated into
-//! *templates* holding pre-decoded [`TraceOp`]s plus a pre-resolved
-//! footprint (register read/write sets, batchable runs, static
-//! dual-issue pairing, dynamic-source-check masks, touched fetch
-//! pairs, unit demand and a worst-case latency class). A template is a
+//! *templates* holding pre-decoded [`TraceOp`]s plus four per-op
+//! bitmasks: which ops are batchable, which adjacent pairs pass the
+//! static dual-issue rules, which ops must re-check their sources
+//! dynamically, and which access data memory. A template is a
 //! property of the code, not of one execution: its memory ops carry no
 //! effective address. The addresses live in one `u32` operand stream,
 //! one entry per dynamic memory op in trace order, so a loop striding
@@ -18,8 +18,7 @@
 //! Replay then streams one `u32` template id per dynamic block plus
 //! one address per memory op instead of sixteen bytes per op, and the
 //! timing core executes whole runs through a specialised issue loop
-//! whose fetch, source and pairing checks were resolved at lowering
-//! time.
+//! whose source and pairing checks were resolved at lowering time.
 //!
 //! The lowering is purely a re-encoding: [`BlockTrace::iter`] yields
 //! exactly the ops of the source trace, in order, and the simulator
@@ -28,7 +27,6 @@
 //! root).
 
 use std::collections::HashMap;
-use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::packed::{PackedOp, PackedTrace};
@@ -65,157 +63,12 @@ impl Hasher for PcHasher {
 /// replay semantics and keeps every per-op bitmask in a single `u64`.
 pub const MAX_BLOCK_OPS: usize = 64;
 
-/// Bit index used for the HI/LO pair in `live_in` / `writes` masks,
+/// Bit index of the HI/LO pair in the register masks `analyze` tracks,
 /// alongside bits 0–31 for the integer registers.
-pub const HILO_BIT: u32 = 32;
-
-/// Coarse worst-case issue-latency class of a block, from its slowest
-/// member op. Useful for scheduling heuristics and reported by
-/// [`BlockTemplate::latency_class`]; the cycle-accurate core does not
-/// consult it for timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LatencyClass {
-    /// Only single-cycle ALU ops / nops.
-    Alu,
-    /// Contains control flow but nothing slower.
-    Control,
-    /// Contains an integer multiply or divide (HI/LO latency).
-    MulDiv,
-    /// Contains a floating-point op (decoupled FPU latency).
-    Fpu,
-    /// Contains a data-memory access (cache-miss latency possible).
-    Memory,
-}
-
-/// Per-template op-class demand: how many issue slots of each unit
-/// class one execution of the block consumes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassDemand {
-    /// Integer ALU ops, nops, multiplies and divides.
-    pub int_ops: u16,
-    /// Data-memory accesses (integer and FP loads/stores).
-    pub mem_ops: u16,
-    /// Decoupled-FPU arithmetic ops.
-    pub fp_ops: u16,
-    /// Control-flow ops (at most one, and always last when present).
-    pub ctl_ops: u16,
-}
-
-/// A maximal run of *batchable* ops inside a block: everything except
-/// control flow — integer ALU ops, nops, multiplies, divides, FPU
-/// arithmetic, and all four memory-op kinds. None of these ops arms
-/// the fetch redirect state, so a specialised issue loop can execute
-/// the whole run with precomputed fetch, source and static-pairing
-/// checks, consulting the dynamic machine state (ROB, data-cache
-/// port, MSHRs, FPU issue queue, flagged sources) only where the
-/// [`BlockTemplate::need_src`] mask or the op kind says a constraint
-/// could still bind.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockRun {
-    /// First op index of the run within the block.
-    pub start: u16,
-    /// One past the last op index of the run.
-    pub end: u16,
-    /// Registers the run reads before writing them: bits 0–31 are the
-    /// integer registers, bit [`HILO_BIT`] is the HI/LO pair. Sources
-    /// outside the scoreboard (FP registers, `$k`-style indices ≥ 32)
-    /// never bind a stall and are excluded. Informational: the timing
-    /// core does not gate run entry on this set — every live-in reader
-    /// carries a [`BlockTemplate::need_src`] bit and is checked
-    /// dynamically at its own issue group.
-    pub live_in: u64,
-    /// Whether any op in the run reads the FP condition code. Like
-    /// [`live_in`](Self::live_in), informational: fpcond readers carry
-    /// `need_src` bits.
-    pub reads_fpcond: bool,
-}
-
-impl BlockRun {
-    /// Number of ops in the run.
-    pub fn len(&self) -> usize {
-        usize::from(self.end) - usize::from(self.start)
-    }
-
-    /// Whether the run is empty (never true for stored runs).
-    pub fn is_empty(&self) -> bool {
-        self.end <= self.start
-    }
-}
-
-/// Minimum ops a pre-compiled issue schedule must cover to be worth
-/// storing (shorter stretches stay on the per-group loop).
-pub const MIN_PLAN_OPS: usize = 4;
-
-/// A pre-compiled issue schedule — a *superinstruction* — for a
-/// stretch of plannable ops (integer ALU, nop, mul/div, load, store)
-/// inside a run, entered exactly at [`SegPlan::entry`]. Once no
-/// dynamic issue constraint can bind — every flagged source ready at
-/// entry, ROB space for every op, an MSHR per memory op, the data-
-/// cache port idle and every fetch-pair transition resident — each
-/// issue group resolves at the fetch lower bound, one cycle after the
-/// previous, and the grouping, dual-issue outcomes and probe points
-/// are exactly the statically computed ones. The timing core verifies
-/// the preconditions once, then either applies the pre-summed effects
-/// directly (pure ALU stretches: O(registers + lines) instead of
-/// O(ops)) or walks the groups through a stripped schedule that keeps
-/// only the inherently dynamic work (LSU execution, fill-arrival
-/// checks). A failed precondition falls back to the per-group loop,
-/// so a plan can only ever reproduce — never alter — the per-op
-/// schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegPlan {
-    /// Op index (within the block) this plan enters at.
-    pub entry: u8,
-    /// Ops the plan consumes. The stretch's last op is left to the
-    /// per-group loop when it cannot complete a group (it may still
-    /// dual-issue with the op after the stretch), and a flagged
-    /// consumer of an in-stretch slow result (load, mul/div) ends the
-    /// plan early — its issue time depends on dynamic latencies.
-    pub consumed: u8,
-    /// Issue groups formed — the cycles the stretch advances.
-    pub groups: u8,
-    /// Dual-issued groups among them.
-    pub duals: u8,
-    /// Memory ops (loads + stores) consumed: each needs a free MSHR
-    /// and the shared data-cache port at apply time.
-    pub mem_ops: u8,
-    /// Ops with dynamic effects (anything but `IntAlu`/`Nop`). Zero
-    /// selects the pre-summed bulk apply; otherwise the group walk.
-    pub dynamic_ops: u8,
-    /// Bit `g` set: group `g` dual-issues (consumes two ops).
-    pub dual_mask: u64,
-    /// Bit `g` set: group `g`'s leader crosses onto a new fetch pair
-    /// and probes the I-cache. Bit 0 is never set — the entry group's
-    /// transition depends on the dynamic fetch state.
-    pub probe_mask: u64,
-    /// Union of the scoreboard sources of `need_src`-flagged ops in
-    /// the stretch (bits 0–31 integer registers, bit [`HILO_BIT`] the
-    /// HI/LO pair); all must be ready at entry.
-    pub src_mask: u64,
-    /// Whether any flagged op reads the FP condition code.
-    pub reads_fpcond: bool,
-    /// Group-leader pcs at fetch-pair transitions after the entry op —
-    /// one per set `probe_mask` bit, in group order; all must be
-    /// resident at apply time.
-    pub probe_pcs: Vec<u32>,
-    /// `pc >> 3` of the last group leader — the fetch pair a full bulk
-    /// apply leaves behind (the group walk tracks it incrementally).
-    pub final_pair: u32,
-    /// Net scoreboard effect for the bulk apply: integer register
-    /// `reg` is last written by group `g`, so its ready time is
-    /// `entry_cycle + g + 1`. Empty when `dynamic_ops > 0`.
-    pub writes: Vec<(u8, u8)>,
-    /// Group of the last HI/LO write, if any op targets the pair
-    /// (bulk apply only).
-    pub hilo_write: Option<u8>,
-    /// Per consumed op in issue order: the op's group index (its ROB
-    /// entry retires in order at `entry_cycle + g + 2`). Empty when
-    /// `dynamic_ops > 0`.
-    pub rob_groups: Vec<u8>,
-}
+const HILO_BIT: u32 = 32;
 
 /// One deduplicated static block: an op range into the shared pool plus
-/// the pre-resolved footprint replay needs.
+/// the per-op masks replay reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockTemplate {
     /// First op index in the [`BlockTrace`] pool.
@@ -227,8 +80,6 @@ pub struct BlockTemplate {
     /// intra-pair dependence, no FP-compare/branch hazard). Dynamic
     /// rules — partner readiness, ROB space — remain replay's job.
     pub pair_ok: u64,
-    /// Bit `j` set: op `j` reads the HI/LO pair.
-    pub reads_hilo: u64,
     /// Bit `j` set: op `j`'s sources must be re-checked dynamically
     /// inside a batched run, because one of them is either *live into
     /// the run* (produced before the run, readiness unknowable
@@ -239,36 +90,20 @@ pub struct BlockTemplate {
     /// ALU group and forwards one cycle later, no later than the next
     /// group's fetch-bound issue time.
     pub need_src: u64,
-    /// Registers written by the block (same bit layout as
-    /// [`BlockRun::live_in`]).
-    pub writes: u64,
-    /// Registers read by the block before it writes them.
-    pub live_in: u64,
-    /// Maximal batchable runs, in order, covering every op that is
-    /// not control flow.
-    pub runs: Vec<BlockRun>,
-    /// Bit `j` set: a [`SegPlan`] enters at op `j`. Its position in
-    /// [`plans`](Self::plans) is the rank of bit `j` — the popcount of
-    /// the mask below it.
-    pub plan_mask: u64,
-    /// Pre-compiled issue schedules, sorted by entry index.
-    pub plans: Vec<SegPlan>,
-    /// Bit `j` set: op `j` is batchable (lies inside a run). Because
-    /// runs are *maximal* contiguous stretches of batchable ops, the
-    /// end of the run containing op `i` is
-    /// `i + (batch_mask >> i).trailing_ones()` — an O(1), pointer-free
-    /// replacement for scanning [`runs`](Self::runs) at every
-    /// candidate entry point.
+    /// Bit `j` set: op `j` is batchable — anything but control flow,
+    /// which only ever ends a block. Batchable ops form maximal
+    /// contiguous runs, so the end of the run containing op `i` is
+    /// `i + (batch_mask >> i).trailing_ones()`. A run may be entered at
+    /// any interior index: the [`need_src`](Self::need_src) analysis
+    /// holds for every suffix of the run (a clear bit means the op's
+    /// sources come from earlier in-run ALU groups, which forward in
+    /// one cycle whether they issued inside or before the batch).
     pub batch_mask: u64,
     /// Bit `j` set: op `j` accesses data memory. Its pooled op carries
     /// no effective address; the address is entry
     /// [`addr_index(j)`](Self::addr_index) of the block instance's
     /// slice of [`BlockTrace::addrs`].
     pub mem_mask: u64,
-    /// Issue-slot demand by unit class.
-    pub demand: ClassDemand,
-    /// Worst-case latency class over the block's ops.
-    pub latency: LatencyClass,
 }
 
 impl BlockTemplate {
@@ -282,20 +117,11 @@ impl BlockTemplate {
         self.len == 0
     }
 
-    /// Worst-case latency class over the block's ops.
-    pub fn latency_class(&self) -> LatencyClass {
-        self.latency
-    }
-
-    /// The batchable run containing op index `i`, if any. A run may be
-    /// entered at any interior index: the `need_src` analysis holds
-    /// for every suffix of the run (an op's clear bit means its
-    /// sources come from earlier in-run ALU groups, which forward in
-    /// one cycle whether they issued inside or before the batch).
-    pub fn run_at(&self, i: usize) -> Option<&BlockRun> {
-        self.runs
-            .iter()
-            .find(|r| usize::from(r.start) <= i && i < usize::from(r.end))
+    /// Number of data-memory ops in the block: how many entries of
+    /// [`BlockTrace::addrs`] one instance of it consumes.
+    #[inline]
+    pub fn mem_ops(&self) -> usize {
+        self.mem_mask.count_ones() as usize
     }
 
     /// Where memory op `j`'s effective address sits in its block
@@ -308,7 +134,7 @@ impl BlockTemplate {
     }
 }
 
-/// A dynamic trace lowered to basic-block superinstructions.
+/// A dynamic trace lowered to deduplicated basic blocks.
 ///
 /// Layout: `pool` concatenates the pre-decoded ops of every distinct
 /// template, with memory ops' effective addresses cleared; `seq` holds
@@ -386,30 +212,13 @@ impl BlockTrace {
         builder.finish()
     }
 
-    /// Heap bytes held by the lowering: the op pool, the templates with
-    /// their runs and plans, the instance stream and the operand stream
-    /// (compare [`PackedTrace::mem_bytes`]).
+    /// Heap bytes held by the lowering: the op pool, the templates, the
+    /// instance stream and the operand stream (compare
+    /// [`PackedTrace::mem_bytes`]).
     pub fn mem_bytes(&self) -> usize {
         use std::mem::size_of;
-        let footprints: usize = self
-            .templates
-            .iter()
-            .map(|t| {
-                t.runs.capacity() * size_of::<BlockRun>()
-                    + t.plans.capacity() * size_of::<SegPlan>()
-                    + t.plans
-                        .iter()
-                        .map(|p| {
-                            p.probe_pcs.capacity() * size_of::<u32>()
-                                + p.writes.capacity() * size_of::<(u8, u8)>()
-                                + p.rob_groups.capacity()
-                        })
-                        .sum::<usize>()
-            })
-            .sum();
         self.pool.capacity() * size_of::<TraceOp>()
             + self.templates.capacity() * size_of::<BlockTemplate>()
-            + footprints
             + (self.seq.capacity() + self.addrs.capacity()) * size_of::<u32>()
     }
 
@@ -425,7 +234,7 @@ impl BlockTrace {
 
     /// The operand stream: one effective address per dynamic memory op,
     /// in trace order. A block instance's addresses are the next
-    /// `demand.mem_ops` entries, in op order.
+    /// [`mem_ops`](BlockTemplate::mem_ops) entries, in op order.
     pub fn addrs(&self) -> &[u32] {
         &self.addrs
     }
@@ -447,15 +256,6 @@ impl BlockTrace {
     /// Whether the trace holds no instructions.
     pub fn is_empty(&self) -> bool {
         self.total_ops == 0
-    }
-
-    /// Dynamic-to-static reuse factor: executed ops per pooled op.
-    /// Loop-dominated traces score high; straight-line code scores ~1.
-    pub fn reuse_factor(&self) -> f64 {
-        if self.pool.is_empty() {
-            return 0.0;
-        }
-        self.total_ops as f64 / self.pool.len() as f64
     }
 
     /// Aggregate statistics of the source trace.
@@ -481,20 +281,6 @@ impl BlockTrace {
                     ..op
                 }
             })
-    }
-}
-
-impl fmt::Display for BlockTrace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} ops in {} blocks ({} templates, {} pooled ops, reuse {:.1}x)",
-            self.total_ops,
-            self.seq.len(),
-            self.templates.len(),
-            self.pool.len(),
-            self.reuse_factor()
-        )
     }
 }
 
@@ -686,43 +472,20 @@ fn write_mask(op: &TraceOp) -> u64 {
     }
 }
 
-fn latency_of(kind: OpKind) -> LatencyClass {
-    if kind.is_memory() {
-        LatencyClass::Memory
-    } else if kind.is_fpu() {
-        LatencyClass::Fpu
-    } else if matches!(kind, OpKind::IntMul | OpKind::IntDiv) {
-        LatencyClass::MulDiv
-    } else if kind.is_control_flow() {
-        LatencyClass::Control
-    } else {
-        LatencyClass::Alu
-    }
-}
-
-/// Pre-resolves a block's footprint from its decoded ops.
+/// Pre-resolves a block's masks from its decoded ops.
 fn analyze(start: u32, ops: &[TraceOp]) -> BlockTemplate {
     let mut tmpl = BlockTemplate {
         start,
         len: ops.len() as u16,
         pair_ok: 0,
-        reads_hilo: 0,
         need_src: 0,
-        writes: 0,
-        live_in: 0,
-        runs: Vec::new(),
-        plan_mask: 0,
-        plans: Vec::new(),
         batch_mask: 0,
         mem_mask: 0,
-        demand: ClassDemand::default(),
-        latency: LatencyClass::Alu,
     };
-    let mut written = 0u64;
-    let mut run: Option<BlockRun> = None;
+    // Registers written so far in the current batchable run, and those
+    // whose most recent in-run writer is slow (load result or mul/div
+    // into HI/LO).
     let mut run_written = 0u64;
-    // Registers whose most recent in-run writer is slow (load result or
-    // mul/div into HI/LO): readers keep their dynamic source check.
     let mut run_slow = 0u64;
     for (j, op) in ops.iter().enumerate() {
         let bit = 1u64 << (j as u32 & 63);
@@ -731,310 +494,46 @@ fn analyze(start: u32, ops: &[TraceOp]) -> BlockTemplate {
                 tmpl.pair_ok |= bit;
             }
         }
-        for src in op.sources() {
-            match src {
-                ArchReg::Int(n) if u32::from(n) < HILO_BIT && written & (1u64 << n) == 0 => {
-                    tmpl.live_in |= 1u64 << n;
-                }
-                ArchReg::HiLo => {
-                    tmpl.reads_hilo |= bit;
-                    if written & (1u64 << HILO_BIT) == 0 {
-                        tmpl.live_in |= 1u64 << HILO_BIT;
-                    }
-                }
-                _ => {}
-            }
-        }
         if op.kind.is_memory() {
-            tmpl.demand.mem_ops += 1;
             tmpl.mem_mask |= bit;
-        } else if op.kind.is_fpu() {
-            tmpl.demand.fp_ops += 1;
-        } else if op.kind.is_control_flow() {
-            tmpl.demand.ctl_ops += 1;
-        } else {
-            tmpl.demand.int_ops += 1;
         }
-        tmpl.latency = tmpl.latency.max(latency_of(op.kind));
-
-        if batchable(op.kind) {
-            tmpl.batch_mask |= bit;
-            let r = run.get_or_insert_with(|| {
-                run_written = 0;
-                run_slow = 0;
-                BlockRun {
-                    start: j as u16,
-                    end: j as u16,
-                    live_in: 0,
-                    reads_fpcond: false,
-                }
-            });
-            r.end = (j + 1) as u16;
-            for src in op.sources() {
-                let src_bit = match src {
-                    ArchReg::Int(n) if u32::from(n) < HILO_BIT => 1u64 << n,
-                    ArchReg::HiLo => 1u64 << HILO_BIT,
-                    ArchReg::FpCond => {
-                        // The FP condition code lives in the decoupled
-                        // FPU; its readiness is always re-queried
-                        // dynamically, wherever the producing compare
-                        // sits.
-                        r.reads_fpcond = true;
-                        tmpl.need_src |= bit;
-                        continue;
-                    }
-                    _ => continue,
-                };
-                if run_written & src_bit == 0 {
-                    // Live-in value: produced before the run (or before
-                    // the block), so its readiness is unknowable
-                    // statically — keep the dynamic check.
-                    r.live_in |= src_bit;
-                    tmpl.need_src |= bit;
-                } else if run_slow & src_bit != 0 {
-                    tmpl.need_src |= bit;
-                }
-            }
-            let w = write_mask(op);
-            run_written |= w;
-            if slow_writer(op.kind) {
-                run_slow |= w;
-            } else {
-                run_slow &= !w;
-            }
-        } else if let Some(r) = run.take() {
-            tmpl.runs.push(r);
-        }
-        written |= write_mask(op);
-        tmpl.writes |= write_mask(op);
-    }
-    if let Some(r) = run.take() {
-        tmpl.runs.push(r);
-    }
-    compile_plans(&mut tmpl, ops);
-    tmpl
-}
-
-/// Whether `kind` is eligible for a pre-compiled schedule: ops whose
-/// issue constraints are either covered by the plan preconditions
-/// (sources, ROB space, MSHR/port availability, fetch residency) or
-/// provably non-binding once they hold. FPU ops are excluded — their
-/// issue-queue admission depends on decoupled FPU state that evolves
-/// with every dispatch — as are FP loads/stores (load/store-queue
-/// admission) and control flow (not batchable at all).
-fn plannable(kind: OpKind) -> bool {
-    matches!(
-        kind,
-        OpKind::IntAlu
-            | OpKind::Nop
-            | OpKind::IntMul
-            | OpKind::IntDiv
-            | OpKind::Load { .. }
-            | OpKind::Store { .. }
-    )
-}
-
-/// Compiles a [`SegPlan`] for every maximal plannable stretch of
-/// `ops`, at the two entry points replay reaches in practice: the
-/// stretch head, and head+1 (entered when the head is consumed as the
-/// dual partner of the preceding group). Requires `pair_ok` and
-/// `need_src` to be final.
-fn compile_plans(tmpl: &mut BlockTemplate, ops: &[TraceOp]) {
-    let mut s = 0usize;
-    while s < ops.len() {
-        if !plannable(ops[s].kind) {
-            s += 1;
+        if !batchable(op.kind) {
+            // The run ends here; the next one starts with nothing
+            // written.
+            run_written = 0;
+            run_slow = 0;
             continue;
         }
-        let mut e = s + 1;
-        while ops.get(e).is_some_and(|op| plannable(op.kind)) {
-            e += 1;
-        }
-        for entry in [s, s + 1] {
-            if let Some(plan) = compile_plan(tmpl, ops, entry, e) {
-                tmpl.plan_mask |= 1u64 << (entry as u32 & 63);
-                tmpl.plans.push(plan);
-            }
-        }
-        s = e;
-    }
-}
-
-/// Simulates the batched issue loop over `ops[entry..end)` under the
-/// no-stall assumption — every group resolves at the fetch lower
-/// bound, one cycle apart — and folds the walk into a [`SegPlan`].
-/// Returns `None` when the stretch is too short to pay for itself.
-fn compile_plan(
-    tmpl: &BlockTemplate,
-    ops: &[TraceOp],
-    entry: usize,
-    end: usize,
-) -> Option<SegPlan> {
-    if entry >= end {
-        return None;
-    }
-    // Cheap pre-pass: the walk below can never consume past the first
-    // flagged reader of an in-stretch slow result, so locate that cut
-    // op-wise before paying for the full walk. In real code most
-    // stretches cut within a couple of ops (load results are consumed
-    // almost immediately), and with loads plannable nearly every op
-    // starts or sits in a stretch — without this check the lowering
-    // pass walks (and allocates for) every doomed stretch twice.
-    let mut cut = end;
-    {
-        let mut slow = 0u64;
-        for (k, op) in ops.iter().enumerate().take(end).skip(entry) {
-            let reads_slow = tmpl.need_src >> (k as u32 & 63) & 1 == 1
-                && op.sources().any(|src| {
-                    let bit = match src {
-                        ArchReg::Int(n) if u32::from(n) < HILO_BIT => 1u64 << n,
-                        ArchReg::HiLo => 1u64 << HILO_BIT,
-                        _ => return false,
-                    };
-                    slow & bit != 0
-                });
-            if reads_slow {
-                cut = k;
-                break;
-            }
-            let w = write_mask(op);
-            if slow_writer(op.kind) {
-                slow |= w;
-            } else {
-                slow &= !w;
-            }
-        }
-        if cut - entry < MIN_PLAN_OPS {
-            return None;
-        }
-    }
-    let mut j = entry;
-    let mut groups = 0u8;
-    let mut duals = 0u8;
-    let mut mem_ops = 0u8;
-    let mut dynamic_ops = 0u8;
-    let mut dual_mask = 0u64;
-    let mut probe_mask = 0u64;
-    let mut src_mask = 0u64;
-    let mut reads_fpcond = false;
-    let mut probe_pcs = Vec::new();
-    let mut prev_pair = ops[entry].pc >> 3;
-    let mut final_pair = prev_pair;
-    let mut write_group = [0u8; HILO_BIT as usize + 1];
-    let mut written = 0u64;
-    // Registers whose latest in-stretch writer delivers at a dynamic
-    // or multi-cycle latency (load result, mul/div into HI/LO). A
-    // flagged reader of one would issue at a time the lowering cannot
-    // know, so the plan ends before its group.
-    let mut slow_written = 0u64;
-    let mut rob_groups = Vec::new();
-    // A group whose partner would lie beyond the stretch is left to
-    // the dynamic loop: it may still dual-issue with whatever follows.
-    'walk: while j + 1 < end {
-        // With sources ready, ROB space and an MSHR per memory op
-        // guaranteed, the partner's dynamic checks all pass: dual
-        // issue is decided by the static rules alone.
-        let dual = tmpl.pair_ok >> (j as u32 & 63) & 1 == 1;
-        let width = 1 + usize::from(dual);
-        // Flagged readers of in-stretch slow results end the plan
-        // *before* this group (scan first, commit after).
-        for (k, op) in ops.iter().enumerate().take(j + width).skip(j) {
-            let reads_slow = tmpl.need_src >> (k as u32 & 63) & 1 == 1
-                && op.sources().any(|src| {
-                    let bit = match src {
-                        ArchReg::Int(n) if u32::from(n) < HILO_BIT => 1u64 << n,
-                        ArchReg::HiLo => 1u64 << HILO_BIT,
-                        _ => return false,
-                    };
-                    slow_written & bit != 0
-                });
-            if reads_slow {
-                break 'walk;
-            }
-        }
-        let a = &ops[j];
-        let pair = a.pc >> 3;
-        if pair != prev_pair {
-            probe_pcs.push(a.pc);
-            probe_mask |= 1u64 << (groups as u32 & 63);
-            prev_pair = pair;
-        }
-        final_pair = pair;
-        for (k, op) in ops.iter().enumerate().take(j + width).skip(j) {
-            if tmpl.need_src >> (k as u32 & 63) & 1 == 1 {
-                for src in op.sources() {
-                    match src {
-                        ArchReg::Int(n) if u32::from(n) < HILO_BIT => src_mask |= 1u64 << n,
-                        ArchReg::HiLo => src_mask |= 1u64 << HILO_BIT,
-                        ArchReg::FpCond => reads_fpcond = true,
-                        _ => {}
-                    }
+        tmpl.batch_mask |= bit;
+        for src in op.sources() {
+            let src_bit = match src {
+                ArchReg::Int(n) if u32::from(n) < HILO_BIT => 1u64 << n,
+                ArchReg::HiLo => 1u64 << HILO_BIT,
+                ArchReg::FpCond => {
+                    // The FP condition code lives in the decoupled FPU;
+                    // its readiness is always re-queried dynamically,
+                    // wherever the producing compare sits.
+                    tmpl.need_src |= bit;
+                    continue;
                 }
-            }
-            mem_ops += u8::from(op.kind.is_memory());
-            dynamic_ops += u8::from(!matches!(op.kind, OpKind::IntAlu | OpKind::Nop));
-            let mut w = write_mask(op);
-            written |= w;
-            if slow_writer(op.kind) {
-                slow_written |= w;
-            } else {
-                slow_written &= !w;
-            }
-            while w != 0 {
-                // trailing_zeros of a non-zero mask is < 33, in bounds
-                // for the 33-slot table by construction of write_mask
-                write_group[w.trailing_zeros() as usize] = groups;
-                w &= w - 1;
-            }
-            rob_groups.push(groups);
-        }
-        if dual {
-            dual_mask |= 1u64 << (groups as u32 & 63);
-            duals += 1;
-        }
-        groups += 1;
-        j += width;
-    }
-    let consumed = j - entry;
-    if consumed < MIN_PLAN_OPS {
-        return None;
-    }
-    let mut writes = Vec::new();
-    let mut hilo_write = None;
-    if dynamic_ops == 0 {
-        let mut m = written;
-        while m != 0 {
-            let r = m.trailing_zeros();
-            m &= m - 1;
-            let g = write_group[r as usize];
-            if r == HILO_BIT {
-                hilo_write = Some(g);
-            } else {
-                writes.push((r as u8, g));
+                _ => continue,
+            };
+            // A live-in value (produced before the run, so its
+            // readiness is unknowable statically) or a slow in-run
+            // result keeps the dynamic check.
+            if run_written & src_bit == 0 || run_slow & src_bit != 0 {
+                tmpl.need_src |= bit;
             }
         }
-    } else {
-        // The group walk reads effects off the ops themselves; the
-        // pre-summed summaries only serve the bulk apply.
-        rob_groups.clear();
+        let w = write_mask(op);
+        run_written |= w;
+        if slow_writer(op.kind) {
+            run_slow |= w;
+        } else {
+            run_slow &= !w;
+        }
     }
-    Some(SegPlan {
-        entry: entry as u8,
-        consumed: consumed as u8,
-        groups,
-        duals,
-        mem_ops,
-        dynamic_ops,
-        dual_mask,
-        probe_mask,
-        src_mask,
-        reads_fpcond,
-        probe_pcs,
-        final_pair,
-        writes,
-        hilo_write,
-        rob_groups,
-    })
+    tmpl
 }
 
 #[cfg(test)]
@@ -1069,7 +568,8 @@ mod tests {
         assert_eq!(b.templates().len(), 1);
         assert_eq!(b.instances(), &[0, 0, 0]);
         assert_eq!(b.len(), 9);
-        assert!((b.reuse_factor() - 3.0).abs() < 1e-9);
+        // Nine executed ops share one three-op template.
+        assert_eq!(b.templates()[0].len(), 3);
         let replayed: Vec<TraceOp> = b.iter().collect();
         assert_eq!(replayed, ops);
     }
@@ -1095,21 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn footprint_live_in_and_writes() {
-        // r3 = f(r1); r4 = f(r3): live-in {r1}, writes {r3, r4}.
-        let ops = [alu(0, 3, 1), alu(4, 4, 3)];
-        let b = BlockTrace::lower_ops(ops.iter().copied());
-        let t = &b.templates()[0];
-        assert_eq!(t.live_in, 1 << 1);
-        assert_eq!(t.writes, (1 << 3) | (1 << 4));
-        assert_eq!(t.runs.len(), 1);
-        let r = &t.runs[0];
-        assert_eq!((r.start, r.end), (0, 2));
-        assert_eq!(r.live_in, 1 << 1);
-        assert_eq!(t.latency_class(), LatencyClass::Alu);
-    }
-
-    #[test]
     fn muldiv_writes_hilo_not_dst() {
         let mul = TraceOp {
             pc: 0,
@@ -1127,15 +612,10 @@ mod tests {
         };
         let b = BlockTrace::lower_ops([mul, mflo]);
         let t = &b.templates()[0];
-        assert_eq!(t.writes, (1 << HILO_BIT) | (1 << 5));
-        assert_eq!(t.live_in, (1 << 1) | (1 << 2));
-        assert_eq!(t.reads_hilo, 0b10);
+        assert_eq!(t.batch_mask, 0b11);
         // The multiply reads live-in r1/r2 and the mflo reads HI/LO
         // behind the slow multiply: both keep dynamic source checks.
         assert_eq!(t.need_src, 0b11);
-        // HiLo written by op 0 before op 1 reads it: not live-in.
-        assert_eq!(t.runs[0].live_in & (1 << HILO_BIT), 0);
-        assert_eq!(t.latency_class(), LatencyClass::MulDiv);
     }
 
     #[test]
@@ -1154,17 +634,13 @@ mod tests {
         let b = BlockTrace::lower_ops(ops.iter().copied());
         let t = &b.templates()[0];
         // Memory ops are batchable: one run covers the whole block.
-        assert_eq!(t.runs.len(), 1);
-        assert_eq!((t.runs[0].start, t.runs[0].end), (0, 4));
-        // Live-in is just r2 (r1 and r7 are produced inside the run).
-        assert_eq!(t.runs[0].live_in, 1 << 2);
+        assert_eq!(t.batch_mask, 0b1111);
         // The live-in reader (op 0) and the load consumer (op 3) keep
         // dynamic source checks; ops 1 and 2 read only the one-cycle
         // ALU forward from op 0 and need none.
         assert_eq!(t.need_src, (1 << 0) | (1 << 3));
-        assert_eq!(t.latency_class(), LatencyClass::Memory);
-        assert_eq!(t.demand.mem_ops, 1);
-        assert_eq!(t.demand.int_ops, 3);
+        assert_eq!(t.mem_mask, 0b100);
+        assert_eq!(t.mem_ops(), 1);
     }
 
     #[test]
@@ -1181,8 +657,6 @@ mod tests {
         let t = &b.templates()[0];
         // FPU arithmetic stays in the run (its issue-queue admission is
         // a dynamic per-group check); only the branch breaks it.
-        assert_eq!(t.runs.len(), 1);
-        assert_eq!((t.runs[0].start, t.runs[0].end), (0, 4));
         assert_eq!(t.batch_mask, 0b1111);
         // Ops 0 and 3 read live-in values (r2, r4); op 1 reads only
         // op 0's ALU forward; the bare FpAdd has no scoreboard sources.
@@ -1207,79 +681,8 @@ mod tests {
         let ops = [load, alu(4, 5, 1), alu(8, 6, 5)];
         let b = BlockTrace::lower_ops(ops.iter().copied());
         let t = &b.templates()[0];
-        assert_eq!(t.runs.len(), 1);
+        assert_eq!(t.batch_mask, 0b111);
         assert_eq!(t.need_src, 0b011);
-    }
-
-    #[test]
-    fn pure_alu_stretch_compiles_bulk_plans_at_both_entries() {
-        // Six independent ALU ops: plannable stretch [0, 6), entered at
-        // 0 (stretch head) or 1 (head consumed as a dual partner).
-        let ops: Vec<TraceOp> = (0..6u32).map(|k| alu(k * 4, 10 + k as u8, 1)).collect();
-        let b = BlockTrace::lower_ops(ops);
-        let t = &b.templates()[0];
-        assert_eq!(t.plan_mask, 0b11);
-        assert_eq!(t.plans.len(), 2);
-        for (rank, entry) in [(0usize, 0u8), (1, 1)] {
-            let p = &t.plans[rank];
-            assert_eq!(p.entry, entry);
-            assert!(usize::from(p.consumed) >= MIN_PLAN_OPS);
-            assert!(usize::from(p.entry) + usize::from(p.consumed) <= 6);
-            // Pure ALU: the bulk-apply form with pre-summed effects.
-            assert_eq!(p.dynamic_ops, 0);
-            assert_eq!(p.mem_ops, 0);
-            assert_eq!(p.hilo_write, None);
-            assert_eq!(p.rob_groups.len(), usize::from(p.consumed));
-            // Every op writes a distinct register read by nothing
-            // later: each surviving write is the op's own.
-            assert_eq!(p.writes.len(), usize::from(p.consumed));
-        }
-    }
-
-    #[test]
-    fn plan_ends_before_in_stretch_load_consumer() {
-        let load = TraceOp {
-            pc: 0,
-            kind: OpKind::Load {
-                ea: 0x80,
-                width: MemWidth::Word,
-            },
-            dst: Some(ArchReg::Int(7)),
-            src1: Some(ArchReg::Int(1)),
-            src2: None,
-        };
-        // load r7; three fillers; then a consumer of r7. The consumer's
-        // issue time depends on the dynamic hit/miss latency, so the
-        // plan must stop before its group.
-        let ops = [
-            load,
-            alu(4, 10, 1),
-            alu(8, 11, 1),
-            alu(12, 12, 1),
-            alu(16, 13, 7),
-        ];
-        let b = BlockTrace::lower_ops(ops.iter().copied());
-        let t = &b.templates()[0];
-        // Entry 1 would cover only ops 1..4 (three ops): below the
-        // minimum, so only the head plan is stored.
-        assert_eq!(t.plan_mask, 0b1);
-        let p = &t.plans[0];
-        assert_eq!(p.entry, 0);
-        assert_eq!(usize::from(p.consumed), 4);
-        assert_eq!(p.mem_ops, 1);
-        assert_eq!(p.dynamic_ops, 1);
-        // Walk-mode plans read effects off the ops; no bulk summaries.
-        assert!(p.writes.is_empty());
-        assert!(p.rob_groups.is_empty());
-    }
-
-    #[test]
-    fn short_stretches_compile_no_plans() {
-        let ops = [alu(0, 1, 2), alu(4, 3, 1), alu(8, 4, 1), branch(12, true)];
-        let b = BlockTrace::lower_ops(ops.iter().copied());
-        let t = &b.templates()[0];
-        assert_eq!(t.plan_mask, 0);
-        assert!(t.plans.is_empty());
     }
 
     #[test]
@@ -1330,7 +733,6 @@ mod tests {
         assert_eq!(b.templates().len(), 0);
         assert_eq!(b.instances().len(), 0);
         assert_eq!(b.iter().count(), 0);
-        assert_eq!(b.reuse_factor(), 0.0);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! * [`PackedTrace`] — a compact fixed-width trace, byte-compatible
 //!   with the binary [`write_trace`] / [`read_trace`] on-disk format:
 //!   the per-op oracle and sampled mode's input,
-//! * [`BlockTrace`] — a trace lowered to basic-block superinstructions
-//!   deduplicated by static code, with pre-resolved footprints and a
-//!   stream of effective addresses: what capture-once / replay-many
+//! * [`BlockTrace`] — a trace lowered to basic blocks deduplicated by
+//!   static code, each template carrying its pre-resolved per-op masks,
+//!   plus a stream of effective addresses: what capture-once / replay-many
 //!   sweeps replay through the block-granular fast path.
 //!   [`BlockTraceBuilder`] builds it one op at a time, straight from the
 //!   emulator, and [`BlockTrace::lower`] from a held packed trace,
@@ -77,10 +77,7 @@ mod trace;
 mod trace_io;
 
 pub use asm::{AsmError, Assembler};
-pub use block::{
-    BlockRun, BlockTemplate, BlockTrace, BlockTraceBuilder, ClassDemand, LatencyClass, SegPlan,
-    HILO_BIT, MAX_BLOCK_OPS, MIN_PLAN_OPS,
-};
+pub use block::{BlockTemplate, BlockTrace, BlockTraceBuilder, MAX_BLOCK_OPS};
 pub use builder::ProgramBuilder;
 pub use codec::TRACE_FORMAT_VERSION;
 pub use emu::{EmuError, Emulator, RunOutcome};

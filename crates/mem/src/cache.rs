@@ -84,16 +84,6 @@ impl DirectMappedCache {
         hit
     }
 
-    /// Credits `n` pre-verified hits in one step — equivalent to `n`
-    /// [`probe`](Self::probe) calls on addresses the caller has already
-    /// checked resident (direct-mapped lookups have no replacement
-    /// state, so a hitting probe only moves the counters). Used by the
-    /// batched replay engine to collapse per-op probes.
-    pub fn credit_hits(&mut self, n: u64) {
-        self.stats.accesses += n;
-        self.stats.hits += n;
-    }
-
     /// Whether the line holding `addr` is resident (no stats recorded).
     pub fn contains(&self, addr: u64) -> bool {
         self.tags.get(self.geom.index(addr)).copied().flatten() == Some(self.geom.tag(addr))

@@ -88,12 +88,6 @@ impl DecodedICache {
         self.cache.contains(pc)
     }
 
-    /// Credits `n` pre-verified hits (see
-    /// [`DirectMappedCache::credit_hits`]).
-    pub fn credit_hits(&mut self, n: u64) {
-        self.cache.credit_hits(n);
-    }
-
     /// Installs the line containing `pc`. Replacing a line with different
     /// text invalidates its pre-decode slots: the DI/CONT/NEXT fields are
     /// stored with the line and leave with it (Figure 3).

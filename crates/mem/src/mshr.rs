@@ -83,11 +83,6 @@ impl MshrFile {
         }
     }
 
-    /// Number of registers.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of live entries.
     pub fn occupancy(&self) -> usize {
         self.entries.len()

@@ -262,8 +262,8 @@ fn capture_bundle(workload: &Workload, mode: Mode) -> Result<TraceBundle, ProtoE
         Mode::Sampled => {
             let packed = store.get(workload).map_err(failed)?;
             // Every preset uses 32-byte lines (and `line_bytes` is not an
-            // override knob); `run_sampled_digest` falls back to
-            // raw-record warming if a future config disagrees.
+            // override knob); `run_sampled_digest` rebuilds the digest at
+            // the config's line size if a future config disagrees.
             let digest = WarmDigest::build(packed.records(), 32);
             TraceBundle::Sampled(packed, digest)
         }

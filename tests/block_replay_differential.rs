@@ -9,7 +9,7 @@
 //!    register shape and address pattern — crossed with all three
 //!    machine models and both issue widths, comparing five engines
 //!    (streaming, packed, block fast path, block with the fast path
-//!    disabled by an attached issue log, and block replay under the
+//!    disabled by an attached observer, and block replay under the
 //!    naive cycle-walking reference engine), with the streamed
 //!    lowering (`lower_ops`) checked equal to the sliced one (`lower`),
 //! 2. the full 15-kernel suite replayed block-wise vs per-op, and
@@ -26,9 +26,9 @@ use aurora3::core::{
 };
 use std::collections::HashSet;
 
-use aurora3::isa::{ArchReg, BlockTrace, MemWidth, OpKind, PackedTrace, TraceOp};
+use aurora3::isa::{ArchReg, BlockTrace, Fnv1a, MemWidth, OpKind, PackedTrace, TraceOp};
 use aurora3::mem::LatencyModel;
-use aurora3::workloads::{FpBenchmark, IntBenchmark, Scale, Workload};
+use aurora3::workloads::{FpBenchmark, IntBenchmark, Scale, TraceStore, Workload};
 use proptest::prelude::*;
 
 fn reg_from(sel: u8) -> Option<ArchReg> {
@@ -106,10 +106,10 @@ fn run_blocks(mut sim: Simulator<'_>, blocks: &BlockTrace) -> SimStats {
 }
 
 /// Block replay with the fast path disabled: `feed_blocks` walks op by
-/// op whenever an issue log is attached.
+/// op whenever an observer is attached.
 fn block_per_op(cfg: &MachineConfig, blocks: &BlockTrace) -> SimStats {
     let mut sim = Simulator::new(cfg);
-    sim.enable_issue_log(1);
+    sim.enable_observer(1);
     run_blocks(sim, blocks)
 }
 
@@ -284,6 +284,35 @@ fn all_kernels_lower_to_static_templates() {
             w.name()
         );
     }
+}
+
+/// Pins the lowering's per-template masks over the 15 kernels. The
+/// engine comparisons above cannot see a `need_src` or `pair_ok` that
+/// became more conservative, because the stats stay equal and only
+/// replay speed drops; this hash can.
+#[test]
+fn all_kernels_lower_to_pinned_masks() {
+    let store = TraceStore::global();
+    let mut h = Fnv1a::new();
+    let mut templates = 0usize;
+    for w in test_suite() {
+        let blocks = store.get_blocks(&w).expect("kernel captures");
+        for t in blocks.templates() {
+            h.write_u64(t.pair_ok);
+            h.write_u64(t.need_src);
+            h.write_u64(t.batch_mask);
+            h.write_u64(t.mem_mask);
+            h.write_usize(t.len());
+        }
+        templates += blocks.templates().len();
+    }
+    assert_eq!(templates, 907);
+    assert_eq!(
+        h.finish(),
+        0x8b2b_90a3_d681_4c35,
+        "mask hash {:#018x}",
+        h.finish()
+    );
 }
 
 /// The `feed_packed` tail regression (and its block-engine twin): every
