@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Offline CI gate: format, lint, build, test, docs, clippy, and smoke
-# runs of the trace cache, the observability report and the daemon.
+# Offline CI gate: format, lint, build, test, docs, clippy, the
+# byte-identical EXPERIMENTS.md check, and smoke runs of the
+# observability report and the daemon.
 # Run from the repo root; exits non-zero on any failure.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -21,7 +22,8 @@ for rule in L010 L011 L012 L013 L014 L015 L016; do
     grep -q "\"id\": \"$rule\"" lint.sarif
 done
 cargo run -q -p aurora-lint -- --list > target/ci/lint_rules.txt
-[ "$(grep -c '^L0' target/ci/lint_rules.txt)" -eq 17 ]
+# 16 rules: L005 is retired.
+[ "$(grep -c '^L0' target/ci/lint_rules.txt)" -eq 16 ]
 
 echo "== build (release) =="
 cargo build --release --workspace
@@ -44,20 +46,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== clippy perf lints (hot-path + codec crates) =="
 cargo clippy -p aurora-core -p aurora-mem -p aurora-isa -- -D clippy::perf
 
-echo "== trace-cache smoke (AURORA_TRACE_CACHE persists .trc captures, no .blk) =="
-# The three runs cover the block builder's three inputs: the first
-# captures straight into blocks and writes each .trc, the second streams
-# every capture back from disk, the third captures with no cache at all.
-# The report has no timings, so all three stdouts must match byte for
-# byte.
-rm -rf target/ci/tcache
-AURORA_TRACE_CACHE=target/ci/tcache ./target/release/paper_report --scale test > target/ci/tcache_run1.txt
-AURORA_TRACE_CACHE=target/ci/tcache ./target/release/paper_report --scale test > target/ci/tcache_run2.txt
-env -u AURORA_TRACE_CACHE ./target/release/paper_report --scale test > target/ci/tcache_run3.txt
-cmp target/ci/tcache_run1.txt target/ci/tcache_run2.txt
-cmp target/ci/tcache_run1.txt target/ci/tcache_run3.txt
-ls target/ci/tcache/*.trc > /dev/null
-[ -z "$(find target/ci/tcache -name '*.blk')" ]
+echo "== EXPERIMENTS.md is byte-identical to a fresh paper_report =="
+# The report has no timings, so regenerating it at the committed scale
+# must reproduce the committed file exactly: any drift in the reported
+# SimStats shows up here as a diff.
+./target/release/paper_report --scale small > target/ci/EXPERIMENTS.md
+cmp EXPERIMENTS.md target/ci/EXPERIMENTS.md
 
 echo "== observability report (event-derived Fig. 6 matches the counters) =="
 # obs_report asserts, for every kernel and model, that the stall

@@ -68,7 +68,8 @@ impl SampledStats {
 
 /// Runs `trace` under `cfg` in sampling mode and returns the CPI
 /// estimate. See the [module docs](self) for the procedure. Builds the
-/// trace's [`WarmDigest`] at the machine's line size for this one run;
+/// trace's [`WarmDigest`] at the machine's line size for this one run,
+/// unless the trace fits in one sampling unit and runs fully detailed;
 /// [`run_sampled_digest`] reuses a digest across runs.
 ///
 /// # Panics
@@ -80,8 +81,7 @@ pub fn run_sampled(
     sampling: &SamplingConfig,
     trace: &PackedTrace,
 ) -> SampledStats {
-    let digest = WarmDigest::build(trace.records(), cfg.line_bytes);
-    run_sampled_inner(cfg, sampling, trace.records(), &digest)
+    run_sampled_inner(cfg, sampling, trace.records(), None)
 }
 
 /// [`run_sampled`] with a pre-built [`WarmDigest`] of `ops`, amortizing
@@ -95,18 +95,20 @@ pub fn run_sampled_digest(
     ops: &[PackedOp],
     digest: &WarmDigest,
 ) -> SampledStats {
-    if digest.line_bytes() == cfg.line_bytes {
-        run_sampled_inner(cfg, sampling, ops, digest)
-    } else {
-        run_sampled_inner(cfg, sampling, ops, &WarmDigest::build(ops, cfg.line_bytes))
-    }
+    let digest = Some(digest).filter(|d| d.line_bytes() == cfg.line_bytes);
+    run_sampled_inner(cfg, sampling, ops, digest)
 }
 
+/// The sampled run. `digest` is a [`WarmDigest`] of `ops` at
+/// `cfg.line_bytes`; without one, a digest is built only once the
+/// config has validated and the trace has proved longer than one
+/// sampling unit, so a fully detailed run never pays for a digest it
+/// would not read.
 fn run_sampled_inner(
     cfg: &MachineConfig,
     sampling: &SamplingConfig,
     ops: &[PackedOp],
-    digest: &WarmDigest,
+    digest: Option<&WarmDigest>,
 ) -> SampledStats {
     sampling
         .validate()
@@ -125,6 +127,14 @@ fn run_sampled_inner(
             ci_half_width: 0.0,
         };
     }
+    let built;
+    let digest = match digest {
+        Some(digest) => digest,
+        None => {
+            built = WarmDigest::build(ops, cfg.line_bytes);
+            &built
+        }
+    };
 
     let detail = sampling.warmup_ops + sampling.window_ops;
     // Free ops around the detailed chunk within one interval.

@@ -689,7 +689,8 @@ impl<'cfg> Simulator<'cfg> {
         }
         // The run holds at least MIN_FAST_RUN ops, so the loop issued
         // at least one group.
-        (j > i).then_some(j)
+        debug_assert!(j > i);
+        Some(j)
     }
 
     /// [`execute`](Simulator::feed) for op `j` of a block instance

@@ -266,6 +266,11 @@ impl BlockTrace {
     /// Iterates over the dynamic op stream the lowering encodes —
     /// exactly the ops of the source trace, in order, each memory op
     /// carrying its effective address again.
+    ///
+    /// This is the round-trip oracle: the tests compare it against the
+    /// packed trace to show the lowering is a pure re-encoding. No
+    /// product path reads it; replay walks the templates and the address
+    /// stream directly.
     pub fn iter(&self) -> impl Iterator<Item = TraceOp> + '_ {
         let mut addrs = self.addrs.iter().copied();
         self.seq

@@ -1,8 +1,7 @@
-//! The shared trace record codec.
+//! The trace record codec.
 //!
-//! Both the on-disk format ([`trace_io`](crate::trace_io)) and the
-//! in-memory packed format ([`packed`](crate::packed)) represent a
-//! [`TraceOp`](crate::TraceOp) as the same fixed-width field tuple:
+//! The in-memory packed format ([`packed`](crate::packed)) represents a
+//! [`TraceOp`](crate::TraceOp) as a fixed-width field tuple:
 //!
 //! * `pc` — the instruction address,
 //! * `kind` — a one-byte tag for the [`OpKind`] variant,
@@ -10,32 +9,17 @@
 //! * `payload` — the effective address or control-flow target,
 //! * `dst` / `src1` / `src2` — one-byte register codes.
 //!
-//! Keeping the enum↔field mapping in one place guarantees that a trace
-//! serialised to disk and a trace packed in memory can never disagree
-//! about what a byte means; the disk format is simply the packed record
-//! plus a header and reserved padding.
-//!
-//! # Changing the format
-//!
-//! Captured traces outlive the code that wrote them, so the layout is
-//! guarded by `aurora-lint`'s L005 rule: the `PackedOp` field list and
-//! every numeric constant in this file are hashed into a structural
-//! fingerprint recorded at `crates/isa/trace_format.fp`. Any change to
-//! the record layout, the kind tags, or the register codes must
-//!
-//! 1. bump [`TRACE_FORMAT_VERSION`], and
-//! 2. re-record the fingerprint:
-//!    `cargo run -q -p aurora-lint -- --fingerprint > crates/isa/trace_format.fp`.
-//!
-//! A layout change without the version bump fails the build (see
-//! `docs/LINTS.md`).
+//! Keeping the enum↔field mapping in one place means the packed oracle
+//! and the block builder, which keys its templates on packed records,
+//! can never disagree about what a byte means. No trace outlives the
+//! process that captured it, so the encoding may change freely.
 
 use crate::trace::{ArchReg, MemWidth, OpKind};
 
 /// A malformed field byte, reported without allocating. Decoding runs in
 /// the replay hot path (`PackedOp::unpack` is called once per op), so even
 /// the error arm must stay allocation-free; the offending byte is carried
-/// by value and only rendered if someone actually prints the error.
+/// by value for debug output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodecError {
     KindTag(u8),
@@ -43,25 +27,10 @@ pub enum CodecError {
     WidthCode(u8),
 }
 
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CodecError::KindTag(b) => write!(f, "kind tag {b}"),
-            CodecError::RegisterCode(b) => write!(f, "register code {b}"),
-            CodecError::WidthCode(b) => write!(f, "width code {b}"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-/// Bumped whenever the record field encoding changes; embedded in the
-/// file header and in on-disk cache names so stale artefacts are never
-/// misread.
-///
-/// Paired with the structural fingerprint in `crates/isa/trace_format.fp`
-/// (maintained by `aurora-lint -- --fingerprint`): bumping one without
-/// the other is a build failure. See the module docs for the workflow.
+/// Version stamp of the trace encoding. Its only reader is the
+/// `aurora-serve` result store, whose 20-byte shard header still carries
+/// it: the value stays 1 so existing stores open without a rebuild.
+/// Bumping it discards every stored result.
 pub const TRACE_FORMAT_VERSION: u32 = 1;
 
 // Kind tags.

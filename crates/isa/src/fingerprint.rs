@@ -5,7 +5,8 @@
 //! is explicitly unspecified and randomised per process:
 //!
 //! * [`Workload::content_hash`](../aurora_workloads/struct.Workload.html)
-//!   keys on-disk trace caches by kernel content,
+//!   keys the in-memory trace store and the result store's trace hash by
+//!   kernel content,
 //! * `MachineConfig::fingerprint` (in `aurora-core`) keys memoised
 //!   simulation results by configuration,
 //! * the `aurora-serve` result store checksums its on-disk records.

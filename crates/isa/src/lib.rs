@@ -16,9 +16,8 @@
 //!   semantics that executes a [`Program`] and emits [`TraceOp`] records,
 //! * [`TraceOp`] / [`OpKind`] — the dynamic trace format consumed by the
 //!   `aurora-core` cycle simulator,
-//! * [`PackedTrace`] — a compact fixed-width trace, byte-compatible
-//!   with the binary [`write_trace`] / [`read_trace`] on-disk format:
-//!   the per-op oracle and sampled mode's input,
+//! * [`PackedTrace`] — a compact fixed-width in-memory trace: the
+//!   per-op oracle and sampled mode's input,
 //! * [`BlockTrace`] — a trace lowered to basic blocks deduplicated by
 //!   static code, each template carrying its pre-resolved per-op masks,
 //!   plus a stream of effective addresses: what capture-once / replay-many
@@ -29,7 +28,7 @@
 //!   versioned binary codec statistics serialize through: what the
 //!   `aurora-serve` result store persists and stats fingerprints hash,
 //! * [`Fnv1a`] — the stable cross-process fingerprint hasher that keys
-//!   every content-addressed cache in the workspace (trace store, config
+//!   every content-addressed memo in the workspace (trace store, config
 //!   fingerprints, the `aurora-serve` result store).
 //!
 //! # Example
@@ -74,7 +73,6 @@ mod program;
 mod reg;
 mod snapshot;
 mod trace;
-mod trace_io;
 
 pub use asm::{AsmError, Assembler};
 pub use block::{BlockTemplate, BlockTrace, BlockTraceBuilder, MAX_BLOCK_OPS};
@@ -91,4 +89,3 @@ pub use snapshot::{
     Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, SNAPSHOT_FORMAT_VERSION,
 };
 pub use trace::{ArchReg, MemWidth, OpKind, TraceOp, TraceStats};
-pub use trace_io::{read_trace, write_trace, TraceReader, TraceWriter};

@@ -12,10 +12,8 @@
 //! and sampled mode's input; sweeps replay the block form
 //! ([`BlockTrace`](crate::BlockTrace)) instead.
 //!
-//! The field encoding is the shared [`codec`](crate::codec), identical to
-//! the on-disk format in `trace_io`; [`PackedTrace::write_to`]
-//! and [`PackedTrace::read_from`] therefore interoperate byte-for-byte
-//! with [`write_trace`](crate::write_trace) / [`read_trace`](crate::read_trace).
+//! The field encoding is the shared [`codec`](crate::codec); the block
+//! builder keys its templates on the same packed records.
 //!
 //! ```
 //! use aurora_isa::{OpKind, PackedTrace, TraceOp};
@@ -31,16 +29,13 @@
 //! assert_eq!(back[1].pc, 0x400004);
 //! ```
 
-use std::io::{self, Read, Write};
-
 use crate::codec;
 use crate::trace::{OpKind, TraceOp, TraceStats};
-use crate::trace_io::{TraceReader, TraceWriter};
 
 /// One trace record packed into 16 bytes.
 ///
-/// Only ever constructed from a valid [`TraceOp`] (or from validated
-/// deserialisation), so unpacking is infallible.
+/// Only ever constructed from a valid [`TraceOp`], so unpacking is
+/// infallible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
 pub struct PackedOp {
@@ -73,8 +68,8 @@ impl PackedOp {
     /// Expands back into the simulator's working representation.
     #[inline]
     pub fn unpack(&self) -> TraceOp {
-        // Fields only enter a PackedOp through `pack` or validated I/O, so
-        // decoding cannot fail. Debug builds assert that invariant; release
+        // Fields only enter a PackedOp through `pack`, so decoding cannot
+        // fail. Debug builds assert that invariant; release
         // builds (panic=abort) decay an impossible byte to Nop/None rather
         // than turning a model bug into a lost sweep.
         let kind = codec::unpack_kind(self.kind, self.aux, self.payload);
@@ -147,18 +142,6 @@ impl PackedOp {
             payload: if self.is_memory() { 0 } else { self.payload },
             ..*self
         }
-    }
-
-    pub(crate) fn fields(&self) -> (u32, u8, u8, u32, u8, u8, u8) {
-        (
-            self.pc,
-            self.kind,
-            self.aux,
-            self.payload,
-            self.dst,
-            self.src1,
-            self.src2,
-        )
     }
 }
 
@@ -238,40 +221,6 @@ impl PackedTrace {
     pub fn records(&self) -> &[PackedOp] {
         &self.ops
     }
-
-    /// Serialises in the `trace_io` binary format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn write_to<W: Write>(&self, sink: W) -> io::Result<()> {
-        let mut w = TraceWriter::new(sink)?;
-        for op in &self.ops {
-            w.write_packed(op)?;
-        }
-        w.finish()?;
-        Ok(())
-    }
-
-    /// Reads a trace written by [`PackedTrace::write_to`] (or
-    /// [`write_trace`](crate::write_trace)), validating every record.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` for a malformed header or record, and
-    /// propagates I/O errors.
-    pub fn read_from<R: Read>(source: R) -> io::Result<PackedTrace> {
-        let reader = TraceReader::new(source)?;
-        let mut trace = match reader.len_hint() {
-            // A hint too large for the platform falls back to growing lazily.
-            Some(n) => PackedTrace::with_capacity(usize::try_from(n).unwrap_or(0)),
-            None => PackedTrace::new(),
-        };
-        for op in reader {
-            trace.push(op?);
-        }
-        Ok(trace)
-    }
 }
 
 impl FromIterator<TraceOp> for PackedTrace {
@@ -304,7 +253,6 @@ impl<'a> IntoIterator for &'a PackedTrace {
 mod tests {
     use super::*;
     use crate::trace::{ArchReg, MemWidth, OpKind};
-    use crate::trace_io::{read_trace, write_trace};
 
     fn sample_ops() -> Vec<TraceOp> {
         vec![
@@ -373,35 +321,6 @@ mod tests {
         }
         let trace = PackedTrace::from_ops(ops);
         assert_eq!(*trace.stats(), want);
-    }
-
-    #[test]
-    fn disk_format_interoperates_with_trace_io() {
-        let ops = sample_ops();
-        // packed writer -> streaming reader
-        let trace = PackedTrace::from_ops(ops.clone());
-        let mut buf = Vec::new();
-        trace.write_to(&mut buf).unwrap();
-        let back: Vec<TraceOp> = read_trace(&buf[..])
-            .unwrap()
-            .collect::<io::Result<_>>()
-            .unwrap();
-        assert_eq!(back, ops);
-        // streaming writer -> packed reader
-        let mut buf2 = Vec::new();
-        write_trace(&mut buf2, ops.iter().copied()).unwrap();
-        let trace2 = PackedTrace::read_from(&buf2[..]).unwrap();
-        assert_eq!(trace2, trace);
-    }
-
-    #[test]
-    fn corrupt_stream_is_rejected() {
-        let mut buf = Vec::new();
-        PackedTrace::from_ops(sample_ops())
-            .write_to(&mut buf)
-            .unwrap();
-        buf[16 + 4] = 200; // invalid kind tag in the first record
-        assert!(PackedTrace::read_from(&buf[..]).is_err());
     }
 
     #[test]

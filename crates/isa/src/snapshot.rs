@@ -3,8 +3,8 @@
 //! `aurora-core`'s `SimStats` and the per-unit statistics structs it
 //! embeds serialize through this module: a [`Snapshot`] trait plus a
 //! [`SnapshotWriter`] / [`SnapshotReader`] pair speaking a little-endian
-//! binary format in the same style as the `trace_io` trace codec (magic,
-//! explicit version, hard errors on any structural mismatch). The
+//! binary format (magic, explicit version, hard errors on any structural
+//! mismatch). The
 //! `aurora-serve` result store persists these images, and
 //! `SimStats::fingerprint` hashes them, header included, so every stats
 //! digest depends on the exact bytes written here.

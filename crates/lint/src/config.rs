@@ -76,16 +76,6 @@ pub struct ConfigCoverage {
     pub used_in: Vec<String>,
 }
 
-/// `[trace_format]` — the files whose structure is fingerprinted.
-#[derive(Debug, Clone, Default)]
-pub struct TraceFormat {
-    pub packed_file: String,
-    pub codec_file: String,
-    pub struct_name: String,
-    pub version_const: String,
-    pub record: String,
-}
-
 /// One `[[wire]]` entry: a writer/reader function pair whose wire format
 /// must stay in sync (L016). `kind = "json"` checks that every key the
 /// readers look up is actually emitted by the writers; `kind = "record"`
@@ -131,7 +121,6 @@ pub struct LintConfig {
     pub checkpoint: Checkpoint,
     pub stats: StatsScope,
     pub config_coverage: ConfigCoverage,
-    pub trace_format: TraceFormat,
     pub narrowing_files: Vec<String>,
     /// `[determinism] files`: everything reachable from the functions in
     /// these files must be free of L007 nondeterminism sources.
@@ -350,13 +339,6 @@ impl LintConfig {
             ("config_coverage", "file") => self.config_coverage.file = want_str(&value)?,
             ("config_coverage", "struct") => self.config_coverage.struct_name = want_str(&value)?,
             ("config_coverage", "used_in") => self.config_coverage.used_in = want_list(&value)?,
-            ("trace_format", "packed_file") => self.trace_format.packed_file = want_str(&value)?,
-            ("trace_format", "codec_file") => self.trace_format.codec_file = want_str(&value)?,
-            ("trace_format", "struct") => self.trace_format.struct_name = want_str(&value)?,
-            ("trace_format", "version_const") => {
-                self.trace_format.version_const = want_str(&value)?
-            }
-            ("trace_format", "record") => self.trace_format.record = want_str(&value)?,
             ("narrowing", "files") => self.narrowing_files = want_list(&value)?,
             ("determinism", "files") => self.determinism_files = want_list(&value)?,
             ("units", "files") => self.units_files = want_list(&value)?,
@@ -529,13 +511,6 @@ file = "crates/core/src/config.rs"
 struct = "MachineConfig"
 used_in = ["crates/bench/src"]
 
-[trace_format]
-packed_file = "crates/isa/src/packed.rs"
-codec_file = "crates/isa/src/codec.rs"
-struct = "PackedOp"
-version_const = "TRACE_FORMAT_VERSION"
-record = "crates/isa/trace_format.fp"
-
 [narrowing]
 files = ["crates/isa/src/codec.rs"]
 
@@ -576,7 +551,6 @@ structs = ["SampledCell"]
         assert_eq!(cfg.checkpoint.reader, "SnapshotReader");
         assert_eq!(cfg.stats.structs, vec!["SimStats"]);
         assert_eq!(cfg.config_coverage.struct_name, "MachineConfig");
-        assert_eq!(cfg.trace_format.record, "crates/isa/trace_format.fp");
         assert_eq!(cfg.narrowing_files.len(), 1);
         assert_eq!(cfg.determinism_files, vec!["crates/core/src/sim.rs"]);
         assert_eq!(cfg.units_files, vec!["crates/core"]);

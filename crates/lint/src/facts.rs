@@ -252,8 +252,6 @@ pub struct FileFacts {
     pub fns: Vec<FnFacts>,
     /// `(name, decl line, fields)` for every struct in the file.
     pub structs: Vec<(String, u32, Vec<FieldDef>)>,
-    /// `const NAME: _ = <numeric literal>` triples (L005).
-    pub consts: Vec<(String, String, u32)>,
     /// Field names read (not assignment targets) anywhere in the file.
     pub field_reads: Vec<String>,
     /// Wire-format key usage from the raw-source scan (L016):
@@ -262,14 +260,9 @@ pub struct FileFacts {
 }
 
 /// Extract facts from a parsed file.
-pub fn extract(
-    parsed: &[PFn],
-    structs: Vec<(String, u32, Vec<FieldDef>)>,
-    consts: Vec<(String, String, u32)>,
-) -> FileFacts {
+pub fn extract(parsed: &[PFn], structs: Vec<(String, u32, Vec<FieldDef>)>) -> FileFacts {
     let mut file = FileFacts {
         structs,
-        consts,
         ..FileFacts::default()
     };
     let mut reads: Vec<String> = Vec::new();
@@ -1120,13 +1113,13 @@ fn classify_unit(e: &Expr) -> Option<(UnitClass, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::{all_structs, lex, numeric_consts};
+    use crate::lexer::{all_structs, lex};
     use crate::parser::parse_file;
 
     fn facts(src: &str) -> FileFacts {
         let toks = lex(src);
         let parsed = parse_file(&toks);
-        extract(&parsed.fns, all_structs(&toks), numeric_consts(&toks))
+        extract(&parsed.fns, all_structs(&toks))
     }
 
     fn fn_facts<'a>(f: &'a FileFacts, name: &str) -> &'a FnFacts {

@@ -679,7 +679,7 @@ fn first_generic_arg(inner: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::{all_structs, lex, numeric_consts};
+    use crate::lexer::{all_structs, lex};
     use crate::parser::parse_file;
 
     fn mk(files: &[(&str, &str)]) -> Vec<(String, FileFacts)> {
@@ -690,7 +690,7 @@ mod tests {
                 let parsed = parse_file(&toks);
                 (
                     rel.to_string(),
-                    facts::extract(&parsed.fns, all_structs(&toks), numeric_consts(&toks)),
+                    facts::extract(&parsed.fns, all_structs(&toks)),
                 )
             })
             .collect()

@@ -509,29 +509,6 @@ pub struct FieldDef {
     pub public: bool,
 }
 
-/// Extract the named fields of `struct <name>`; `None` if the struct is not
-/// declared in this token stream, `Some(vec![])` for tuple/unit structs.
-pub fn struct_fields(toks: &[Tok], name: &str) -> Option<Vec<FieldDef>> {
-    let mut i = 0usize;
-    while i + 1 < toks.len() {
-        if toks[i].is_ident("struct") && toks[i + 1].is_ident(name) {
-            let mut j = i + 2;
-            while j < toks.len() {
-                match toks[j].text.as_str() {
-                    "{" if toks[j].kind == TokKind::Punct => {
-                        return Some(parse_fields(toks, j));
-                    }
-                    "(" | ";" if toks[j].kind == TokKind::Punct => return Some(Vec::new()),
-                    _ => j += 1,
-                }
-            }
-            return Some(Vec::new());
-        }
-        i += 1;
-    }
-    None
-}
-
 /// Enumerate every named-field struct declared in the token stream with
 /// its fields. Tuple and unit structs appear with an empty field list.
 pub fn all_structs(toks: &[Tok]) -> Vec<(String, u32, Vec<FieldDef>)> {
@@ -654,49 +631,6 @@ fn parse_fields(toks: &[Tok], open: usize) -> Vec<FieldDef> {
     }
 }
 
-/// Extract `const NAME: TY = <number>;` declarations (top-level or in
-/// impl blocks) whose value is a single numeric literal, optionally
-/// negated. Restricting to literals keeps the L005 fingerprint anchored
-/// to encoding constants (kind tags, register codes, the format version)
-/// and insensitive to test-module consts or formatting churn in compound
-/// const expressions.
-pub fn numeric_consts(toks: &[Tok]) -> Vec<(String, String, u32)> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i + 1 < toks.len() {
-        if toks[i].is_ident("const") && toks[i + 1].kind == TokKind::Ident {
-            let name = toks[i + 1].text.clone();
-            let line = toks[i + 1].line;
-            let mut j = i + 2;
-            let mut saw_eq = false;
-            let mut value_toks: Vec<&Tok> = Vec::new();
-            while let Some(t) = toks.get(j) {
-                if t.is_punct(";") {
-                    break;
-                }
-                if saw_eq {
-                    value_toks.push(t);
-                } else if t.is_punct("=") {
-                    saw_eq = true;
-                }
-                j += 1;
-            }
-            let numeric = match value_toks.as_slice() {
-                [v] => v.kind == TokKind::Num,
-                [s, v] => s.is_punct("-") && v.kind == TokKind::Num,
-                _ => false,
-            };
-            if saw_eq && numeric {
-                let value: String = value_toks.iter().map(|t| t.text.as_str()).collect();
-                out.push((name, value, line));
-            }
-            i = j;
-        }
-        i += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -737,8 +671,9 @@ mod tests {
     #[test]
     fn struct_fields_extract_names_and_types() {
         let src = "pub struct S { pub a: u64, b: [u8; 3], pub c: Option<u32> }";
-        let toks = lex(src);
-        let fields = struct_fields(&toks, "S").unwrap();
+        let structs = all_structs(&lex(src));
+        let (name, _, fields) = &structs[0];
+        assert_eq!(name, "S");
         assert_eq!(fields.len(), 3);
         assert_eq!(fields[0].name, "a");
         assert_eq!(fields[0].ty, "u64");
@@ -746,18 +681,6 @@ mod tests {
         assert_eq!(fields[1].ty, "[u8;3]");
         assert!(!fields[1].public);
         assert_eq!(fields[2].ty, "Option<u32>");
-    }
-
-    #[test]
-    fn consts_extract_values() {
-        let src = "pub const K_A: u8 = 7;\nconst VER: u32 = 1;\nconst NEG: i8 = -3;";
-        let toks = lex(src);
-        let consts = numeric_consts(&toks);
-        assert_eq!(consts.len(), 3);
-        assert_eq!(consts[0].0, "K_A");
-        assert_eq!(consts[0].1, "7");
-        assert_eq!(consts[1].1, "1");
-        assert_eq!(consts[2].1, "-3");
     }
 
     #[test]
@@ -804,18 +727,5 @@ mod tests {
             }
         "##;
         assert!(wire_keys(src).is_empty());
-    }
-
-    #[test]
-    fn non_literal_consts_are_not_fingerprinted() {
-        // Compound const expressions (arrays, struct literals, byte
-        // strings) are formatting-sensitive and excluded from the L005
-        // fingerprint; only single numeric literals count.
-        let src =
-            "const ALL: &[u8] = &[1, 2, 3];\nconst H: [u8; 4] = *b\"ATRC\";\nconst N: u8 = 5;";
-        let toks = lex(src);
-        let consts = numeric_consts(&toks);
-        assert_eq!(consts.len(), 1);
-        assert_eq!(consts[0].0, "N");
     }
 }

@@ -4,12 +4,13 @@
 //! The simulator's correctness rests on invariants that ordinary tests
 //! cannot see: the hot loop must stay allocation- and panic-free, every
 //! counter the model accumulates must be consumed by a report, every config
-//! knob must be exercised by a sweep, the packed trace layout must never
-//! drift without a `TRACE_FORMAT_VERSION` bump, replay must be
-//! deterministic, and cycle values must not silently mix with counts. This
-//! crate parses the workspace source with a hand-rolled recursive-descent
-//! parser (no `syn` — tier-1 builds offline), builds a workspace-wide call
-//! graph, and enforces those invariants as lint rules L000–L009. Rules
+//! knob must be exercised by a sweep, the trace codec must not truncate
+//! silently, replay must be deterministic, and cycle values must not
+//! silently mix with counts. This crate parses the workspace source with a
+//! hand-rolled recursive-descent parser (no `syn` — tier-1 builds offline),
+//! builds a workspace-wide call graph, and enforces those invariants as
+//! lint rules L000–L009 (L005, the trace-format fingerprint, is retired:
+//! no trace outlives the process that captured it). Rules
 //! L010–L016 run deeper passes over the same graph: interval dataflow for
 //! wrapping arithmetic, lock-order and atomic-ordering checks, blocking
 //! calls in pool workers, snapshot codec drift, taint from the
@@ -165,11 +166,7 @@ pub fn load_workspace(root: &Path, cfg: &LintConfig) -> Result<Workspace, String
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let toks = lexer::lex(&src);
         let parsed = parser::parse_file(&toks);
-        let mut facts = facts::extract(
-            &parsed.fns,
-            lexer::all_structs(&toks),
-            lexer::numeric_consts(&toks),
-        );
+        let mut facts = facts::extract(&parsed.fns, lexer::all_structs(&toks));
         facts.wire_keys = lexer::wire_keys(&src);
         let code_lines: Vec<u32> = toks.iter().map(|t| t.line).collect();
         ws.pragmas.push(scan_pragmas(&src, &code_lines));
@@ -395,14 +392,4 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
             return None;
         }
     }
-}
-
-/// FNV-1a 64-bit — the hash of the trace-format fingerprint (L005).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }

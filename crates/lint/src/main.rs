@@ -5,7 +5,6 @@
 //! aurora-lint --format sarif  # machine-readable findings on stdout
 //! aurora-lint --graph         # dump the transitive hot set with chains
 //! aurora-lint --explain L002  # print the rationale for a rule
-//! aurora-lint --fingerprint   # print the trace-format record file contents
 //! aurora-lint --root <dir>    # analyze a different workspace root
 //! ```
 
@@ -26,8 +25,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut root: Option<PathBuf> = None;
     let mut explain: Option<String> = None;
-    let mut fingerprint = false;
-    let mut canonical = false;
     let mut list = false;
     let mut graph = false;
     let mut format = Format::Text;
@@ -57,8 +54,6 @@ fn main() -> ExitCode {
                     _ => return usage("--format needs one of: text, json, sarif"),
                 };
             }
-            "--fingerprint" => fingerprint = true,
-            "--canonical" => canonical = true,
             "--list" => list = true,
             "--graph" => graph = true,
             "--help" | "-h" => return usage(""),
@@ -100,37 +95,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    if fingerprint || canonical {
-        let ws = match load_workspace(&root, &cfg) {
-            Ok(ws) => ws,
-            Err(e) => {
-                eprintln!("aurora-lint: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match rules::compute_fingerprint(&ws, &cfg) {
-            Ok(fp) => {
-                if canonical {
-                    // Debug view: the exact string the fingerprint hashes,
-                    // for diffing when a drift finding looks surprising.
-                    println!("{}", fp.canonical);
-                    return ExitCode::SUCCESS;
-                }
-                println!("# Structural fingerprint of the packed trace format.");
-                println!("# Re-record with `cargo run -p aurora-lint -- --fingerprint` whenever");
-                println!("# the PackedOp layout or codec constants change, and bump");
-                println!("# TRACE_FORMAT_VERSION alongside it. See docs/LINTS.md (L005).");
-                println!("version = {}", fp.version.unwrap_or(0));
-                println!("fingerprint = {:#018x}", fp.hash);
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("aurora-lint: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
 
     if graph {
         let ws = match load_workspace(&root, &cfg) {
@@ -201,11 +165,11 @@ fn usage(err: &str) -> ExitCode {
     }
     eprintln!(
         "usage: aurora-lint [--root <dir>] [--format text|json|sarif] [--graph]\n\
-         \x20                  [--explain L0xx] [--fingerprint] [--list]\n\
+         \x20                  [--explain L0xx] [--list]\n\
          \n\
          Parses the workspace rooted at the nearest lint.toml, builds the\n\
          cross-crate call graph, and enforces the hot-path, dead-counter,\n\
-         config-coverage, trace-format, determinism and unit-safety\n\
+         config-coverage, determinism and unit-safety\n\
          invariants. Hot-path and determinism rules propagate transitively\n\
          from the roots declared in lint.toml. Exits non-zero when any\n\
          unsuppressed finding remains."

@@ -15,7 +15,6 @@ pub fn run_all(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
     hot_path_rules(ws, cfg, &graph, &mut out);
     dead_counters(ws, cfg, &mut out);
     config_coverage(ws, cfg, &graph, &mut out);
-    trace_format(ws, cfg, &mut out);
     narrowing_casts(ws, cfg, &mut out);
     determinism(ws, cfg, &graph, &mut out);
     unit_mixing(ws, cfg, &mut out);
@@ -321,183 +320,6 @@ fn config_coverage(ws: &Workspace, cfg: &LintConfig, g: &Graph, out: &mut Vec<Fi
             ));
         }
     }
-}
-
-// -------------------------------------------------------------------- L005
-
-pub struct Fingerprint {
-    pub version: Option<u64>,
-    pub hash: u64,
-    pub canonical: String,
-}
-
-/// Compute the structural fingerprint of the packed trace format: the
-/// ordered `PackedOp` field names + types, every numeric constant in the
-/// codec (kind tags, encoding bases), and the trace format version.
-pub fn compute_fingerprint(ws: &Workspace, cfg: &LintConfig) -> Result<Fingerprint, String> {
-    let tf = &cfg.trace_format;
-    let packed = ws
-        .facts_of(&tf.packed_file)
-        .ok_or_else(|| format!("trace_format packed_file `{}` not found", tf.packed_file))?;
-    let (_, _, fields) = packed
-        .structs
-        .iter()
-        .find(|(n, _, _)| *n == tf.struct_name)
-        .ok_or_else(|| {
-            format!(
-                "struct `{}` not found in `{}`",
-                tf.struct_name, tf.packed_file
-            )
-        })?;
-    let codec = ws
-        .facts_of(&tf.codec_file)
-        .ok_or_else(|| format!("trace_format codec_file `{}` not found", tf.codec_file))?;
-    let mut consts = codec.consts.clone();
-    consts.sort();
-    let mut canonical = format!("struct {}{{", tf.struct_name);
-    for f in fields {
-        canonical.push_str(&format!("{}:{};", f.name, f.ty));
-    }
-    canonical.push('}');
-    for (name, value, _) in &consts {
-        canonical.push_str(&format!("|{name}={value}"));
-    }
-    let version = consts
-        .iter()
-        .find(|(name, _, _)| name == &tf.version_const)
-        .and_then(|(_, value, _)| parse_int(value));
-    Ok(Fingerprint {
-        version,
-        hash: crate::fnv1a64(canonical.as_bytes()),
-        canonical,
-    })
-}
-
-fn parse_int(text: &str) -> Option<u64> {
-    let cleaned: String = text.chars().filter(|c| *c != '_').collect();
-    let digits: String = cleaned.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
-fn trace_format(ws: &Workspace, cfg: &LintConfig, out: &mut Vec<Finding>) {
-    let tf = &cfg.trace_format;
-    if tf.packed_file.is_empty() {
-        return;
-    }
-    let fp = match compute_fingerprint(ws, cfg) {
-        Ok(fp) => fp,
-        Err(e) => {
-            out.push(finding(&tf.packed_file, 0, "L005", e));
-            return;
-        }
-    };
-    let version_line = ws
-        .facts_of(&tf.codec_file)
-        .and_then(|f| {
-            f.consts
-                .iter()
-                .find(|(name, _, _)| name == &tf.version_const)
-                .map(|(_, _, line)| *line)
-        })
-        .unwrap_or(0);
-    let Some(version) = fp.version else {
-        out.push(finding(
-            &tf.codec_file,
-            0,
-            "L005",
-            format!(
-                "version constant `{}` not found in codec file",
-                tf.version_const
-            ),
-        ));
-        return;
-    };
-    let record_path = ws.root.join(&tf.record);
-    let recorded = std::fs::read_to_string(&record_path)
-        .ok()
-        .and_then(|t| parse_record(&t));
-    let Some((rec_version, rec_hash)) = recorded else {
-        out.push(finding(
-            &tf.codec_file,
-            version_line,
-            "L005",
-            format!(
-                "no recorded trace-format fingerprint at `{}` — run `aurora-lint --fingerprint` \
-                 and commit the output there",
-                tf.record
-            ),
-        ));
-        return;
-    };
-    match (fp.hash == rec_hash, version == rec_version) {
-        (true, true) => {}
-        (false, true) => out.push(finding(
-            &tf.packed_file,
-            struct_line(ws, tf),
-            "L005",
-            format!(
-                "trace format drift: the structural fingerprint changed \
-                 (recorded {rec_hash:#018x}, computed {:#018x}) but `{}` is still {version} — \
-                 bump the version and re-record with `aurora-lint --fingerprint`",
-                fp.hash, tf.version_const
-            ),
-        )),
-        (false, false) => out.push(finding(
-            &tf.packed_file,
-            struct_line(ws, tf),
-            "L005",
-            format!(
-                "trace format changed and the version was bumped to {version} — acknowledge the \
-                 new layout by re-recording `{}` with `aurora-lint --fingerprint`",
-                tf.record
-            ),
-        )),
-        (true, false) => out.push(finding(
-            &tf.codec_file,
-            version_line,
-            "L005",
-            format!(
-                "`{}` is {version} but the recorded fingerprint says {rec_version} with an \
-                 identical layout — re-record `{}` or revert the version change",
-                tf.version_const, tf.record
-            ),
-        )),
-    }
-}
-
-fn struct_line(ws: &Workspace, tf: &crate::config::TraceFormat) -> u32 {
-    ws.facts_of(&tf.packed_file)
-        .and_then(|f| {
-            f.structs
-                .iter()
-                .find(|(n, _, _)| *n == tf.struct_name)
-                .map(|(_, line, _)| *line)
-        })
-        .unwrap_or(0)
-}
-
-/// Parse a recorded fingerprint file: `version = N` and
-/// `fingerprint = 0x<16 hex digits>` lines (order-independent).
-pub fn parse_record(text: &str) -> Option<(u64, u64)> {
-    let mut version = None;
-    let mut hash = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(v) = line.strip_prefix("version") {
-            version = v
-                .trim()
-                .strip_prefix('=')
-                .and_then(|s| s.trim().parse().ok());
-        } else if let Some(v) = line.strip_prefix("fingerprint") {
-            hash = v
-                .trim()
-                .strip_prefix('=')
-                .map(str::trim)
-                .and_then(|s| s.strip_prefix("0x"))
-                .and_then(|s| u64::from_str_radix(s, 16).ok());
-        }
-    }
-    Some((version?, hash?))
 }
 
 // -------------------------------------------------------------------- L006
@@ -982,15 +804,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
          warn about. Accesses are matched *by receiver type*, not by field name alone: a \
          same-named field on an unrelated struct does not count, while a knob set through a \
          typed closure parameter does. Setting a knob in a sweep counts as exercising it.",
-    ),
-    (
-        "L005",
-        "trace format drift without a version bump",
-        "The 16-byte PackedOp layout and the codec constants are hashed into a structural \
-         fingerprint recorded next to TRACE_FORMAT_VERSION (crates/isa/trace_format.fp). \
-         Captured traces outlive the code that wrote them, so any layout change must bump \
-         the version and re-record the fingerprint (`aurora-lint --fingerprint`). A hash \
-         mismatch with an unchanged version fails the build.",
     ),
     (
         "L006",

@@ -1,6 +1,4 @@
-//! L006 fixture (plus the version constant L005 reads).
-
-pub const TRACE_FORMAT_VERSION: u32 = 1;
+//! L006 fixture.
 
 pub fn encode(x: u64) -> u16 {
     x as u16 // FIRE: L006 (unchecked narrowing cast)

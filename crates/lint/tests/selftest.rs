@@ -62,9 +62,10 @@ fn every_rule_fires_exactly_where_marked() {
         rendered.join("\n")
     );
     // Every rule — including the pragma-hygiene rules — is represented.
+    // L005 is retired and has no fixture.
     for rule in [
-        "L000", "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "L009", "L010",
-        "L011", "L012", "L013", "L014", "L015", "L016",
+        "L000", "L001", "L002", "L003", "L004", "L006", "L007", "L008", "L009", "L010", "L011",
+        "L012", "L013", "L014", "L015", "L016",
     ] {
         assert!(
             expected.iter().any(|(_, _, r)| r == rule),

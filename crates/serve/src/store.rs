@@ -34,8 +34,11 @@
 //! does not match — wrong magic, or any of the three format versions
 //! differ — is discarded and rebuilt empty: memoised results are pure
 //! caches of deterministic simulations, so invalidation is always safe,
-//! and a version bump in the trace codec or the `SimStats` snapshot
-//! codec would otherwise let stale bytes masquerade as current results.
+//! and a version bump in the `SimStats` snapshot codec would otherwise
+//! let stale bytes masquerade as current results. No trace is stored on
+//! disk, so the trace format version guards nothing; the header keeps
+//! its slot, fixed at 1, so existing stores open without a rebuild (the
+//! `fresh_shard_header_is_pinned` test holds the 20 bytes).
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -449,8 +452,7 @@ fn decode_payload(payload: &[u8]) -> Option<(CellKey, CellValue)> {
 }
 
 /// Writes `bytes` to `path` through a temp file + rename, so a crash
-/// mid-write never leaves a half-written segment (same pattern as the
-/// workloads trace cache).
+/// mid-write never leaves a half-written segment.
 fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("seg.tmp");
     {
@@ -459,4 +461,29 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         f.sync_all()?;
     }
     fs::rename(&tmp, path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The shard header is an on-disk contract: stores written by any
+    /// earlier build open without a rebuild only while these 20 bytes
+    /// stay the same.
+    #[test]
+    fn fresh_shard_header_is_pinned() {
+        let dir = std::env::temp_dir().join(format!("aurora-store-header-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!(store.shards_rebuilt(), 0);
+        let bytes = fs::read(dir.join("shard-00.seg")).unwrap();
+        let mut want = b"AURSTOR1".to_vec();
+        for version in [1u32, 1, 1] {
+            want.extend_from_slice(&version.to_le_bytes());
+        }
+        assert_eq!(bytes, want);
+        drop(store);
+        assert_eq!(ResultStore::open(&dir).unwrap().shards_rebuilt(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

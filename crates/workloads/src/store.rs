@@ -11,39 +11,26 @@
 //!
 //! * [`TraceStore::get_blocks`] is what sweeps replay: the basic-block
 //!   lowering ([`BlockTrace`], about 1.7 bytes per instruction at test
-//!   scale). It is built through one lowering routine from the first
-//!   of three sources that applies: a [`PackedTrace`] this store already
-//!   holds (so a process that asked for the oracle first does not
-//!   capture twice), an `AURORA_TRACE_CACHE` hit streamed from disk, or
-//!   an emulator run captured straight into blocks. No packed trace is
-//!   built on the second and third paths.
+//!   scale). It lowers a [`PackedTrace`] this store already holds (so a
+//!   process that asked for the oracle first does not capture twice),
+//!   and otherwise captures straight into blocks, building no packed
+//!   trace.
 //! * [`TraceStore::get`] is the packed oracle ([`PackedTrace`], 16 bytes
 //!   per op): an independent emulator capture that the differential
 //!   checks and sampled mode read. It never derives from the blocks.
 //!
-//! An optional on-disk cache (the `AURORA_TRACE_CACHE` environment
-//! variable for [`TraceStore::global`], or [`TraceStore::with_cache_dir`])
-//! persists captures across processes in the `trace_io` binary format
-//! (`.trc`), written by whichever form captured first; both forms read
-//! it. Cache files are keyed by workload name, scale, the trace format
-//! version and a content hash of the assembled kernel, so edits to a
-//! kernel or to the encoding invalidate stale files automatically; a
-//! corrupt or stale file is treated as a miss. The block form itself is
-//! not persisted: lowering a test-scale kernel costs a few milliseconds.
+//! Traces live only in memory and each process captures its own:
+//! re-capturing measured about as fast as streaming a stored trace back
+//! from disk.
 //!
 //! A failed capture is not cached, but every caller waiting on it gets
 //! the error: no thread ever sees an empty trace in its place.
 
 use std::collections::HashMap;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use aurora_isa::{
-    write_trace, BlockTrace, BlockTraceBuilder, PackedTrace, TraceReader, TRACE_FORMAT_VERSION,
-};
+use aurora_isa::{BlockTrace, PackedTrace};
 
 use crate::workload::{Scale, Workload, WorkloadError};
 
@@ -78,47 +65,28 @@ pub struct TraceStore {
     packed: Memo<PackedTrace>,
     blocks: Memo<BlockTrace>,
     captures: AtomicU64,
-    disk_hits: AtomicU64,
     lowerings: AtomicU64,
-    cache_dir: Option<PathBuf>,
 }
 
 impl TraceStore {
-    /// A store with no disk cache: traces live only in memory.
+    /// An empty store.
     pub fn new() -> TraceStore {
         TraceStore::default()
     }
 
-    /// A store that also persists captures under `dir` (created on first
-    /// write if missing).
-    pub fn with_cache_dir(dir: impl Into<PathBuf>) -> TraceStore {
-        TraceStore {
-            cache_dir: Some(dir.into()),
-            ..TraceStore::default()
-        }
-    }
-
-    /// The process-wide store used by the benchmark harness.
-    ///
-    /// Honours the `AURORA_TRACE_CACHE` environment variable at first
-    /// use: when set to a non-empty path, captures persist there across
-    /// runs; otherwise the store is memory-only.
+    /// The process-wide store the sweep harness and the service share.
     pub fn global() -> &'static TraceStore {
         static GLOBAL: OnceLock<TraceStore> = OnceLock::new();
-        GLOBAL.get_or_init(|| match std::env::var_os("AURORA_TRACE_CACHE") {
-            Some(dir) if !dir.is_empty() => TraceStore::with_cache_dir(PathBuf::from(dir)),
-            _ => TraceStore::new(),
-        })
+        GLOBAL.get_or_init(TraceStore::new)
     }
 
     /// Returns the packed trace for `workload`: the oracle that per-op
     /// replay and the differential checks compare against, and the input
-    /// of sampled mode. Loads it from the disk cache or captures it with
-    /// the emulator on the first request for its (name, scale,
-    /// content-hash) key; concurrent callers for the same key block until
-    /// that one capture finishes and all share one buffer. Sweeps should
-    /// call [`TraceStore::get_blocks`] instead, which never builds this
-    /// form.
+    /// of sampled mode. Captures it with the emulator on the first
+    /// request for its (name, scale, content-hash) key; concurrent
+    /// callers for the same key block until that one capture finishes
+    /// and all share one buffer. Sweeps should call
+    /// [`TraceStore::get_blocks`] instead, which never builds this form.
     ///
     /// # Errors
     ///
@@ -127,19 +95,16 @@ impl TraceStore {
     /// retries.
     pub fn get(&self, workload: &Workload) -> Result<Arc<PackedTrace>, WorkloadError> {
         memoise(&self.packed, key(workload), || {
-            self.load_or_capture(workload, load_cached, Workload::capture, |t, file| {
-                t.write_to(file)
-            })
-            .map(Arc::new)
+            let trace = workload.capture()?;
+            self.captures.fetch_add(1, Ordering::Relaxed);
+            Ok(Arc::new(trace))
         })
     }
 
     /// Returns the basic-block lowering of `workload`'s trace, building
     /// it at most once per (name, scale, content-hash) key. It is
     /// lowered from the packed trace when this store already holds one,
-    /// streamed from the disk cache on a hit, and otherwise captured
-    /// straight into blocks (writing the `.trc` when a cache directory
-    /// is set).
+    /// and otherwise captured straight into blocks.
     ///
     /// # Errors
     ///
@@ -150,12 +115,11 @@ impl TraceStore {
         memoise(&self.blocks, key(workload), || {
             let blocks = match self.held(workload) {
                 Some(trace) => BlockTrace::lower(&trace),
-                None => self.load_or_capture(
-                    workload,
-                    load_cached_blocks,
-                    Workload::capture_blocks,
-                    |b, file| write_trace(file, b.iter()).map(drop),
-                )?,
+                None => {
+                    let blocks = workload.capture_blocks()?;
+                    self.captures.fetch_add(1, Ordering::Relaxed);
+                    blocks
+                }
             };
             self.lowerings.fetch_add(1, Ordering::Relaxed);
             Ok(Arc::new(blocks))
@@ -163,7 +127,7 @@ impl TraceStore {
     }
 
     /// Number of emulator runs this store has performed, into either
-    /// form (disk-cache loads do not count).
+    /// form.
     pub fn captures(&self) -> u64 {
         self.captures.load(Ordering::Relaxed)
     }
@@ -174,52 +138,11 @@ impl TraceStore {
         self.lowerings.load(Ordering::Relaxed)
     }
 
-    /// Number of traces, in either form, satisfied from the on-disk
-    /// cache.
-    pub fn disk_hits(&self) -> u64 {
-        self.disk_hits.load(Ordering::Relaxed)
-    }
-
-    /// Loads one form of `workload`'s trace from the disk cache, or
-    /// captures it with the emulator and writes the cache file.
-    fn load_or_capture<T>(
-        &self,
-        workload: &Workload,
-        load: fn(&Path) -> Option<T>,
-        capture: fn(&Workload) -> Result<T, WorkloadError>,
-        save: fn(&T, &mut io::BufWriter<fs::File>) -> io::Result<()>,
-    ) -> Result<T, WorkloadError> {
-        let path = self.cache_path(workload);
-        if let Some(trace) = path.as_deref().and_then(load) {
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(trace);
-        }
-        let trace = capture(workload)?;
-        self.captures.fetch_add(1, Ordering::Relaxed);
-        if let Some(path) = &path {
-            // Cache writes are best-effort: a read-only or full disk must
-            // not fail the simulation.
-            let _ = store_cached(path, |file| save(&trace, file));
-        }
-        Ok(trace)
-    }
-
     /// The packed trace already captured for `workload`, if any. Does
     /// not wait for a capture in flight.
     fn held(&self, workload: &Workload) -> Option<Arc<PackedTrace>> {
         let cells = self.packed.lock().expect("trace store poisoned");
         cells.get(&key(workload))?.get()?.as_ref().ok().cloned()
-    }
-
-    fn cache_path(&self, workload: &Workload) -> Option<PathBuf> {
-        let dir = self.cache_dir.as_ref()?;
-        Some(dir.join(format!(
-            "{}-{}-v{}-{:016x}.trc",
-            workload.name(),
-            workload.scale(),
-            TRACE_FORMAT_VERSION,
-            workload.content_hash(),
-        )))
     }
 }
 
@@ -252,41 +175,6 @@ fn memoise<T>(
     result
 }
 
-fn load_cached(path: &Path) -> Option<PackedTrace> {
-    let file = fs::File::open(path).ok()?;
-    // A corrupt or truncated cache file is treated as a miss.
-    PackedTrace::read_from(io::BufReader::new(file)).ok()
-}
-
-/// Streams a cached `.trc` into the block form, one record at a time.
-fn load_cached_blocks(path: &Path) -> Option<BlockTrace> {
-    let file = fs::File::open(path).ok()?;
-    let reader = TraceReader::new(io::BufReader::new(file)).ok()?;
-    let mut blocks = BlockTraceBuilder::new();
-    for op in reader {
-        // A corrupt or truncated cache file is treated as a miss.
-        blocks.push(op.ok()?);
-    }
-    Some(blocks.finish())
-}
-
-fn store_cached(
-    path: &Path,
-    write: impl FnOnce(&mut io::BufWriter<fs::File>) -> io::Result<()>,
-) -> io::Result<()> {
-    let dir = path.parent().expect("cache path has a parent");
-    fs::create_dir_all(dir)?;
-    // Write to a temporary sibling then rename, so concurrent sweeps
-    // never observe a half-written file.
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let mut file = io::BufWriter::new(fs::File::create(&tmp)?);
-    write(&mut file)?;
-    io::Write::flush(&mut file)?;
-    drop(file);
-    fs::rename(&tmp, path)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,7 +192,6 @@ mod tests {
         let b = store.get(&w).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(store.captures(), 1);
-        assert_eq!(store.disk_hits(), 0);
         assert_eq!(a.len() as u64, a.stats().total);
     }
 
@@ -320,32 +207,6 @@ mod tests {
             assert!(lens.windows(2).all(|w| w[0] == w[1]));
         });
         assert_eq!(store.captures(), 1);
-    }
-
-    #[test]
-    fn disk_cache_round_trips() {
-        let dir = std::env::temp_dir().join(format!("aurora-store-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let w = test_workload();
-
-        let first = TraceStore::with_cache_dir(&dir);
-        let a = first.get(&w).unwrap();
-        assert_eq!((first.captures(), first.disk_hits()), (1, 0));
-
-        let second = TraceStore::with_cache_dir(&dir);
-        let b = second.get(&w).unwrap();
-        assert_eq!((second.captures(), second.disk_hits()), (0, 1));
-        assert_eq!(*a, *b);
-
-        // A corrupt cache file falls back to capture.
-        let path = second.cache_path(&w).unwrap();
-        fs::write(&path, b"junk").unwrap();
-        let third = TraceStore::with_cache_dir(&dir);
-        let c = third.get(&w).unwrap();
-        assert_eq!((third.captures(), third.disk_hits()), (1, 0));
-        assert_eq!(*a, *c);
-
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -422,44 +283,6 @@ mod tests {
             store.get_blocks(&spin).map(|b| b.len() as usize)
         ));
         assert_eq!(store.lowerings(), 0);
-    }
-
-    #[test]
-    fn block_capture_writes_and_reads_the_disk_cache() {
-        let dir = std::env::temp_dir().join(format!("aurora-store-blocks-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let w = test_workload();
-
-        // A miss captures straight into blocks and writes the `.trc`.
-        let first = TraceStore::with_cache_dir(&dir);
-        let a = first.get_blocks(&w).unwrap();
-        assert_eq!((first.captures(), first.disk_hits()), (1, 0));
-        let path = first.cache_path(&w).unwrap();
-        assert!(path.is_file(), "block capture wrote no .trc");
-
-        // A second store streams the file into the same lowering.
-        let second = TraceStore::with_cache_dir(&dir);
-        let b = second.get_blocks(&w).unwrap();
-        assert_eq!(
-            (second.captures(), second.disk_hits(), second.lowerings()),
-            (0, 1, 1)
-        );
-        assert_eq!(*a, *b);
-
-        // The packed oracle loads the same file.
-        let third = TraceStore::with_cache_dir(&dir);
-        let c = third.get(&w).unwrap();
-        assert_eq!((third.captures(), third.disk_hits()), (0, 1));
-        assert_eq!(*c, PackedTrace::from_ops(a.iter()));
-
-        // A corrupt cache file falls back to capture.
-        fs::write(&path, b"junk").unwrap();
-        let fourth = TraceStore::with_cache_dir(&dir);
-        let d = fourth.get_blocks(&w).unwrap();
-        assert_eq!((fourth.captures(), fourth.disk_hits()), (1, 0));
-        assert_eq!(*a, *d);
-
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -209,9 +209,11 @@ impl Workload {
     }
 
     /// A stable FNV-1a hash of the assembled program's content (entry
-    /// point, encoded instructions and initialised data). Used to key
-    /// on-disk trace caches: two builds whose kernels differ in any way
-    /// hash differently, so a stale cached trace can never be replayed.
+    /// point, encoded instructions and initialised data). Part of the
+    /// [`TraceStore`](crate::TraceStore) memo key and of
+    /// [`trace_hash`](Workload::trace_hash): two builds whose kernels
+    /// differ in any way hash differently, so a stale memoised result can
+    /// never be served.
     pub fn content_hash(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write_u32(self.program.entry());
