@@ -60,25 +60,42 @@ echo "== observability report (event-derived Fig. 6 matches the counters) =="
 ./target/release/obs_report --scale test > target/ci/obs_report.txt
 grep -q "cross-check vs fig6_stall_breakdown counters" target/ci/obs_report.txt
 
-echo "== service smoke (daemon answers a grid; repeat is all-memo, zero re-simulation) =="
+echo "== service smoke (daemon answers a grid; a restarted daemon answers the repeat all-memo, zero re-simulation) =="
 rm -rf target/ci/serve-store target/ci/aurora.sock
-./target/release/aurora-serve --store target/ci/serve-store --unix target/ci/aurora.sock &
-SERVE_PID=$!
+# Starts a daemon on the smoke store, its stdout in $1, and waits for
+# its socket.
+start_daemon() {
+    ./target/release/aurora-serve --store target/ci/serve-store \
+        --unix target/ci/aurora.sock > "$1" &
+    SERVE_PID=$!
+    for _ in $(seq 1 100); do [ -S target/ci/aurora.sock ] && break; sleep 0.1; done
+    [ -S target/ci/aurora.sock ]
+}
+# Queries the same 2×2 grid, writing the NDJSON answer to $1.
+query_grid() {
+    ./target/release/aurora-query --unix target/ci/aurora.sock \
+        --models baseline --issue single,dual --workloads espresso,compress \
+        --scale test --mode block > "$1"
+}
+start_daemon target/ci/serve_daemon1.txt
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do [ -S target/ci/aurora.sock ] && break; sleep 0.1; done
-[ -S target/ci/aurora.sock ]
-# Same 2×2 grid twice: pass 1 may simulate, pass 2 must be 100% memo
-# hits (>=90% is the gate's floor; the store makes it exactly 4/4).
-./target/release/aurora-query --unix target/ci/aurora.sock \
-    --models baseline --issue single,dual --workloads espresso,compress \
-    --scale test --mode block > target/ci/serve_pass1.ndjson
+query_grid target/ci/serve_pass1.ndjson
 grep -q '"type":"summary"' target/ci/serve_pass1.ndjson
-./target/release/aurora-query --unix target/ci/aurora.sock \
-    --models baseline --issue single,dual --workloads espresso,compress \
-    --scale test --mode block > target/ci/serve_pass2.ndjson
+# Stop the daemon and wait for it to exit, then remove its socket so the
+# wait in start_daemon cannot see a stale one. The fresh daemon must
+# reopen the store whole, and derive the same cell keys: pass 2 must be
+# 100% memo hits (>=90% is the gate's floor; the store makes it 4/4).
+kill "$SERVE_PID"
+wait "$SERVE_PID" || true
+rm -f target/ci/aurora.sock
+start_daemon target/ci/serve_daemon2.txt
+grep -q 'store: 4 cells' target/ci/serve_daemon2.txt
+grep -q '0 shard(s) rebuilt' target/ci/serve_daemon2.txt
+query_grid target/ci/serve_pass2.ndjson
 grep -q '"memo_hits":4' target/ci/serve_pass2.ndjson
 grep -q '"simulated":0' target/ci/serve_pass2.ndjson
 kill "$SERVE_PID"
+wait "$SERVE_PID" || true
 trap - EXIT
 
 echo "CI OK"

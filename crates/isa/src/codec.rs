@@ -16,17 +16,6 @@
 
 use crate::trace::{ArchReg, MemWidth, OpKind};
 
-/// A malformed field byte, reported without allocating. Decoding runs in
-/// the replay hot path (`PackedOp::unpack` is called once per op), so even
-/// the error arm must stay allocation-free; the offending byte is carried
-/// by value for debug output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodecError {
-    KindTag(u8),
-    RegisterCode(u8),
-    WidthCode(u8),
-}
-
 /// Version stamp of the trace encoding. Its only reader is the
 /// `aurora-serve` result store, whose 20-byte shard header still carries
 /// it: the value stays 1 so existing stores open without a rebuild.
@@ -82,27 +71,30 @@ pub(crate) fn pack_kind(kind: OpKind) -> (u8, u8, u32) {
 }
 
 /// Rebuilds an [`OpKind`] from its `(tag, aux, payload)` encoding.
+///
+/// Only [`pack_kind`] writes the fields, so no other tag can occur: the
+/// last arm decodes `K_NOP` and would decay any other byte to `Nop`.
 #[inline]
-pub(crate) fn unpack_kind(tag: u8, aux: u8, payload: u32) -> Result<OpKind, CodecError> {
-    Ok(match tag {
+pub(crate) fn unpack_kind(tag: u8, aux: u8, payload: u32) -> OpKind {
+    match tag {
         K_INT_ALU => OpKind::IntAlu,
         K_INT_MUL => OpKind::IntMul,
         K_INT_DIV => OpKind::IntDiv,
         K_LOAD => OpKind::Load {
             ea: payload,
-            width: decode_width(aux)?,
+            width: decode_width(aux),
         },
         K_STORE => OpKind::Store {
             ea: payload,
-            width: decode_width(aux)?,
+            width: decode_width(aux),
         },
         K_FP_LOAD => OpKind::FpLoad {
             ea: payload,
-            width: decode_width(aux)?,
+            width: decode_width(aux),
         },
         K_FP_STORE => OpKind::FpStore {
             ea: payload,
-            width: decode_width(aux)?,
+            width: decode_width(aux),
         },
         K_BRANCH => OpKind::Branch {
             taken: false,
@@ -127,9 +119,8 @@ pub(crate) fn unpack_kind(tag: u8, aux: u8, payload: u32) -> Result<OpKind, Code
         K_FP_CVT => OpKind::FpCvt,
         K_FP_MOVE => OpKind::FpMove,
         K_FP_CMP => OpKind::FpCmp,
-        K_NOP => OpKind::Nop,
-        other => return Err(CodecError::KindTag(other)),
-    })
+        _ => OpKind::Nop,
+    }
 }
 
 // Register encoding: 0 = none; 1..=32 int r0..r31; 33..=64 fp; 65 hilo; 66 fcc.
@@ -143,16 +134,17 @@ pub(crate) fn encode_reg(r: Option<ArchReg>) -> u8 {
     }
 }
 
+/// The inverse of [`encode_reg`], the only writer of register codes: the
+/// last arm decodes 0 and would decay any other byte to `None`.
 #[inline]
-pub(crate) fn decode_reg(b: u8) -> Result<Option<ArchReg>, CodecError> {
-    Ok(match b {
-        0 => None,
+pub(crate) fn decode_reg(b: u8) -> Option<ArchReg> {
+    match b {
         1..=32 => Some(ArchReg::Int(b - 1)),
         33..=64 => Some(ArchReg::Fp(b - 33)),
         65 => Some(ArchReg::HiLo),
         66 => Some(ArchReg::FpCond),
-        other => return Err(CodecError::RegisterCode(other)),
-    })
+        _ => None,
+    }
 }
 
 pub(crate) fn encode_width(w: MemWidth) -> u8 {
@@ -164,15 +156,16 @@ pub(crate) fn encode_width(w: MemWidth) -> u8 {
     }
 }
 
+/// The inverse of [`encode_width`], the only writer of width codes: the
+/// last arm decodes 8 and would decay any other byte to `Double`.
 #[inline]
-pub(crate) fn decode_width(b: u8) -> Result<MemWidth, CodecError> {
-    Ok(match b {
+pub(crate) fn decode_width(b: u8) -> MemWidth {
+    match b {
         1 => MemWidth::Byte,
         2 => MemWidth::Half,
         4 => MemWidth::Word,
-        8 => MemWidth::Double,
-        other => Err(CodecError::WidthCode(other))?,
-    })
+        _ => MemWidth::Double,
+    }
 }
 
 #[cfg(test)]
@@ -229,7 +222,7 @@ mod tests {
     fn every_kind_round_trips() {
         for &kind in ALL_KINDS {
             let (tag, aux, payload) = pack_kind(kind);
-            assert_eq!(unpack_kind(tag, aux, payload).unwrap(), kind);
+            assert_eq!(unpack_kind(tag, aux, payload), kind);
         }
     }
 
@@ -241,15 +234,7 @@ mod tests {
             regs.push(Some(ArchReg::Fp(n)));
         }
         for r in regs {
-            assert_eq!(decode_reg(encode_reg(r)).unwrap(), r);
+            assert_eq!(decode_reg(encode_reg(r)), r);
         }
-    }
-
-    #[test]
-    fn invalid_codes_are_rejected() {
-        assert!(decode_reg(200).is_err());
-        assert!(decode_width(3).is_err());
-        assert!(unpack_kind(99, 0, 0).is_err());
-        assert!(unpack_kind(K_LOAD, 5, 0).is_err());
     }
 }

@@ -68,24 +68,12 @@ impl PackedOp {
     /// Expands back into the simulator's working representation.
     #[inline]
     pub fn unpack(&self) -> TraceOp {
-        // Fields only enter a PackedOp through `pack`, so decoding cannot
-        // fail. Debug builds assert that invariant; release
-        // builds (panic=abort) decay an impossible byte to Nop/None rather
-        // than turning a model bug into a lost sweep.
-        let kind = codec::unpack_kind(self.kind, self.aux, self.payload);
-        let dst = codec::decode_reg(self.dst);
-        let src1 = codec::decode_reg(self.src1);
-        let src2 = codec::decode_reg(self.src2);
-        debug_assert!(kind.is_ok(), "PackedOp holds a validated kind");
-        debug_assert!(dst.is_ok(), "PackedOp holds a validated dst");
-        debug_assert!(src1.is_ok(), "PackedOp holds a validated src1");
-        debug_assert!(src2.is_ok(), "PackedOp holds a validated src2");
         TraceOp {
             pc: self.pc,
-            kind: kind.unwrap_or(OpKind::Nop),
-            dst: dst.unwrap_or(None),
-            src1: src1.unwrap_or(None),
-            src2: src2.unwrap_or(None),
+            kind: codec::unpack_kind(self.kind, self.aux, self.payload),
+            dst: codec::decode_reg(self.dst),
+            src1: codec::decode_reg(self.src1),
+            src2: codec::decode_reg(self.src2),
         }
     }
 
@@ -102,9 +90,7 @@ impl PackedOp {
     /// [`unpack`](Self::unpack) there would be pure overhead.
     #[inline]
     pub fn kind_only(&self) -> OpKind {
-        let kind = codec::unpack_kind(self.kind, self.aux, self.payload);
-        debug_assert!(kind.is_ok(), "PackedOp holds a validated kind");
-        kind.unwrap_or(OpKind::Nop)
+        codec::unpack_kind(self.kind, self.aux, self.payload)
     }
 
     /// Whether the record is a load or store, whose payload is its

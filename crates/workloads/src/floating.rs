@@ -14,9 +14,10 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::OnceLock;
 
 use crate::integer::ParseBenchmarkError;
-use crate::workload::{doubles_data, words_data, Scale, Workload};
+use crate::workload::{doubles_data, words_data, Scale, Workload, SCALES};
 
 /// How double-precision values move between memory and the FPU.
 ///
@@ -142,23 +143,35 @@ impl FpBenchmark {
     }
 
     /// Builds the kernel with an explicit [`FpLoadWidth`].
+    ///
+    /// Each (kernel, width, scale) is assembled at most once per
+    /// process: the first call fills its slot in a fixed table of
+    /// 9 × 2 × 3 workloads, and every call returns a clone of the slot's
+    /// workload. Clones share one program and its precomputed hashes, so
+    /// a repeated call costs a table lookup and an `Arc` clone.
     pub fn workload_with(self, scale: Scale, width: FpLoadWidth) -> Workload {
-        let src = match self {
-            FpBenchmark::Alvinn => alvinn(scale),
-            FpBenchmark::Doduc => doduc(scale),
-            FpBenchmark::Ear => ear(scale),
-            FpBenchmark::Hydro2d => hydro2d(scale),
-            FpBenchmark::Mdljdp2 => mdljdp2(scale),
-            FpBenchmark::Nasa7 => nasa7(scale),
-            FpBenchmark::Ora => ora(scale),
-            FpBenchmark::Spice2g6 => spice2g6(scale),
-            FpBenchmark::Su2cor => su2cor(scale),
-        };
-        let src = match width {
-            FpLoadWidth::SingleWord => expand_single_word(&src),
-            FpLoadWidth::DoubleWord => src,
-        };
-        Workload::assemble(self.name(), scale, &src)
+        static BUILT: [[[OnceLock<Workload>; SCALES]; 2]; FpBenchmark::ALL.len()] =
+            [const { [const { [const { OnceLock::new() }; SCALES] }; 2] }; FpBenchmark::ALL.len()];
+        BUILT[self as usize][width as usize][scale as usize]
+            .get_or_init(|| {
+                let src = match self {
+                    FpBenchmark::Alvinn => alvinn(scale),
+                    FpBenchmark::Doduc => doduc(scale),
+                    FpBenchmark::Ear => ear(scale),
+                    FpBenchmark::Hydro2d => hydro2d(scale),
+                    FpBenchmark::Mdljdp2 => mdljdp2(scale),
+                    FpBenchmark::Nasa7 => nasa7(scale),
+                    FpBenchmark::Ora => ora(scale),
+                    FpBenchmark::Spice2g6 => spice2g6(scale),
+                    FpBenchmark::Su2cor => su2cor(scale),
+                };
+                let src = match width {
+                    FpLoadWidth::SingleWord => expand_single_word(&src),
+                    FpLoadWidth::DoubleWord => src,
+                };
+                Workload::assemble(self.name(), scale, &src)
+            })
+            .clone()
     }
 }
 

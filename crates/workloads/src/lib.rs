@@ -45,6 +45,13 @@ pub use workload::{Scale, Trace, Workload, WorkloadError};
 /// into kernels; floating-point benchmarks resolve to their default
 /// single-word-load variant.
 ///
+/// Resolution is a table lookup: each kernel is assembled at most once
+/// per process and scale (see [`IntBenchmark::workload`] and
+/// [`FpBenchmark::workload_with`]), and the returned clone shares that
+/// one program and its precomputed hashes. The tables hold at most 72
+/// workloads; an unknown name touches none of them, so no caller can
+/// grow them.
+///
 /// ```
 /// use aurora_workloads::{workload_by_name, Scale};
 ///
@@ -63,4 +70,74 @@ pub fn workload_by_name(name: &str, scale: Scale) -> Option<Workload> {
                 .find(|b| b.name() == name)
                 .map(|b| b.workload(scale))
         })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aurora_isa::Fnv1a;
+
+    /// The `aurora-serve` result store keys every cell on `trace_hash`,
+    /// across processes and builds: a moved value would turn every stored
+    /// cell into a silent memo miss. These are the values the store has
+    /// always been keyed on.
+    #[test]
+    fn trace_hashes_are_pinned() {
+        let compress = IntBenchmark::Compress.workload(Scale::Test);
+        assert_eq!(compress.trace_hash(), 0x40f7_ba3f_3904_434c);
+        let int = IntBenchmark::ALL.map(|b| b.workload(Scale::Test));
+        let fp = FpBenchmark::ALL.map(|b| b.workload(Scale::Test));
+        let mut h = Fnv1a::new();
+        for w in int.iter().chain(&fp) {
+            h.write_u64(w.trace_hash());
+        }
+        assert_eq!(h.finish(), 0xa6b5_d3ff_8093_6fe4);
+    }
+
+    #[test]
+    fn concurrent_lookups_share_one_program() {
+        let barrier = std::sync::Barrier::new(4);
+        let programs: Vec<Workload> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        workload_by_name("sc", Scale::Test).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(programs
+            .windows(2)
+            .all(|p| std::ptr::eq(p[0].program(), p[1].program())));
+    }
+
+    #[test]
+    fn cached_hashes_match_a_fresh_hash_of_the_program() {
+        for scale in [Scale::Test, Scale::Small] {
+            let int = IntBenchmark::ALL.map(|b| (b.name(), b.workload(scale)));
+            let fp = FpBenchmark::ALL.into_iter().flat_map(|b| {
+                [FpLoadWidth::SingleWord, FpLoadWidth::DoubleWord]
+                    .map(|width| (b.name(), b.workload_with(scale, width)))
+            });
+            for (name, w) in int.into_iter().chain(fp) {
+                assert_eq!((w.name(), w.scale()), (name, scale));
+                assert_eq!(w.content_hash(), workload::program_hash(w.program()), "{w}");
+            }
+            for b in FpBenchmark::ALL {
+                assert_ne!(
+                    b.workload(scale).content_hash(),
+                    b.workload_doubleword(scale).content_hash(),
+                    "{b}: the two load widths share a slot"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_name_resolves_to_none() {
+        assert!(workload_by_name("no-such-kernel", Scale::Test).is_none());
+        assert!(workload_by_name("", Scale::Small).is_none());
+    }
 }

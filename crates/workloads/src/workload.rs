@@ -1,6 +1,7 @@
 //! The [`Workload`] wrapper: an assembled kernel plus trace utilities.
 
 use std::fmt;
+use std::sync::Arc;
 
 use aurora_isa::{
     Assembler, BlockTrace, BlockTraceBuilder, EmuError, Emulator, Fnv1a, PackedTrace, Program,
@@ -24,6 +25,10 @@ pub enum Scale {
     /// Millions of instructions.
     Full,
 }
+
+/// The number of [`Scale`]s: the width of each kernel's row in the
+/// process-wide workload tables, which `scale as usize` indexes.
+pub(crate) const SCALES: usize = 3;
 
 impl Scale {
     /// Multiplier applied to each kernel's base iteration count.
@@ -103,20 +108,35 @@ pub struct Trace {
 }
 
 /// An assembled, runnable kernel.
+///
+/// Cheap to clone: clones share one [`Program`] behind an `Arc`, and
+/// both hashes ([`content_hash`](Workload::content_hash),
+/// [`trace_hash`](Workload::trace_hash)) are computed once, when the
+/// workload is built. The suite kernels are built at most once per
+/// process (see [`IntBenchmark::workload`](crate::IntBenchmark::workload)).
 #[derive(Debug, Clone)]
 pub struct Workload {
     name: &'static str,
     scale: Scale,
-    program: Program,
+    program: Arc<Program>,
+    content_hash: u64,
+    trace_hash: u64,
 }
 
 impl Workload {
-    /// Wraps an assembled program.
+    /// Wraps an assembled program and computes its two hashes.
     pub(crate) fn new(name: &'static str, scale: Scale, program: Program) -> Workload {
+        let content_hash = program_hash(&program);
+        let mut h = Fnv1a::new();
+        h.write_str(name);
+        h.write_str(&scale.to_string());
+        h.write_u64(content_hash);
         Workload {
             name,
             scale,
-            program,
+            program: Arc::new(program),
+            content_hash,
+            trace_hash: h.finish(),
         }
     }
 
@@ -213,33 +233,38 @@ impl Workload {
     /// [`TraceStore`](crate::TraceStore) memo key and of
     /// [`trace_hash`](Workload::trace_hash): two builds whose kernels
     /// differ in any way hash differently, so a stale memoised result can
-    /// never be served.
+    /// never be served. Computed once, when the workload is built.
     pub fn content_hash(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_u32(self.program.entry());
-        h.write_u32(self.program.text_base());
-        for instr in self.program.instructions() {
-            h.write_u32(instr.encode());
-        }
-        let data = self.program.data();
-        h.write_u32(data.base);
-        h.write(&data.bytes);
-        h.finish()
+        self.content_hash
     }
 
     /// A stable fingerprint of the *dynamic trace identity* of this
     /// workload: kernel name, scale, and [`content_hash`]. Two workloads
     /// with equal trace hashes replay the same packed trace, so memoised
-    /// per-trace results (the `aurora-serve` result store) key on this.
+    /// per-trace results (the `aurora-serve` result store) key on this,
+    /// across processes and builds. Computed once, when the workload is
+    /// built.
     ///
     /// [`content_hash`]: Workload::content_hash
     pub fn trace_hash(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_str(self.name);
-        h.write_str(&self.scale.to_string());
-        h.write_u64(self.content_hash());
-        h.finish()
+        self.trace_hash
     }
+}
+
+/// The FNV-1a hash of `program`'s content: entry point, text base,
+/// encoded instructions and initialised data. The one definition behind
+/// [`Workload::content_hash`].
+pub(crate) fn program_hash(program: &Program) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_u32(program.entry());
+    h.write_u32(program.text_base());
+    for instr in program.instructions() {
+        h.write_u32(instr.encode());
+    }
+    let data = program.data();
+    h.write_u32(data.base);
+    h.write(&data.bytes);
+    h.finish()
 }
 
 impl fmt::Display for Workload {
