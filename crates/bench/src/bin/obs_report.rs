@@ -16,6 +16,7 @@
 //! worst observed deviation (expected: 0).
 
 use aurora_bench::harness::{cpi, fp_suite, integer_suite, scale_from_args, TextTable};
+use aurora_core::obs::DEFAULT_RING_CAPACITY;
 use aurora_core::{
     IssueWidth, MachineConfig, MachineModel, Observer, SimStats, Simulator, StallCause, StallKind,
 };
@@ -36,12 +37,13 @@ fn observe(cfg: &MachineConfig, workload: &Workload) -> Cell {
         .get_blocks(workload)
         .unwrap_or_else(|e| panic!("{} failed: {e}", workload.name()));
     let mut sim = Simulator::new(cfg);
+    sim.enable_observer(DEFAULT_RING_CAPACITY);
     sim.feed_blocks(&blocks);
     let (stats, obs) = sim.finish_observed();
     Cell {
         name: workload.name(),
         stats,
-        obs: obs.expect("cfg.observe was set"),
+        obs: obs.expect("observer was enabled"),
     }
 }
 
@@ -64,9 +66,7 @@ fn main() {
 
     let mut worst: (f64, &str, StallKind) = (0.0, "-", StallKind::ICache);
     for model in MachineModel::ALL {
-        let mut cfg: MachineConfig = model.config(IssueWidth::Dual, LatencyModel::Fixed(17));
-        // The knob under test: attach the cycle-event observer.
-        cfg.observe = true;
+        let cfg: MachineConfig = model.config(IssueWidth::Dual, LatencyModel::Fixed(17));
 
         // One observed replay per kernel, in parallel (each needs its own
         // simulator + observer, so the counter-oriented run_matrix does

@@ -77,7 +77,6 @@ impl MachineModel {
             dcache_latency: 3,
             branch_folding: true,
             write_validation: true,
-            observe: false,
             fpu: FpuConfig::recommended(),
             seed: 0xA0707A_u64,
         }
@@ -297,13 +296,6 @@ pub struct MachineConfig {
     /// Whether the write cache's page-field micro-TLB validates stores
     /// (§2.3). Disabling forces an MMU round trip for *every* store.
     pub write_validation: bool,
-    /// Whether the simulator attaches a cycle-event
-    /// [`Observer`](crate::Observer) recording per-unit events, the
-    /// fine-grained stall-cause attribution and histograms (see
-    /// `crate::obs`). Off by default and zero-cost when off: the
-    /// [`SimStats`](crate::SimStats) of a run are bit-identical either
-    /// way, which the differential suite asserts.
-    pub observe: bool,
     /// The decoupled FPU configuration.
     pub fpu: FpuConfig,
     /// Seed for the latency distribution.
@@ -317,13 +309,8 @@ impl MachineConfig {
     /// for any trace, so memoised results (the `aurora-serve` result
     /// store) key on this value.
     ///
-    /// Deliberately excluded:
-    ///
-    /// * [`name`](MachineConfig::name) — a human-readable label;
-    /// * [`observe`](MachineConfig::observe) — an execution-mode knob
-    ///   whose on/off statistics are proven bit-identical by the
-    ///   differential suites, so caching it separately would only split
-    ///   the memo.
+    /// Deliberately excluded: [`name`](MachineConfig::name), a
+    /// human-readable label.
     ///
     /// The fingerprint is cross-process stable ([`Fnv1a`], little-endian
     /// field order as written below); any semantic-field addition must
@@ -337,7 +324,6 @@ impl MachineConfig {
     /// let a = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
     /// let mut b = a.clone();
     /// b.name = "renamed".to_owned(); // label only — same machine
-    /// b.observe = true; // proven stats-neutral
     /// assert_eq!(a.fingerprint(), b.fingerprint());
     /// b.mshr_entries += 1; // a real resource change
     /// assert_ne!(a.fingerprint(), b.fingerprint());
@@ -572,11 +558,10 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_labels_and_mode_knobs() {
+    fn fingerprint_ignores_labels() {
         let a = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
         let mut b = a.clone();
         b.name = "other-label".to_owned();
-        b.observe = true;
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 

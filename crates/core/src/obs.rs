@@ -4,9 +4,8 @@
 //!
 //! The simulator's [`SimStats`](crate::SimStats) counters answer *how
 //! many* cycles were lost per coarse [`StallKind`]; this module answers
-//! *why and when*. When [`MachineConfig::observe`](crate::MachineConfig)
-//! is set (or [`Simulator::enable_observer`](crate::Simulator) is
-//! called), the simulator attaches an [`Observer`] and records one
+//! *why and when*. When [`Simulator::enable_observer`](crate::Simulator)
+//! is called, the simulator attaches an [`Observer`] and records one
 //! [`ObsEvent`] at every interesting micro-architectural moment: fetch,
 //! issue, retire, I-/D-cache miss service, MSHR allocation and release,
 //! write-cache coalescing, FPU queue occupancy — and, crucially, every
@@ -37,15 +36,17 @@
 //! trace-event JSON loadable in `chrome://tracing` or
 //! <https://ui.perfetto.dev>: stalls and miss services become duration
 //! (`"X"`) slices on per-unit tracks, queue depths become counter
-//! (`"C"`) tracks. The JSON is hand-rolled (no serde dependency) and its
-//! well-formedness is enforced by a parser-based test.
+//! (`"C"`) tracks. The document is a [`Json`] value printed by the
+//! workspace's one JSON writer (`aurora-json`).
 
 use std::fmt;
 
+use aurora_json::{obj, Json};
+
 use crate::stats::{StallBreakdown, StallKind};
 
-/// Default event-ring capacity used when the observer is enabled via
-/// [`MachineConfig::observe`](crate::MachineConfig::observe).
+/// The usual event-ring capacity for
+/// [`Simulator::enable_observer`](crate::Simulator::enable_observer).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// Histogram bucket count: values 0–63 map to their own bucket, larger
@@ -368,10 +369,11 @@ impl Observer {
     /// the oldest ring entry when full. This is the simulator's per-event
     /// hot path: allocation- and panic-free by construction.
     ///
-    /// Never inlined: the simulator's issue loop tests `observe` and
-    /// skips the call entirely, and outlining keeps the disabled path's
-    /// code footprint at a null test instead of a ring-write body per
-    /// record site (the observe=false throughput budget is ≤2%).
+    /// Never inlined: the simulator's issue loop tests for an attached
+    /// observer and skips the call entirely, and outlining keeps the
+    /// disabled path's code footprint at a null test instead of a
+    /// ring-write body per record site (the unobserved throughput budget
+    /// is ≤2%).
     #[cold]
     #[inline(never)]
     pub fn record(&mut self, cycle: u64, kind: ObsEventKind) {
@@ -521,10 +523,7 @@ impl Observer {
     /// spans on `mshr`, write-cache merges on `write-cache`, and queue
     /// occupancy as counter tracks.
     pub fn chrome_trace_json(&self) -> String {
-        use std::fmt::Write as _;
-
-        let mut out = String::with_capacity(self.len * 96 + 1024);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+        let mut events = Vec::with_capacity(self.len + 6);
         for (tid, name) in [
             (0, "issue"),
             (1, "icache"),
@@ -533,97 +532,86 @@ impl Observer {
             (4, "write-cache"),
             (5, "fpu"),
         ] {
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{name}\"}}}},"
-            );
+            events.push(obj([
+                ("ph", string("M")),
+                ("pid", num(1)),
+                ("tid", num(tid)),
+                ("name", string("thread_name")),
+                ("args", obj([("name", string(name))])),
+            ]));
         }
-        let mut first = true;
         for ev in self.events() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
             let ts = ev.cycle;
-            match ev.kind {
-                ObsEventKind::Fetch { pc } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":{ts},\"s\":\"t\",\
-                         \"name\":\"fetch\",\"args\":{{\"pc\":{pc}}}}}"
-                    );
-                }
-                ObsEventKind::Issue { pc, dual } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":{ts},\"s\":\"t\",\
-                         \"name\":\"issue\",\"args\":{{\"pc\":{pc},\"dual\":{dual}}}}}"
-                    );
-                }
-                ObsEventKind::Retire => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":{ts},\"s\":\"t\",\
-                         \"name\":\"retire\",\"args\":{{}}}}"
-                    );
-                }
+            let instant =
+                |tid, name, args| trace_event("i", tid, ts, name, args, Some(("s", string("t"))));
+            let slice = |tid, start, dur, name: &str| {
+                trace_event("X", tid, start, name, obj([]), Some(("dur", num(dur))))
+            };
+            let counter = |tid, name, args| trace_event("C", tid, ts, name, args, None);
+            events.push(match ev.kind {
+                ObsEventKind::Fetch { pc } => instant(0, "fetch", obj([("pc", num(pc))])),
+                ObsEventKind::Issue { pc, dual } => instant(
+                    0,
+                    "issue",
+                    obj([("pc", num(u64::from(pc))), ("dual", Json::Bool(dual))]),
+                ),
+                ObsEventKind::Retire => instant(0, "retire", obj([])),
                 ObsEventKind::Stall { cause, cycles } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":{ts},\"dur\":{cycles},\
-                         \"name\":\"stall:{}\",\"args\":{{}}}}",
-                        cause.label()
-                    );
+                    slice(0, ts, cycles, &format!("stall:{}", cause.label()))
                 }
-                ObsEventKind::IcacheMiss { latency } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":{ts},\"dur\":{latency},\
-                         \"name\":\"imiss\",\"args\":{{}}}}"
-                    );
-                }
-                ObsEventKind::DcacheMiss { latency } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":2,\"ts\":{ts},\"dur\":{latency},\
-                         \"name\":\"dmiss\",\"args\":{{}}}}"
-                    );
-                }
+                ObsEventKind::IcacheMiss { latency } => slice(1, ts, latency, "imiss"),
+                ObsEventKind::DcacheMiss { latency } => slice(2, ts, latency, "dmiss"),
                 ObsEventKind::MshrAlloc { occupancy } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"C\",\"pid\":1,\"tid\":3,\"ts\":{ts},\
-                         \"name\":\"mshr_occupancy\",\"args\":{{\"live\":{occupancy}}}}}"
-                    );
+                    counter(3, "mshr_occupancy", obj([("live", num(occupancy))]))
                 }
-                ObsEventKind::MshrFree { held } => {
-                    let start = ts.saturating_sub(held);
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":3,\"ts\":{start},\"dur\":{held},\
-                         \"name\":\"mshr\",\"args\":{{}}}}"
-                    );
-                }
-                ObsEventKind::WriteCacheMerge => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"i\",\"pid\":1,\"tid\":4,\"ts\":{ts},\"s\":\"t\",\
-                         \"name\":\"wc-merge\",\"args\":{{}}}}"
-                    );
-                }
+                ObsEventKind::MshrFree { held } => slice(3, ts.saturating_sub(held), held, "mshr"),
+                ObsEventKind::WriteCacheMerge => instant(4, "wc-merge", obj([])),
                 ObsEventKind::FpQueueDepth { depth } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"C\",\"pid\":1,\"tid\":5,\"ts\":{ts},\
-                         \"name\":\"fpu_iq_depth\",\"args\":{{\"depth\":{depth}}}}}"
-                    );
+                    counter(5, "fpu_iq_depth", obj([("depth", num(depth))]))
                 }
-            }
+            });
         }
-        out.push_str("]}");
-        out
+        obj([
+            ("displayTimeUnit", string("ms")),
+            ("traceEvents", Json::Arr(events)),
+        ])
+        .to_string()
     }
+}
+
+fn num(n: u64) -> Json {
+    Json::Num(n as f64)
+}
+
+fn string(s: &str) -> Json {
+    Json::Str(s.to_owned())
+}
+
+/// One trace event of phase `ph` on track `tid` at cycle `ts`, plus the
+/// phase's own member: an instant's scope `s` or a slice's `dur`.
+fn trace_event(
+    ph: &str,
+    tid: u64,
+    ts: u64,
+    name: &str,
+    args: Json,
+    extra: Option<(&str, Json)>,
+) -> Json {
+    let members = [
+        ("ph", string(ph)),
+        ("pid", num(1)),
+        ("tid", num(tid)),
+        ("ts", num(ts)),
+        ("name", string(name)),
+        ("args", args),
+    ];
+    Json::Obj(
+        members
+            .into_iter()
+            .chain(extra)
+            .map(|(k, v)| (k.to_owned(), v))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -728,18 +716,34 @@ mod tests {
         o.record(9, ObsEventKind::MshrFree { held: 6 });
         o.record(4, ObsEventKind::WriteCacheMerge);
         o.record(5, ObsEventKind::FpQueueDepth { depth: 2 });
-        let json = o.chrome_trace_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
+        let json = Json::parse(&o.chrome_trace_json()).expect("trace parses");
+        assert_eq!(
+            json.get("displayTimeUnit").and_then(Json::as_str),
+            Some("ms")
+        );
+        let events = json.get("traceEvents").and_then(Json::as_array).unwrap();
+        assert_eq!(events.len(), 6 + 7, "six track names plus every event");
+        let names: Vec<&str> = events
+            .iter()
+            .filter_map(|e| e.get("name").and_then(Json::as_str))
+            .collect();
         for needle in [
-            "\"traceEvents\"",
             "stall:mshr-full",
             "imiss",
             "mshr_occupancy",
+            "mshr",
             "wc-merge",
             "fpu_iq_depth",
             "thread_name",
         ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
+            assert!(names.contains(&needle), "missing {needle} in {names:?}");
         }
+        // The MSHR span reaches back from its release to its allocation.
+        let span = events
+            .iter()
+            .find(|e| e.get("name").and_then(Json::as_str) == Some("mshr"))
+            .unwrap();
+        assert_eq!(span.get("ts").and_then(Json::as_u64), Some(3));
+        assert_eq!(span.get("dur").and_then(Json::as_u64), Some(6));
     }
 }

@@ -142,7 +142,6 @@ pub struct Simulator<'cfg> {
     /// counters.
     fetch_bubble: u64,
     /// The observability recorder; `None` unless
-    /// [`MachineConfig::observe`] is set or
     /// [`Simulator::enable_observer`] was called. Boxed so the disabled
     /// case costs one pointer-null test on the hot path.
     obs: Option<Box<Observer>>,
@@ -202,9 +201,7 @@ impl<'cfg> Simulator<'cfg> {
             fpu: Fpu::new(cfg.fpu.clone()),
             pending: VecDeque::with_capacity(2),
             fetch_bubble: 0,
-            obs: cfg
-                .observe
-                .then(|| Box::new(Observer::new(crate::obs::DEFAULT_RING_CAPACITY))),
+            obs: None,
             obs_buf: [ObsEvent {
                 cycle: 0,
                 kind: ObsEventKind::Retire,
@@ -287,7 +284,8 @@ impl<'cfg> Simulator<'cfg> {
     }
 
     /// Attaches (or replaces) a cycle-event [`Observer`] with a ring of
-    /// `capacity` events, regardless of [`MachineConfig::observe`].
+    /// `capacity` events (usually
+    /// [`DEFAULT_RING_CAPACITY`](crate::obs::DEFAULT_RING_CAPACITY)).
     /// Retrieve it with [`Simulator::observer`] or
     /// [`Simulator::finish_observed`].
     pub fn enable_observer(&mut self, capacity: usize) {

@@ -14,6 +14,15 @@
 //! can never disagree about what a byte means. No trace outlives the
 //! process that captured it, so the encoding may change freely.
 
+// Ops are bit-packed here, so a silent truncation would corrupt every
+// replay of a captured trace: clippy (`-D warnings` in ci.sh) rejects
+// any lossy `as` cast in this file.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 use crate::trace::{ArchReg, MemWidth, OpKind};
 
 /// Version stamp of the trace encoding. Its only reader is the

@@ -29,6 +29,15 @@
 //! assert_eq!(back[1].pc, 0x400004);
 //! ```
 
+// Ops are bit-packed here, so a silent truncation would corrupt every
+// replay of a captured trace: clippy (`-D warnings` in ci.sh) rejects
+// any lossy `as` cast in this file.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 use crate::codec;
 use crate::trace::{OpKind, TraceOp, TraceStats};
 

@@ -1,20 +1,25 @@
-//! A minimal, dependency-free JSON reader/writer for the wire protocol.
+//! The workspace's one JSON reader/writer, dependency-free.
 //!
 //! The workspace deliberately carries no serialization dependency (the
-//! build environment is offline), so the service speaks JSON through
-//! this ~300-line module instead: a recursive-descent parser into
-//! [`Json`] and a writer that escapes strings and prints numbers in a
-//! round-trippable form. It supports exactly the JSON the protocol
-//! needs — objects, arrays, strings, finite numbers, booleans, null —
-//! and rejects everything else with a positioned [`JsonError`].
+//! build environment is offline), so every JSON document it reads or
+//! writes goes through this ~300-line crate: the service's wire
+//! protocol, `aurora_benchmark`'s reports, `aurora-lint`'s JSON and
+//! SARIF output and the simulator's Perfetto trace export. It is a
+//! recursive-descent parser into [`Json`] and a writer that escapes
+//! strings and prints numbers in a round-trippable form, compactly and
+//! with sorted object keys. It supports objects, arrays, strings, finite
+//! numbers, booleans and null, and rejects everything else with a
+//! positioned [`JsonError`].
 //!
 //! ```
-//! use aurora_serve::json::Json;
+//! use aurora_json::Json;
 //!
 //! let v = Json::parse(r#"{"mode": "block", "configs": [1, 2.5]}"#).unwrap();
 //! assert_eq!(v.get("mode").and_then(Json::as_str), Some("block"));
 //! assert_eq!(v.get("configs").unwrap().as_array().unwrap().len(), 2);
 //! ```
+
+#![warn(missing_docs)]
 
 use std::collections::BTreeMap;
 use std::fmt;

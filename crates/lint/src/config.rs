@@ -121,7 +121,6 @@ pub struct LintConfig {
     pub checkpoint: Checkpoint,
     pub stats: StatsScope,
     pub config_coverage: ConfigCoverage,
-    pub narrowing_files: Vec<String>,
     /// `[determinism] files`: everything reachable from the functions in
     /// these files must be free of L007 nondeterminism sources.
     pub determinism_files: Vec<String>,
@@ -339,7 +338,6 @@ impl LintConfig {
             ("config_coverage", "file") => self.config_coverage.file = want_str(&value)?,
             ("config_coverage", "struct") => self.config_coverage.struct_name = want_str(&value)?,
             ("config_coverage", "used_in") => self.config_coverage.used_in = want_list(&value)?,
-            ("narrowing", "files") => self.narrowing_files = want_list(&value)?,
             ("determinism", "files") => self.determinism_files = want_list(&value)?,
             ("units", "files") => self.units_files = want_list(&value)?,
             _ => {
@@ -511,9 +509,6 @@ file = "crates/core/src/config.rs"
 struct = "MachineConfig"
 used_in = ["crates/bench/src"]
 
-[narrowing]
-files = ["crates/isa/src/codec.rs"]
-
 [determinism]
 files = ["crates/core/src/sim.rs"]
 
@@ -521,7 +516,7 @@ files = ["crates/core/src/sim.rs"]
 files = ["crates/core"]
 
 [[untrusted]]
-file = "crates/serve/src/json.rs"
+file = "crates/json/src/lib.rs"
 roots = ["Json::parse"]
 sanitizers = ["QueryRequest::from_json_str"]
 
@@ -551,7 +546,6 @@ structs = ["SampledCell"]
         assert_eq!(cfg.checkpoint.reader, "SnapshotReader");
         assert_eq!(cfg.stats.structs, vec!["SimStats"]);
         assert_eq!(cfg.config_coverage.struct_name, "MachineConfig");
-        assert_eq!(cfg.narrowing_files.len(), 1);
         assert_eq!(cfg.determinism_files, vec!["crates/core/src/sim.rs"]);
         assert_eq!(cfg.units_files, vec!["crates/core"]);
         assert_eq!(cfg.untrusted.len(), 1);

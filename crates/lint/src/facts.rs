@@ -35,7 +35,6 @@ pub const ALLOC_PATH_HEADS: &[&str] = &["Box", "Vec", "VecDeque", "String"];
 pub const ALLOC_PATH_TAILS: &[&str] = &["new", "with_capacity", "from"];
 pub const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 pub const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-pub const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "usize"];
 
 /// Container iteration methods that seed an L007 candidate.
 const ITER_METHODS: &[&str] = &[
@@ -153,8 +152,6 @@ pub enum Event {
     HashIter { chain: String, line: u32 },
     /// L008: `+`/`-` mixing a cycle-unit operand with a count-unit one.
     UnitMix { cyc: String, cnt: String, line: u32 },
-    /// L006 candidate: `as` cast.
-    Cast { ty: String, line: u32 },
     /// L010 candidate: unchecked `+`/`-`/`*` on a cycle/count-unit
     /// operand the range analysis could not prove safe.
     Arith { what: String, line: u32 },
@@ -192,7 +189,6 @@ impl Event {
             | Event::Nondet { line, .. }
             | Event::HashIter { line, .. }
             | Event::UnitMix { line, .. }
-            | Event::Cast { line, .. }
             | Event::Arith { line, .. }
             | Event::Lock { line, .. }
             | Event::LockEdge { line, .. }
@@ -559,10 +555,6 @@ impl<'a> Extractor<'a> {
             }
             Expr::Cast { expr, ty, line } => {
                 self.visit_expr(expr, false);
-                self.out.events.push(Event::Cast {
-                    ty: ty.clone(),
-                    line: *line,
-                });
                 // `&x as *const T as usize`: an address observed as an
                 // integer — hash/order on it is nondeterministic per run.
                 if ty == "usize" {

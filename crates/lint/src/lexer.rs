@@ -425,81 +425,6 @@ fn is_wire_key(s: &str) -> bool {
         .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
 }
 
-/// A resolved `fn` item: name, declaration line, and the token range of its
-/// body (from the opening `{` through the matching `}` inclusive).
-#[derive(Debug, Clone)]
-pub struct FnSpan {
-    pub name: String,
-    pub decl_line: u32,
-    pub start_line: u32,
-    pub end_line: u32,
-    pub body: std::ops::Range<usize>,
-}
-
-/// Resolve every `fn` item in the token stream, including nested ones.
-pub fn fn_spans(toks: &[Tok]) -> Vec<FnSpan> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].is_ident("fn") && toks.get(i + 1).map(|t| t.kind) == Some(TokKind::Ident) {
-            let name = toks[i + 1].text.clone();
-            let decl_line = toks[i].line;
-            // The body brace is the first `{` at paren/bracket depth zero
-            // after the signature; a `;` there means a bodyless trait item.
-            let mut j = i + 2;
-            let mut depth = 0i32;
-            let mut open = None;
-            while j < toks.len() {
-                let t = &toks[j];
-                if t.kind == TokKind::Punct {
-                    match t.text.as_str() {
-                        "(" | "[" => depth += 1,
-                        ")" | "]" => depth -= 1,
-                        "{" if depth == 0 => {
-                            open = Some(j);
-                            break;
-                        }
-                        ";" if depth == 0 => break,
-                        _ => {}
-                    }
-                }
-                j += 1;
-            }
-            if let Some(o) = open {
-                let mut braces = 0i32;
-                let mut k = o;
-                while k < toks.len() {
-                    if toks[k].kind == TokKind::Punct {
-                        match toks[k].text.as_str() {
-                            "{" => braces += 1,
-                            "}" => {
-                                braces -= 1;
-                                if braces == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    k += 1;
-                }
-                let end = k.min(toks.len().saturating_sub(1));
-                out.push(FnSpan {
-                    name,
-                    decl_line,
-                    start_line: toks[o].line,
-                    end_line: toks[end].line,
-                    body: o..(k + 1).min(toks.len()),
-                });
-                i += 2;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
 /// A named struct field declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldDef {
@@ -647,9 +572,6 @@ mod tests {
     fn lifetimes_do_not_eat_code() {
         let toks = lex("fn f<'a>(x: &'a u8) -> &'a u8 { x }");
         assert!(toks.iter().any(|t| t.is_ident("x")));
-        let spans = fn_spans(&toks);
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "f");
     }
 
     #[test]
@@ -657,15 +579,6 @@ mod tests {
         let toks = lex("let r = r#\"has \"quotes\" and .unwrap()\"#; let b = baseline;");
         assert!(toks.iter().any(|t| t.is_ident("baseline")));
         assert!(toks.iter().all(|t| t.text != "unwrap"));
-    }
-
-    #[test]
-    fn fn_spans_find_nested() {
-        let src = "impl X { fn outer(&self) { fn inner() -> u64 { 3 } inner() } }";
-        let toks = lex(src);
-        let spans = fn_spans(&toks);
-        let names: Vec<_> = spans.iter().map(|s| s.name.as_str()).collect();
-        assert!(names.contains(&"outer") && names.contains(&"inner"));
     }
 
     #[test]

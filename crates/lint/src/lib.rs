@@ -1,16 +1,18 @@
-//! `aurora-lint` — a zero-dependency static analyzer for the aurora
-//! workspace.
+//! `aurora-lint` — a static analyzer for the aurora workspace. Its one
+//! dependency is the workspace's own `aurora-json`, which prints its
+//! JSON and SARIF reports.
 //!
 //! The simulator's correctness rests on invariants that ordinary tests
 //! cannot see: the hot loop must stay allocation- and panic-free, every
 //! counter the model accumulates must be consumed by a report, every config
-//! knob must be exercised by a sweep, the trace codec must not truncate
-//! silently, replay must be deterministic, and cycle values must not
-//! silently mix with counts. This crate parses the workspace source with a
-//! hand-rolled recursive-descent parser (no `syn` — tier-1 builds offline),
-//! builds a workspace-wide call graph, and enforces those invariants as
-//! lint rules L000–L009 (L005, the trace-format fingerprint, is retired:
-//! no trace outlives the process that captured it). Rules
+//! knob must be exercised by a sweep, replay must be deterministic, and
+//! cycle values must not silently mix with counts. This crate parses the
+//! workspace source with a hand-rolled recursive-descent parser (no `syn` —
+//! tier-1 builds offline), builds a workspace-wide call graph, and enforces
+//! those invariants as lint rules L000–L009 (L005, the trace-format
+//! fingerprint, is retired: no trace outlives the process that captured
+//! it; L006, narrowing casts in the trace codec, moved to clippy's
+//! `cast_possible_truncation` family, denied in the codec files). Rules
 //! L010–L016 run deeper passes over the same graph: interval dataflow for
 //! wrapping arithmetic, lock-order and atomic-ordering checks, blocking
 //! calls in pool workers, snapshot codec drift, taint from the

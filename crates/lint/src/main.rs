@@ -119,8 +119,8 @@ fn main() -> ExitCode {
     // Machine formats own stdout; the human summary moves to stderr so a
     // redirect captures a clean document either way.
     match format {
-        Format::Json => print!("{}", output::render_json(&report)),
-        Format::Sarif => print!("{}", output::render_sarif(&report)),
+        Format::Json => println!("{}", output::json_report(&report)),
+        Format::Sarif => println!("{}", output::sarif_report(&report)),
         Format::Text => {
             for f in &report.findings {
                 println!("{f}");

@@ -5,7 +5,7 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::config::LintConfig;
-use crate::facts::{CallFact, Event, FileFacts, FnFacts, NARROW_TARGETS};
+use crate::facts::{CallFact, Event, FileFacts, FnFacts};
 use crate::graph::{head, path_matches, peel_refs, FnId, Graph};
 use crate::{Finding, Workspace};
 
@@ -15,7 +15,6 @@ pub fn run_all(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
     hot_path_rules(ws, cfg, &graph, &mut out);
     dead_counters(ws, cfg, &mut out);
     config_coverage(ws, cfg, &graph, &mut out);
-    narrowing_casts(ws, cfg, &mut out);
     determinism(ws, cfg, &graph, &mut out);
     unit_mixing(ws, cfg, &mut out);
     crate::concurrency::run(ws, cfg, &graph, &mut out);
@@ -318,40 +317,6 @@ fn config_coverage(ws: &Workspace, cfg: &LintConfig, g: &Graph, out: &mut Vec<Fi
                     cov.used_in.join(", ")
                 ),
             ));
-        }
-    }
-}
-
-// -------------------------------------------------------------------- L006
-
-fn narrowing_casts(ws: &Workspace, cfg: &LintConfig, out: &mut Vec<Finding>) {
-    for file in &cfg.narrowing_files {
-        let Some(facts) = ws.facts_of(file) else {
-            out.push(finding(
-                file,
-                0,
-                "L006",
-                "narrowing-cast file declared in lint.toml was not found".to_string(),
-            ));
-            continue;
-        };
-        for f in &facts.fns {
-            for ev in &f.events {
-                if let Event::Cast { ty, line } = ev {
-                    if NARROW_TARGETS.contains(&ty.as_str()) {
-                        out.push(finding(
-                            file,
-                            *line,
-                            "L006",
-                            format!(
-                                "unchecked narrowing cast `as {ty}` in trace codec — use \
-                                 `try_from` or a masked helper, or suppress with a range \
-                                 justification"
-                            ),
-                        ));
-                    }
-                }
-            }
         }
     }
 }
@@ -804,14 +769,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
          warn about. Accesses are matched *by receiver type*, not by field name alone: a \
          same-named field on an unrelated struct does not count, while a knob set through a \
          typed closure parameter does. Setting a knob in a sweep counts as exercising it.",
-    ),
-    (
-        "L006",
-        "unchecked narrowing cast in the trace codec",
-        "`as u8`/`as u32`-style casts silently truncate. In codec.rs/packed.rs — the one \
-         place where in-memory ops are bit-packed into the 16-byte record — a silent \
-         truncation corrupts every replay of a captured trace. Use `try_from`, a masked \
-         helper with a debug_assert, or suppress with a justification of the value range.",
     ),
     (
         "L007",

@@ -8,6 +8,8 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+use aurora_json::Json;
+
 fn fixtures_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
 }
@@ -62,10 +64,10 @@ fn every_rule_fires_exactly_where_marked() {
         rendered.join("\n")
     );
     // Every rule — including the pragma-hygiene rules — is represented.
-    // L005 is retired and has no fixture.
+    // L005 and L006 are retired and have no fixture.
     for rule in [
-        "L000", "L001", "L002", "L003", "L004", "L006", "L007", "L008", "L009", "L010", "L011",
-        "L012", "L013", "L014", "L015", "L016",
+        "L000", "L001", "L002", "L003", "L004", "L007", "L008", "L009", "L010", "L011", "L012",
+        "L013", "L014", "L015", "L016",
     ] {
         assert!(
             expected.iter().any(|(_, _, r)| r == rule),
@@ -103,19 +105,42 @@ fn transitive_finding_reports_the_call_chain() {
     );
 }
 
-/// The machine formats must be well-formed JSON; SARIF additionally must
-/// carry the whole rule catalogue so viewers can render rule metadata.
+/// The machine formats must parse as JSON; SARIF additionally must carry
+/// the whole rule catalogue so viewers can render rule metadata, and one
+/// result per finding.
 #[test]
 fn sarif_and_json_outputs_are_well_formed() {
     let report = aurora_lint::analyze(&fixtures_root()).expect("fixture analysis succeeds");
-    let sarif = aurora_lint::output::render_sarif(&report);
-    aurora_lint::output::json_well_formed(&sarif).expect("SARIF is well-formed JSON");
-    assert!(sarif.contains("\"version\": \"2.1.0\""));
-    for (id, _, _) in aurora_lint::rules::RULES {
-        assert!(sarif.contains(&format!("\"id\": \"{id}\"")), "{id} missing");
-    }
-    let json = aurora_lint::output::render_json(&report);
-    aurora_lint::output::json_well_formed(&json).expect("JSON report is well-formed");
+    let sarif = aurora_lint::output::sarif_report(&report).to_string();
+    let sarif = Json::parse(&sarif).expect("SARIF is well-formed JSON");
+    assert_eq!(sarif.get("version").and_then(Json::as_str), Some("2.1.0"));
+    let run = &sarif.get("runs").and_then(Json::as_array).expect("runs")[0];
+    let rule_ids: Vec<&str> = run
+        .get("tool")
+        .and_then(|t| t.get("driver"))
+        .and_then(|d| d.get("rules"))
+        .and_then(Json::as_array)
+        .expect("runs[0].tool.driver.rules")
+        .iter()
+        .filter_map(|r| r.get("id").and_then(Json::as_str))
+        .collect();
+    let catalogue: Vec<&str> = aurora_lint::rules::RULES
+        .iter()
+        .map(|(id, _, _)| *id)
+        .collect();
+    assert_eq!(rule_ids, catalogue);
+    let results = run
+        .get("results")
+        .and_then(Json::as_array)
+        .expect("results");
+    assert_eq!(results.len(), report.findings.len());
+    let json = aurora_lint::output::json_report(&report).to_string();
+    let json = Json::parse(&json).expect("JSON report is well-formed");
+    let findings = json
+        .get("findings")
+        .and_then(Json::as_array)
+        .expect("findings");
+    assert_eq!(findings.len(), report.findings.len());
 }
 
 #[test]

@@ -16,6 +16,7 @@
 use std::process::ExitCode;
 
 use aurora_serve::client;
+use aurora_serve::json::{obj, Json};
 
 struct Args {
     unix: Option<String>,
@@ -29,18 +30,24 @@ struct Args {
     mode: String,
 }
 
+impl Default for Args {
+    fn default() -> Args {
+        Args {
+            unix: None,
+            http: None,
+            json: None,
+            workloads: "espresso,compress".to_owned(),
+            models: "baseline".to_owned(),
+            issue: "dual".to_owned(),
+            latency: 17,
+            scale: "small".to_owned(),
+            mode: "block".to_owned(),
+        }
+    }
+}
+
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        unix: None,
-        http: None,
-        json: None,
-        workloads: "espresso,compress".to_owned(),
-        models: "baseline".to_owned(),
-        issue: "dual".to_owned(),
-        latency: 17,
-        scale: "small".to_owned(),
-        mode: "block".to_owned(),
-    };
+    let mut args = Args::default();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
@@ -74,30 +81,33 @@ fn build_request(args: &Args) -> String {
     if let Some(json) = &args.json {
         return json.clone();
     }
-    let configs: Vec<String> = args
+    let string = |s: &str| Json::Str(s.to_owned());
+    let configs = args
         .models
         .split(',')
         .flat_map(|model| {
             args.issue.split(',').map(move |issue| {
-                format!(
-                    r#"{{"model": "{model}", "issue": "{issue}", "latency": {{"fixed": {}}}}}"#,
-                    args.latency
-                )
+                obj([
+                    ("model", string(model)),
+                    ("issue", string(issue)),
+                    (
+                        "latency",
+                        obj([("fixed", Json::Num(f64::from(args.latency)))]),
+                    ),
+                ])
             })
         })
         .collect();
-    let workloads: Vec<String> = args
-        .workloads
-        .split(',')
-        .map(|w| format!("\"{w}\""))
-        .collect();
-    format!(
-        r#"{{"configs": [{}], "workloads": [{}], "scale": "{}", "mode": "{}"}}"#,
-        configs.join(", "),
-        workloads.join(", "),
-        args.scale,
-        args.mode
-    )
+    obj([
+        ("configs", Json::Arr(configs)),
+        (
+            "workloads",
+            Json::Arr(args.workloads.split(',').map(string).collect()),
+        ),
+        ("scale", string(&args.scale)),
+        ("mode", string(&args.mode)),
+    ])
+    .to_string()
 }
 
 fn main() -> ExitCode {
@@ -143,4 +153,28 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn names_are_escaped_into_the_request() {
+        let odd = r#"a"quoted\name"#;
+        let args = Args {
+            workloads: format!("{odd},espresso"),
+            issue: "single,dual".to_owned(),
+            ..Args::default()
+        };
+        let req = Json::parse(&build_request(&args)).expect("request parses");
+        let workloads = req.get("workloads").and_then(Json::as_array).unwrap();
+        assert_eq!(workloads[0].as_str(), Some(odd));
+        assert_eq!(workloads[1].as_str(), Some("espresso"));
+        let configs = req.get("configs").and_then(Json::as_array).unwrap();
+        assert_eq!(configs.len(), 2);
+        assert_eq!(configs[1].get("issue").and_then(Json::as_str), Some("dual"));
+        let fixed = configs[0].get("latency").and_then(|l| l.get("fixed"));
+        assert_eq!(fixed.and_then(Json::as_u64), Some(17));
+    }
 }

@@ -18,7 +18,8 @@
 //! * [`proto`] — the wire protocol (requests, response lines, JSON),
 //! * [`engine`] — warm/cold decomposition and the pool bridge,
 //! * [`server`] / [`client`] — unix-socket and HTTP transports,
-//! * [`json`] — the dependency-free JSON reader/writer underneath.
+//! * [`json`] — the workspace's JSON reader/writer (the `aurora-json`
+//!   crate, re-exported).
 //!
 //! `docs/SERVICE.md` documents the protocol and operational behaviour;
 //! the `aurora-query` binary is the reference client.
@@ -52,10 +53,10 @@
 
 pub mod client;
 pub mod engine;
-pub mod json;
 pub mod proto;
 pub mod server;
 pub mod store;
 
+pub use aurora_json as json;
 pub use engine::Engine;
 pub use store::{CellKey, CellValue, Mode, ResultStore, SampledCell};

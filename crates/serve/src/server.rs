@@ -24,6 +24,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::engine::Engine;
+use crate::json::{obj, Json};
 use crate::proto::{QueryRequest, ResponseLine, MAX_BODY_BYTES};
 
 /// A running server: the accept loop lives on a background thread until
@@ -63,13 +64,21 @@ impl ServerHandle {
     }
 }
 
-/// Binds a unix-socket server at `path` (removing any stale socket
-/// file) and starts accepting on a background thread.
+/// Binds a unix-socket server at `path` and starts accepting on a
+/// background thread. A socket file nothing answers on (left by a daemon
+/// that died) is removed first; a live server's socket is left alone.
 ///
 /// # Errors
 ///
-/// Returns the bind error if the socket cannot be created.
+/// Returns [`io::ErrorKind::AddrInUse`] if a server already answers at
+/// `path`, or the bind error if the socket cannot be created.
 pub fn spawn_unix(engine: Arc<Engine>, path: &Path) -> io::Result<ServerHandle> {
+    if UnixStream::connect(path).is_ok() {
+        return Err(io::Error::new(
+            io::ErrorKind::AddrInUse,
+            "another server is answering on this socket",
+        ));
+    }
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -206,7 +215,12 @@ fn handle_http(engine: &Engine, stream: TcpStream) {
 
     match (method.as_str(), target.as_str()) {
         ("GET", "/health") => {
-            let body = format!("{{\"status\":\"ok\",\"cells\":{}}}\n", engine.store().len());
+            let mut body = obj([
+                ("status", Json::Str("ok".to_owned())),
+                ("cells", Json::Num(engine.store().len() as f64)),
+            ])
+            .to_string();
+            body.push('\n');
             let _ = write!(
                 writer,
                 "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",

@@ -221,6 +221,42 @@ fn warm_cells_survive_daemon_restart() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A second server started on a live server's socket path fails with
+/// `AddrInUse` and leaves the first reachable; a socket file that nothing
+/// answers on (a dead daemon's) is replaced.
+#[test]
+fn second_server_cannot_take_over_a_live_socket() {
+    let dir = scratch("takeover");
+    let socket = dir.join("aurora.sock");
+    fs::create_dir_all(&dir).expect("scratch dir");
+    let first = Arc::new(Engine::new(
+        ResultStore::open(&dir.join("a")).expect("open a"),
+    ));
+    let second = Arc::new(Engine::new(
+        ResultStore::open(&dir.join("b")).expect("open b"),
+    ));
+    let handle = server::spawn_unix(Arc::clone(&first), &socket).expect("bind");
+    let err = server::spawn_unix(Arc::clone(&second), &socket)
+        .err()
+        .expect("a second bind on a live socket must fail");
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
+
+    // The first server still answers, into its own store.
+    let req = r#"{"configs": [{"model": "small", "issue": "single"}],
+                  "workloads": ["li"], "scale": "test", "mode": "block"}"#;
+    client::query_unix(&socket, req, |_| {}).expect("the first server still answers");
+    assert_eq!(first.store().len(), 1);
+    assert_eq!(second.store().len(), 0);
+    handle.shutdown();
+
+    // A listener dropped without unlinking leaves a stale socket file.
+    drop(std::os::unix::net::UnixListener::bind(&socket).expect("raw bind"));
+    assert!(socket.exists());
+    let handle = server::spawn_unix(Arc::clone(&second), &socket).expect("stale socket replaced");
+    handle.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// The HTTP transport: /health reports the store, /query streams the
 /// same NDJSON the unix transport does, bad requests answer error lines.
 #[test]

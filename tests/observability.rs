@@ -8,16 +8,18 @@
 //!    observer's per-cause totals, folded through `StallCause::kind()`,
 //!    are *equal* (not approximately) to the counter-based
 //!    `SimStats::stalls` breakdown, and their grand totals match.
-//! 2. **Zero-cost off** — running with `observe = true` yields
-//!    bit-identical `SimStats` to `observe = false`; recording never
-//!    perturbs machine state.
-//! 3. **Well-formed trace JSON** — `Observer::chrome_trace_json` emits
-//!    structurally valid JSON (checked by a small serde-free scanner)
-//!    with the trace-event keys Perfetto requires.
+//! 2. **Zero-cost off** — a run with an observer attached yields
+//!    bit-identical `SimStats` to one without; recording never perturbs
+//!    machine state.
+//! 3. **Well-formed trace JSON** — `Observer::chrome_trace_json` parses
+//!    (with the workspace's `aurora-json`) into the trace-event structure
+//!    Perfetto requires.
 
+use aurora3::core::obs::DEFAULT_RING_CAPACITY;
 use aurora3::core::{replay, IssueWidth, MachineModel, Simulator, StallKind};
 use aurora3::mem::LatencyModel;
 use aurora3::workloads::{FpBenchmark, IntBenchmark, Scale, TraceStore, Workload};
+use aurora_json::Json;
 
 fn full_suite() -> Vec<Workload> {
     let mut suite: Vec<Workload> = IntBenchmark::ALL
@@ -43,9 +45,9 @@ fn every_stall_cycle_attributes_to_exactly_one_cause() {
     for w in full_suite() {
         let trace = TraceStore::global().get(&w).expect("capture");
         for (model, width) in grid() {
-            let mut cfg = model.config(width, LatencyModel::Fixed(17));
-            cfg.observe = true;
+            let cfg = model.config(width, LatencyModel::Fixed(17));
             let mut sim = Simulator::new(&cfg);
+            sim.enable_observer(DEFAULT_RING_CAPACITY);
             sim.feed_packed(&trace);
             let (stats, obs) = sim.finish_observed();
             let obs = obs.expect("observer attached");
@@ -77,100 +79,79 @@ fn observer_is_invisible_to_simulation_results() {
     for w in full_suite() {
         let trace = TraceStore::global().get(&w).expect("capture");
         for (model, width) in grid() {
-            let off = model.config(width, LatencyModel::Fixed(17));
-            let mut on = off.clone();
-            on.observe = true;
+            let cfg = model.config(width, LatencyModel::Fixed(17));
+            let mut observed = Simulator::new(&cfg);
+            observed.enable_observer(DEFAULT_RING_CAPACITY);
+            observed.feed_packed(&trace);
             assert_eq!(
-                replay(&on, &trace),
-                replay(&off, &trace),
-                "{}/{model}/{width}: observe=true changed SimStats",
+                observed.finish(),
+                replay(&cfg, &trace),
+                "{}/{model}/{width}: the observer changed SimStats",
                 w.name()
             );
         }
     }
 }
 
-/// Scans `s` as JSON without parsing into a value tree: tracks string /
-/// escape state and brace/bracket nesting, rejecting early closers and
-/// unterminated strings. Sufficient to catch malformed hand-rolled
-/// output (trailing garbage, unbalanced nesting, raw control bytes).
-fn assert_well_formed_json(s: &str) {
-    let mut depth: Vec<char> = Vec::new();
-    let mut in_str = false;
-    let mut escaped = false;
-    let mut seen_root = false;
-    for (i, c) in s.char_indices() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            } else {
-                assert!(c >= ' ', "raw control byte {c:?} inside string at {i}");
-            }
-            continue;
-        }
-        assert!(
-            !(seen_root && depth.is_empty() && !c.is_whitespace()),
-            "trailing token `{c}` after root value at byte {i}"
-        );
-        match c {
-            '"' => in_str = true,
-            '{' => depth.push('}'),
-            '[' => depth.push(']'),
-            '}' | ']' => {
-                assert_eq!(depth.pop(), Some(c), "unbalanced `{c}` at byte {i}");
-                if depth.is_empty() {
-                    seen_root = true;
-                }
-            }
-            _ => {}
-        }
-    }
-    assert!(!in_str, "unterminated string");
-    assert!(depth.is_empty(), "unclosed nesting: {depth:?}");
-    assert!(seen_root, "no JSON value found");
-}
-
 #[test]
 fn chrome_trace_json_is_well_formed_and_complete() {
     let w = IntBenchmark::Espresso.workload(Scale::Test);
     let trace = TraceStore::global().get(&w).expect("capture");
-    let mut cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
-    cfg.observe = true;
+    let cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
     let mut sim = Simulator::new(&cfg);
+    sim.enable_observer(DEFAULT_RING_CAPACITY);
     sim.feed_packed(&trace);
     let (stats, obs) = sim.finish_observed();
     let obs = obs.expect("observer attached");
     assert!(!obs.is_empty(), "espresso must produce events");
 
-    let json = obs.chrome_trace_json();
-    assert_well_formed_json(&json);
-
-    for key in [
-        "\"traceEvents\"",
-        "\"displayTimeUnit\"",
-        "\"ph\":\"M\"",
-        "\"thread_name\"",
-        "\"ph\":\"X\"",
-        "\"ph\":\"i\"",
-        "\"ph\":\"C\"",
-        "\"dur\":",
-        "\"ts\":",
-    ] {
-        assert!(json.contains(key), "trace JSON lacks {key}");
+    let json = Json::parse(&obs.chrome_trace_json()).expect("trace JSON parses");
+    assert_eq!(
+        json.get("displayTimeUnit").and_then(Json::as_str),
+        Some("ms")
+    );
+    let events = json
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents array");
+    assert_eq!(events.len(), 6 + obs.len(), "six track names plus the ring");
+    for ph in ["M", "X", "i", "C"] {
+        assert!(
+            events.iter().any(|e| str_member(e, "ph") == Some(ph)),
+            "trace JSON has no `{ph}` event"
+        );
+    }
+    for e in events {
+        let ph = str_member(e, "ph").expect("every event has a phase");
+        assert!(str_member(e, "name").is_some(), "unnamed event {e}");
+        assert!(e.get("tid").and_then(Json::as_u64).is_some(), "no tid: {e}");
+        if ph == "M" {
+            assert_eq!(str_member(e, "name"), Some("thread_name"));
+        } else {
+            assert!(e.get("ts").and_then(Json::as_u64).is_some(), "no ts: {e}");
+        }
+        if ph == "X" {
+            assert!(e.get("dur").and_then(Json::as_u64).is_some(), "no dur: {e}");
+        }
     }
     // Every stall cause that actually charged cycles must surface as a
     // named slice somewhere in the trace.
+    let names: Vec<&str> = events
+        .iter()
+        .filter_map(|e| str_member(e, "name"))
+        .collect();
     for kind in StallKind::ALL {
         if stats.stalls[kind] > 0 && obs.dropped() == 0 {
             let causes_present = obs
                 .stall_breakdown()
                 .filter(|&(c, n)| n > 0 && c.kind() == kind)
-                .all(|(c, _)| json.contains(c.label()));
+                .all(|(c, _)| names.contains(&format!("stall:{}", c.label()).as_str()));
             assert!(causes_present, "no slice for any cause of {kind}");
         }
     }
+}
+
+/// The string member `key` of a JSON object.
+fn str_member<'a>(e: &'a Json, key: &str) -> Option<&'a str> {
+    e.get(key).and_then(Json::as_str)
 }
