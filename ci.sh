@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI gate: format, lint, build, test, docs, clippy, the
-# byte-identical EXPERIMENTS.md check, and smoke runs of the
-# observability report and the daemon.
+# byte-identical EXPERIMENTS.md check (and each fig/tab binary against
+# its section), and smoke runs of the observability report and the
+# daemon.
 # Run from the repo root; exits non-zero on any failure.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -54,6 +55,26 @@ echo "== EXPERIMENTS.md is byte-identical to a fresh paper_report =="
 ./target/release/paper_report --scale small > target/ci/EXPERIMENTS.md
 cmp EXPERIMENTS.md target/ci/EXPERIMENTS.md
 
+echo "== each fig/tab binary prints exactly its EXPERIMENTS.md section =="
+# Each of these experiments is defined once, in aurora_bench::report: a
+# binary's stdout must equal its section of the fresh report, from its
+# `## ` heading up to the next one.
+while IFS='|' read -r bin heading; do
+    ./target/release/"$bin" --scale small > "target/ci/$bin.md"
+    [ -s "target/ci/$bin.md" ]
+    awk -v h="$heading" '/^## /{on = (index($0, h) == 1)} on' target/ci/EXPERIMENTS.md |
+        diff - "target/ci/$bin.md"
+done <<'SECTIONS'
+fig4_issue_perf|## Figure 4 —
+tab3_tab4_prefetch_rates|## Tables 3 & 4 —
+fig5_prefetch_removal|## Figure 5 —
+fig6_stall_breakdown|## Figure 6 —
+fig7_mshr_sweep|## Figure 7 —
+tab5_write_cache|## Table 5 —
+tab6_fpu_policies|## Table 6 —
+fig9_fpu_sweeps|## Figure 9 —
+SECTIONS
+
 echo "== observability report (event-derived Fig. 6 matches the counters) =="
 # obs_report asserts, for every kernel and model, that the stall
 # breakdown rebuilt from attribution events is within 1% of the
@@ -90,9 +111,11 @@ kill "$SERVE_PID"
 wait "$SERVE_PID" || true
 rm -f target/ci/aurora.sock
 start_daemon target/ci/serve_daemon2.txt
+query_grid target/ci/serve_pass2.ndjson
+# The daemon binds its socket before it opens the store, so its store
+# line is only certain to be written once it has answered a query.
 grep -q 'store: 4 cells' target/ci/serve_daemon2.txt
 grep -q '0 shard(s) rebuilt' target/ci/serve_daemon2.txt
-query_grid target/ci/serve_pass2.ndjson
 grep -q '"memo_hits":4' target/ci/serve_pass2.ndjson
 grep -q '"simulated":0' target/ci/serve_pass2.ndjson
 kill "$SERVE_PID"

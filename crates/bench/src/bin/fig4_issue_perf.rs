@@ -1,55 +1,10 @@
 //! Figure 4: dual- and single-issue cost/performance for the three models
-//! at 17- and 35-cycle secondary latencies — 12 configurations, each
-//! reporting the min/avg/max CPI over the integer suite against its RBE
-//! cost.
+//! at 17- and 35-cycle secondary latencies, and the paper's four claims.
+//! Prints the Figure 4 section of `EXPERIMENTS.md` at `--scale`
+//! ([`aurora_bench::report::fig4`]).
 
-use aurora_bench::harness::{cpi, cpi_range, integer_suite, run_suite, scale_from_args, TextTable};
-use aurora_core::{IssueWidth, MachineModel};
-use aurora_cost::ipu_cost;
-use aurora_mem::LatencyModel;
+use aurora_bench::{harness::scale_from_args, report};
 
 fn main() {
-    let scale = scale_from_args();
-    let suite = integer_suite(scale);
-    for latency in [17u32, 35] {
-        let mut t = TextTable::new(["config", "cost RBE", "min CPI", "avg CPI", "max CPI"]);
-        let mut averages = Vec::new();
-        for issue in [IssueWidth::Single, IssueWidth::Dual] {
-            for model in MachineModel::ALL {
-                let cfg = model.config(issue, LatencyModel::Fixed(latency));
-                let results = run_suite(&cfg, &suite);
-                let range = cpi_range(&results);
-                t.row([
-                    format!("{model}/{issue}"),
-                    ipu_cost(&cfg).0.to_string(),
-                    cpi(range.min),
-                    cpi(range.avg),
-                    cpi(range.max),
-                ]);
-                averages.push((format!("{model}/{issue}"), range.avg));
-            }
-        }
-        println!("Figure 4: {latency}-cycle secondary latency (scale {scale})");
-        println!("{}", t.render());
-
-        // The paper's headline comparisons for this latency.
-        let avg = |name: &str| averages.iter().find(|(n, _)| n == name).unwrap().1;
-        let base_single = avg("baseline/single");
-        let base_dual = avg("baseline/dual");
-        let large_dual = avg("large/dual");
-        let small_dual = avg("small/dual");
-        println!(
-            "  dual-issue gain on baseline: {:.1}%  (paper: ~9.9% at L35)",
-            100.0 * (base_single - base_dual) / base_single
-        );
-        println!(
-            "  large/dual vs baseline/dual: {:.1}% better (paper: best by 12.7% at L17)",
-            100.0 * (base_dual - large_dual) / base_dual
-        );
-        println!(
-            "  baseline/single vs small/dual: {:.1}% better at similar cost (paper: single base beats dual small)",
-            100.0 * (small_dual - base_single) / small_dual
-        );
-        println!();
-    }
+    print!("{}", report::fig4(scale_from_args()));
 }

@@ -1,55 +1,10 @@
 //! Figure 5: the effect of removing the prefetch stream buffers from the
-//! three dual-issue models, at both secondary latencies.
+//! three dual-issue models, at both secondary latencies. Prints the
+//! Figure 5 section of `EXPERIMENTS.md` at `--scale`
+//! ([`aurora_bench::report::fig5`]).
 
-use aurora_bench::harness::{cpi, cpi_range, integer_suite, run_suite, scale_from_args, TextTable};
-use aurora_core::{IssueWidth, MachineModel};
-use aurora_cost::ipu_cost;
-use aurora_mem::LatencyModel;
+use aurora_bench::{harness::scale_from_args, report};
 
 fn main() {
-    let scale = scale_from_args();
-    let suite = integer_suite(scale);
-    for latency in [17u32, 35] {
-        let mut t = TextTable::new(["config", "cost RBE", "min CPI", "avg CPI", "max CPI"]);
-        let mut gains = Vec::new();
-        for model in MachineModel::ALL {
-            let mut with = model.config(IssueWidth::Dual, LatencyModel::Fixed(latency));
-            with.prefetch_enabled = true;
-            let mut without = with.clone();
-            without.prefetch_enabled = false;
-
-            let r_with = cpi_range(&run_suite(&with, &suite));
-            let r_without = cpi_range(&run_suite(&without, &suite));
-            t.row([
-                format!("{model}/prefetch"),
-                ipu_cost(&with).0.to_string(),
-                cpi(r_with.min),
-                cpi(r_with.avg),
-                cpi(r_with.max),
-            ]);
-            t.row([
-                format!("{model}/none"),
-                ipu_cost(&without).0.to_string(),
-                cpi(r_without.min),
-                cpi(r_without.avg),
-                cpi(r_without.max),
-            ]);
-            gains.push((
-                model,
-                100.0 * (r_without.avg - r_with.avg) / r_without.avg,
-                100.0 * (r_without.max - r_with.max) / r_without.max,
-            ));
-        }
-        println!("Figure 5: prefetch removal at {latency}-cycle latency (scale {scale})");
-        println!("{}", t.render());
-        for (model, avg_gain, worst_gain) in gains {
-            println!(
-                "  {model}: prefetch improves avg CPI {avg_gain:.1}%, worst case {worst_gain:.1}%"
-            );
-        }
-        println!(
-            "  (paper: base 11% @L17 / 19% @L35, large 11% / 17%, small ~none; worst case 25% / 35%)"
-        );
-        println!();
-    }
+    print!("{}", report::fig5(scale_from_args()));
 }

@@ -1,57 +1,10 @@
 //! Figure 6: the CPI penalty contributed by each IPU stall condition
 //! (ICache, Load, ROB-full, LSU-busy) for the three dual-issue models.
+//! Prints the Figure 6 section of `EXPERIMENTS.md` at `--scale`
+//! ([`aurora_bench::report::fig6`]).
 
-use aurora_bench::harness::{cpi, integer_suite, run_suite, scale_from_args, TextTable};
-use aurora_core::{IssueWidth, MachineModel, StallKind};
-use aurora_mem::LatencyModel;
+use aurora_bench::{harness::scale_from_args, report};
 
 fn main() {
-    let scale = scale_from_args();
-    let suite = integer_suite(scale);
-    let kinds = [
-        StallKind::ICache,
-        StallKind::Load,
-        StallKind::RobFull,
-        StallKind::LsuBusy,
-    ];
-
-    let mut header = vec!["model".to_string(), "base CPI".to_string()];
-    header.extend(kinds.iter().map(|k| k.label().to_string()));
-    header.push("other".to_string());
-    header.push("total CPI".to_string());
-    let mut t = TextTable::new(header);
-
-    for model in MachineModel::ALL {
-        let cfg = model.config(IssueWidth::Dual, LatencyModel::Fixed(17));
-        let results = run_suite(&cfg, &suite);
-        let n = results.len() as f64;
-        let total: f64 = results.iter().map(|(_, s)| s.cpi()).sum::<f64>() / n;
-        let mut row = vec![model.to_string()];
-        let mut stall_sum = 0.0;
-        let mut per_kind = Vec::new();
-        for kind in kinds {
-            let v: f64 = results.iter().map(|(_, s)| s.stall_cpi(kind)).sum::<f64>() / n;
-            stall_sum += v;
-            per_kind.push(v);
-        }
-        let other: f64 = results
-            .iter()
-            .map(|(_, s)| {
-                s.stall_cpi(StallKind::FpQueue)
-                    + s.stall_cpi(StallKind::FpResult)
-                    + s.stall_cpi(StallKind::Interlock)
-            })
-            .sum::<f64>()
-            / n;
-        row.push(cpi(total - stall_sum - other));
-        row.extend(per_kind.iter().map(|&v| cpi(v)));
-        row.push(cpi(other));
-        row.push(cpi(total));
-        t.row(row);
-    }
-    println!("Figure 6: stall-penalty breakdown, dual issue @ L17 (scale {scale})");
-    println!("{}", t.render());
-    println!("paper: small model dominated by LSU/memory waits; base and large");
-    println!("dominated by instruction misses and the 3-cycle pipelined data");
-    println!("cache (Load); ROB size hardly matters for base and large.");
+    print!("{}", report::fig6(scale_from_args()));
 }

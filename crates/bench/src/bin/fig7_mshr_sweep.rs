@@ -1,57 +1,10 @@
 //! Figure 7: the effect of the MSHR count (the degree of non-blocking in
-//! the data cache) on each model, plus a full 1–4 sweep.
+//! the data cache) on each model — a 1–4 sweep and the paper's standard
+//! versus MSHR-variation configurations. Prints the Figure 7 section of
+//! `EXPERIMENTS.md` at `--scale` ([`aurora_bench::report::fig7`]).
 
-use aurora_bench::harness::{cpi, cpi_range, integer_suite, run_suite, scale_from_args, TextTable};
-use aurora_core::{IssueWidth, MachineModel};
-use aurora_cost::ipu_cost;
-use aurora_mem::LatencyModel;
+use aurora_bench::{harness::scale_from_args, report};
 
 fn main() {
-    let scale = scale_from_args();
-    let suite = integer_suite(scale);
-
-    // The paper's two curves: the standard configurations, and the "mshr
-    // variations" (small 1->2, baseline 2->4, large 4->2).
-    println!("Figure 7: standard vs MSHR-variation configurations (scale {scale})");
-    let mut t = TextTable::new([
-        "config", "MSHRs", "cost RBE", "min CPI", "avg CPI", "max CPI",
-    ]);
-    for model in MachineModel::ALL {
-        let standard = model.config(IssueWidth::Dual, LatencyModel::Fixed(17));
-        let mut varied = standard.clone();
-        varied.mshr_entries = match model {
-            MachineModel::Small => 2,
-            MachineModel::Baseline => 4,
-            MachineModel::Large => 2,
-        };
-        for (tag, cfg) in [("standard", &standard), ("variation", &varied)] {
-            let r = cpi_range(&run_suite(cfg, &suite));
-            t.row([
-                format!("{model}/{tag}"),
-                cfg.mshr_entries.to_string(),
-                ipu_cost(cfg).0.to_string(),
-                cpi(r.min),
-                cpi(r.avg),
-                cpi(r.max),
-            ]);
-        }
-    }
-    println!("{}", t.render());
-
-    // Full sweep: every model, 1..=4 MSHRs.
-    println!("Full MSHR sweep (avg CPI):");
-    let mut sweep = TextTable::new(["model", "1", "2", "3", "4"]);
-    for model in MachineModel::ALL {
-        let mut row = vec![model.to_string()];
-        for mshrs in 1..=4usize {
-            let mut cfg = model.config(IssueWidth::Dual, LatencyModel::Fixed(17));
-            cfg.mshr_entries = mshrs;
-            let r = cpi_range(&run_suite(&cfg, &suite));
-            row.push(cpi(r.avg));
-        }
-        sweep.row(row);
-    }
-    println!("{}", sweep.render());
-    println!("paper: the small model gains dramatically from a second MSHR;");
-    println!("the base model gains a little from more; every model is best at 4.");
+    print!("{}", report::fig7(scale_from_args()));
 }

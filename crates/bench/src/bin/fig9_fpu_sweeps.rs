@@ -1,112 +1,11 @@
 //! Figure 9: the FPU design-space sweeps — queue sizes (a–c) and
-//! functional-unit latencies (d–g) — measured as average CPI over the FP
-//! suite with the single-issue out-of-order policy, as in §5.9.
-//!
-//! `--ablation` additionally reruns the §5.10 pipelining study:
-//! non-pipelined add/multiply units cost less than 5 % performance.
+//! functional-unit latencies (d–g) — as average CPI over the FP suite
+//! with the single-issue out-of-order policy, plus the §5.10 pipelining
+//! ablation. Prints the Figure 9 section of `EXPERIMENTS.md` at `--scale`
+//! ([`aurora_bench::report::fig9`]).
 
-use aurora_bench::harness::{cpi, fp_suite, has_flag, run_matrix, scale_from_args, TextTable};
-use aurora_core::{FpIssuePolicy, IssueWidth, MachineConfig, MachineModel, SimStats};
-use aurora_mem::LatencyModel;
-use aurora_workloads::Workload;
-
-fn base_cfg() -> MachineConfig {
-    let mut cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
-    cfg.fpu.issue_policy = FpIssuePolicy::OutOfOrderSingle;
-    cfg
-}
-
-fn row_avg_cpi(row: &[SimStats]) -> f64 {
-    row.iter().map(SimStats::cpi).sum::<f64>() / row.len() as f64
-}
-
-/// Average suite CPI for each swept configuration, replayed in parallel
-/// from one set of captured traces.
-fn avg_cpis(configs: &[MachineConfig], suite: &[Workload]) -> Vec<f64> {
-    run_matrix(configs, suite)
-        .iter()
-        .map(|row| row_avg_cpi(row))
-        .collect()
-}
-
-fn sweep(title: &str, values: &[u32], suite: &[Workload], apply: impl Fn(&mut MachineConfig, u32)) {
-    let configs: Vec<MachineConfig> = values
-        .iter()
-        .map(|&v| {
-            let mut cfg = base_cfg();
-            apply(&mut cfg, v);
-            cfg
-        })
-        .collect();
-    let cpis = avg_cpis(&configs, suite);
-    let mut t = TextTable::new([title.to_string(), "avg CPI".to_string()]);
-    for (&v, &c) in values.iter().zip(&cpis) {
-        t.row([v.to_string(), cpi(c)]);
-    }
-    println!("{}", t.render());
-    let (first, last) = (cpis[0], *cpis.last().unwrap());
-    println!(
-        "  swing across range: {:.1}%\n",
-        100.0 * (first.max(last) - first.min(last)) / first.max(last)
-    );
-}
+use aurora_bench::{harness::scale_from_args, report};
 
 fn main() {
-    let scale = scale_from_args();
-    let suite = fp_suite(scale);
-
-    println!("Figure 9a: instruction-queue size (scale {scale})");
-    sweep("IQ entries", &[1, 2, 3, 4, 5], &suite, |cfg, v| {
-        cfg.fpu.instr_queue = v as usize;
-    });
-
-    println!("Figure 9b: load-data-queue size");
-    sweep("LDQ entries", &[1, 2, 3, 4, 5], &suite, |cfg, v| {
-        cfg.fpu.load_queue = v as usize;
-    });
-
-    println!("Figure 9c: FPU reorder-buffer size");
-    sweep("ROB entries", &[3, 5, 7, 9, 11], &suite, |cfg, v| {
-        cfg.fpu.rob_entries = v as usize;
-    });
-
-    println!("Figure 9d: add-unit latency");
-    sweep("add cycles", &[1, 2, 3, 4, 5], &suite, |cfg, v| {
-        cfg.fpu.add_latency = v;
-    });
-
-    println!("Figure 9e: multiply-unit latency");
-    sweep("mul cycles", &[1, 2, 3, 4, 5], &suite, |cfg, v| {
-        cfg.fpu.mul_latency = v;
-    });
-
-    println!("Figure 9f: divide-unit latency");
-    sweep("div cycles", &[10, 15, 19, 25, 30], &suite, |cfg, v| {
-        cfg.fpu.div_latency = v;
-    });
-
-    println!("Figure 9g: convert-unit latency");
-    sweep("cvt cycles", &[1, 2, 3, 4, 5], &suite, |cfg, v| {
-        cfg.fpu.cvt_latency = v;
-    });
-
-    println!("paper: add/mul show ~17% CPI swing over 1-5 cycles, divide ~8%");
-    println!("over 10-30; conversion latency hardly matters.");
-
-    if has_flag("--ablation") {
-        println!("\nSection 5.10 ablation: removing pipeline latches");
-        let mut t = TextTable::new(["configuration", "avg CPI"]);
-        let mut both = base_cfg();
-        both.fpu.add_pipelined = false;
-        both.fpu.mul_pipelined = false;
-        let cpis = avg_cpis(&[base_cfg(), both], &suite);
-        let (c0, c1) = (cpis[0], cpis[1]);
-        t.row(["pipelined add + mul".to_string(), cpi(c0)]);
-        t.row(["non-pipelined add + mul".to_string(), cpi(c1)]);
-        println!("{}", t.render());
-        println!(
-            "  degradation: {:.1}% (paper: less than 5%)",
-            100.0 * (c1 - c0) / c0
-        );
-    }
+    print!("{}", report::fig9(scale_from_args()));
 }

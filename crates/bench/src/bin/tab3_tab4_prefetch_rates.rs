@@ -1,35 +1,10 @@
 //! Tables 3 and 4: instruction- and data-stream prefetch hit rates (the
 //! fraction of primary-cache misses that hit a stream buffer) per model
-//! and integer benchmark.
+//! and integer benchmark. Prints the Tables 3 & 4 section of
+//! `EXPERIMENTS.md` at `--scale` ([`aurora_bench::report::tab3_tab4`]).
 
-use aurora_bench::harness::{integer_suite, pct, run_suite, scale_from_args, TextTable};
-use aurora_core::{IssueWidth, MachineModel};
-use aurora_mem::LatencyModel;
+use aurora_bench::{harness::scale_from_args, report};
 
 fn main() {
-    let scale = scale_from_args();
-    let suite = integer_suite(scale);
-    let names: Vec<String> = suite.iter().map(|w| w.name().to_string()).collect();
-
-    let mut header = vec!["model".to_string()];
-    header.extend(names.iter().cloned());
-    let mut t3 = TextTable::new(header.clone());
-    let mut t4 = TextTable::new(header);
-
-    for model in MachineModel::ALL {
-        let cfg = model.config(IssueWidth::Dual, LatencyModel::Fixed(17));
-        let results = run_suite(&cfg, &suite);
-        let mut irow = vec![model.to_string()];
-        let mut drow = vec![model.to_string()];
-        for (_, stats) in &results {
-            irow.push(pct(stats.istream.hit_rate()));
-            drow.push(pct(stats.dstream.hit_rate()));
-        }
-        t3.row(irow);
-        t4.row(drow);
-    }
-    println!("Table 3: integer I-stream prefetch hit rate % (scale {scale})");
-    println!("{}", t3.render());
-    println!("Table 4: integer D-stream prefetch hit rate %");
-    println!("{}", t4.render());
+    print!("{}", report::tab3_tab4(scale_from_args()));
 }

@@ -1,44 +1,10 @@
 //! Table 5 and the §5.5 write-traffic numbers: write-cache hit rates per
 //! model and benchmark, and store transactions as a fraction of store
-//! instructions.
+//! instructions. Prints the Table 5 section of `EXPERIMENTS.md` at
+//! `--scale` ([`aurora_bench::report::tab5`]).
 
-use aurora_bench::harness::{integer_suite, pct, run_suite, scale_from_args, TextTable};
-use aurora_core::{IssueWidth, MachineModel};
-use aurora_mem::LatencyModel;
+use aurora_bench::{harness::scale_from_args, report};
 
 fn main() {
-    let scale = scale_from_args();
-    let suite = integer_suite(scale);
-    let names: Vec<String> = suite.iter().map(|w| w.name().to_string()).collect();
-
-    let mut header = vec!["model".to_string()];
-    header.extend(names.iter().cloned());
-    header.push("avg".to_string());
-    let mut t5 = TextTable::new(header.clone());
-    let mut traffic = TextTable::new(header);
-
-    for model in MachineModel::ALL {
-        let cfg = model.config(IssueWidth::Dual, LatencyModel::Fixed(17));
-        let results = run_suite(&cfg, &suite);
-        let mut hit_row = vec![model.to_string()];
-        let mut tr_row = vec![model.to_string()];
-        let mut hit_sum = 0.0;
-        let mut tr_sum = 0.0;
-        for (_, stats) in &results {
-            hit_row.push(pct(stats.write_cache.hit_rate()));
-            tr_row.push(pct(stats.write_cache.traffic_ratio()));
-            hit_sum += stats.write_cache.hit_rate();
-            tr_sum += stats.write_cache.traffic_ratio();
-        }
-        hit_row.push(pct(hit_sum / results.len() as f64));
-        tr_row.push(pct(tr_sum / results.len() as f64));
-        t5.row(hit_row);
-        traffic.row(tr_row);
-    }
-    println!("Table 5: integer write-cache hit rate % (loads + stores, scale {scale})");
-    println!("{}", t5.render());
-    println!("Section 5.5: store transactions as % of store instructions");
-    println!("{}", traffic.render());
-    println!("paper: hit rates rise small -> large; store traffic falls to");
-    println!("44% (small), 30% (base), 22% (large) of store instructions.");
+    print!("{}", report::tab5(scale_from_args()));
 }

@@ -1,53 +1,11 @@
 //! Table 6: CPI for the three FPU issue policies (in-order issue with
 //! in-order completion, out-of-order completion with single issue, and
-//! out-of-order completion with dual issue) across the FP suite.
+//! out-of-order completion with dual issue) across the FP suite. Prints
+//! the Table 6 section of `EXPERIMENTS.md` at `--scale`
+//! ([`aurora_bench::report::tab6`]).
 
-use aurora_bench::harness::{cpi, fp_suite, run_matrix, scale_from_args, TextTable};
-use aurora_core::{FpIssuePolicy, IssueWidth, MachineConfig, MachineModel};
-use aurora_mem::LatencyModel;
+use aurora_bench::{harness::scale_from_args, report};
 
 fn main() {
-    let scale = scale_from_args();
-    let suite = fp_suite(scale);
-    let policies = [
-        FpIssuePolicy::InOrderComplete,
-        FpIssuePolicy::OutOfOrderSingle,
-        FpIssuePolicy::OutOfOrderDual,
-    ];
-    let configs: Vec<MachineConfig> = policies
-        .iter()
-        .map(|&policy| {
-            let mut cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
-            cfg.fpu.issue_policy = policy;
-            cfg
-        })
-        .collect();
-
-    // One row per policy; each FP trace is captured once and shared.
-    let grid = run_matrix(&configs, &suite);
-    let mut t = TextTable::new(["benchmark", "in-order", "single issue", "dual issue"]);
-    let mut sums = [0.0f64; 3];
-    for (wi, w) in suite.iter().enumerate() {
-        let mut row = vec![w.name().to_string()];
-        for (i, policy_row) in grid.iter().enumerate() {
-            let c = policy_row[wi].cpi();
-            sums[i] += c;
-            row.push(cpi(c));
-        }
-        t.row(row);
-    }
-    let n = suite.len() as f64;
-    t.row([
-        "Average".to_string(),
-        cpi(sums[0] / n),
-        cpi(sums[1] / n),
-        cpi(sums[2] / n),
-    ]);
-    println!("Table 6: CPI for three FPU issue policies (scale {scale})");
-    println!("{}", t.render());
-    println!(
-        "improvement over in-order: single {:.0}%, dual {:.0}% (paper: 12% and 21%)",
-        100.0 * (sums[0] - sums[1]) / sums[0],
-        100.0 * (sums[0] - sums[2]) / sums[0],
-    );
+    print!("{}", report::tab6(scale_from_args()));
 }

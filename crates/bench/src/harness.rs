@@ -1,6 +1,6 @@
 //! Shared experiment-harness utilities: capture-once / replay-many sweep
-//! runners and plain-text table/series formatting used by every
-//! `src/bin/` experiment.
+//! runners and plain-text table/series formatting, used by the
+//! [`report`](crate::report) sections and the `src/bin/` tools.
 //!
 //! The heart of the module is [`run_matrix`]: every experiment binary is
 //! ultimately a (configurations × workloads) sweep, and the trace of a
@@ -308,11 +308,6 @@ pub fn scale_from_args() -> Scale {
         }
     }
     Scale::Small
-}
-
-/// Whether a flag like `--ablation` is present on the command line.
-pub fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
 }
 
 /// A minimal fixed-width text table.

@@ -426,7 +426,9 @@ impl MachineConfig {
         if self.dcache_latency == 0 {
             return Err("dcache_latency must be nonzero".to_owned());
         }
-        Ok(())
+        self.memory_latency
+            .validate()
+            .map_err(|e| format!("memory_latency: {e}"))
     }
 }
 
@@ -502,6 +504,10 @@ mod tests {
         let mut cfg = MachineModel::Small.config(IssueWidth::Single, LatencyModel::Fixed(17));
         cfg.fpu.result_busses = 0;
         assert!(cfg.validate().is_err());
+
+        let cfg = MachineModel::Small
+            .config(IssueWidth::Single, LatencyModel::Uniform { lo: 30, hi: 10 });
+        assert!(cfg.validate().unwrap_err().contains("memory_latency"));
     }
 
     #[test]

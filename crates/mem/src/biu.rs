@@ -78,6 +78,24 @@ impl LatencyModel {
         }
     }
 
+    /// Checks that the distribution can be sampled: a uniform range
+    /// needs `lo <= hi`, and a page-hit probability is at most 1000‰.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the invalid field.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            LatencyModel::Uniform { lo, hi } if lo > hi => {
+                Err(format!("uniform latency lo {lo} exceeds hi {hi}"))
+            }
+            LatencyModel::Bimodal { hit_permille, .. } if hit_permille > 1000 => {
+                Err(format!("bimodal hit_permille {hit_permille} exceeds 1000"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     fn sample(&self, rng: &mut SmallRng) -> u32 {
         match *self {
             LatencyModel::Fixed(l) => l,

@@ -10,6 +10,8 @@
 //! until killed; the store is crash-safe, so `SIGKILL` at any moment
 //! costs at most the cell being appended. See `docs/SERVICE.md`.
 
+use std::net::TcpListener;
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -45,10 +47,41 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let store = match ResultStore::open(std::path::Path::new(&store_dir)) {
+    // Bind every listener before touching the store: a daemon refused
+    // for a taken socket or port must not create or recover a store.
+    let unix = match unix_path {
+        Some(path) => match server::bind_unix(Path::new(&path)) {
+            Ok(listener) => Some((path, listener)),
+            Err(e) => {
+                eprintln!("aurora-serve: binding unix socket `{path}`: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+        None => None,
+    };
+    // A refused start leaves no socket file of its own behind.
+    let unbind = || {
+        if let Some((path, _)) = &unix {
+            let _ = std::fs::remove_file(path);
+        }
+    };
+    let http = match http_addr {
+        Some(addr) => match TcpListener::bind(&addr) {
+            Ok(listener) => Some(listener),
+            Err(e) => {
+                eprintln!("aurora-serve: binding http `{addr}`: {e}");
+                unbind();
+                return ExitCode::FAILURE;
+            }
+        },
+        None => None,
+    };
+
+    let store = match ResultStore::open(Path::new(&store_dir)) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("aurora-serve: opening store `{store_dir}`: {e}");
+            unbind();
             return ExitCode::FAILURE;
         }
     };
@@ -61,26 +94,22 @@ fn main() -> ExitCode {
     let engine = Arc::new(Engine::new(store));
 
     let mut handles = Vec::new();
-    if let Some(path) = unix_path {
-        match server::spawn_unix(Arc::clone(&engine), std::path::Path::new(&path)) {
-            Ok(h) => {
-                println!("listening on unix socket {path}");
-                handles.push(h);
-            }
-            Err(e) => {
-                eprintln!("aurora-serve: binding unix socket `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some((path, listener)) = unix {
+        handles.push(server::serve_unix(
+            Arc::clone(&engine),
+            listener,
+            Path::new(&path),
+        ));
+        println!("listening on unix socket {path}");
     }
-    if let Some(addr) = http_addr {
-        match server::spawn_http(Arc::clone(&engine), &addr) {
+    if let Some(listener) = http {
+        match server::serve_http(Arc::clone(&engine), listener) {
             Ok((h, local)) => {
                 println!("listening on http://{local}");
                 handles.push(h);
             }
             Err(e) => {
-                eprintln!("aurora-serve: binding http `{addr}`: {e}");
+                eprintln!("aurora-serve: serving http: {e}");
                 return ExitCode::FAILURE;
             }
         }

@@ -196,15 +196,29 @@ fn apply_override(cfg: &mut MachineConfig, knob: &str, value: f64) -> Result<(),
 }
 
 fn parse_latency(v: &Json) -> Result<LatencyModel, ProtoError> {
+    let model = latency_model(v)?;
+    model
+        .validate()
+        .map_err(|e| ProtoError(format!("latency: {e}")))?;
+    Ok(model)
+}
+
+/// Narrows a request integer into a field's type, rejecting (rather than
+/// truncating) a value the field cannot hold.
+fn narrow<T: TryFrom<u64>>(n: u64, field: &str) -> Result<T, ProtoError> {
+    T::try_from(n).map_err(|_| ProtoError(format!("{field} {n} is out of range")))
+}
+
+fn latency_model(v: &Json) -> Result<LatencyModel, ProtoError> {
     if let Some(n) = v.get("fixed").and_then(Json::as_u64) {
-        return Ok(LatencyModel::Fixed(n as u32));
+        return Ok(LatencyModel::Fixed(narrow(n, "latency.fixed")?));
     }
     if let Some(arr) = v.get("uniform").and_then(Json::as_array) {
         if let [lo, hi] = arr {
             if let (Some(lo), Some(hi)) = (lo.as_u64(), hi.as_u64()) {
                 return Ok(LatencyModel::Uniform {
-                    lo: lo as u32,
-                    hi: hi as u32,
+                    lo: narrow(lo, "latency.uniform lo")?,
+                    hi: narrow(hi, "latency.uniform hi")?,
                 });
             }
         }
@@ -217,9 +231,9 @@ fn parse_latency(v: &Json) -> Result<LatencyModel, ProtoError> {
                 .ok_or_else(|| ProtoError(format!("latency.bimodal.{k} must be an integer")))
         };
         return Ok(LatencyModel::Bimodal {
-            hit: field("hit")? as u32,
-            miss: field("miss")? as u32,
-            hit_permille: field("hit_permille")? as u16,
+            hit: narrow(field("hit")?, "latency.bimodal.hit")?,
+            miss: narrow(field("miss")?, "latency.bimodal.miss")?,
+            hit_permille: narrow(field("hit_permille")?, "latency.bimodal.hit_permille")?,
         });
     }
     perr(r#"latency must be {"fixed": n}, {"uniform": [lo, hi]} or {"bimodal": {...}}"#)
@@ -562,6 +576,32 @@ mod tests {
             (
                 r#"{"configs": [{"latency": {"uniform": [3]}}], "workloads": ["a"]}"#,
                 "uniform",
+            ),
+            // An empty range would panic at the first miss's sample.
+            (
+                r#"{"configs": [{"latency": {"uniform": [30, 10]}}], "workloads": ["a"]}"#,
+                "lo 30 exceeds hi 10",
+            ),
+            // Values past the field's width are refused, not truncated
+            // into a config the client never asked for.
+            (
+                r#"{"configs": [{"latency": {"fixed": 4294967313}}], "workloads": ["a"]}"#,
+                "latency.fixed 4294967313 is out of range",
+            ),
+            (
+                r#"{"configs": [{"latency": {"uniform": [4294967306, 4294967326]}}],
+                    "workloads": ["a"]}"#,
+                "latency.uniform lo 4294967306 is out of range",
+            ),
+            (
+                r#"{"configs": [{"latency": {"bimodal":
+                    {"hit": 10, "miss": 40, "hit_permille": 66036}}}], "workloads": ["a"]}"#,
+                "hit_permille 66036 is out of range",
+            ),
+            (
+                r#"{"configs": [{"latency": {"bimodal":
+                    {"hit": 10, "miss": 40, "hit_permille": 1001}}}], "workloads": ["a"]}"#,
+                "hit_permille 1001 exceeds 1000",
             ),
         ] {
             let err = QueryRequest::from_json_str(src).unwrap_err();

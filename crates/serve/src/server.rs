@@ -65,14 +65,25 @@ impl ServerHandle {
 }
 
 /// Binds a unix-socket server at `path` and starts accepting on a
-/// background thread. A socket file nothing answers on (left by a daemon
-/// that died) is removed first; a live server's socket is left alone.
+/// background thread: [`bind_unix`] then [`serve_unix`].
+///
+/// # Errors
+///
+/// As [`bind_unix`].
+pub fn spawn_unix(engine: Arc<Engine>, path: &Path) -> io::Result<ServerHandle> {
+    Ok(serve_unix(engine, bind_unix(path)?, path))
+}
+
+/// Binds the unix socket at `path` without accepting on it yet, so a
+/// daemon can find out that its path is taken before it opens its store.
+/// A socket file nothing answers on (left by a daemon that died) is
+/// removed first; a live server's socket is left alone.
 ///
 /// # Errors
 ///
 /// Returns [`io::ErrorKind::AddrInUse`] if a server already answers at
 /// `path`, or the bind error if the socket cannot be created.
-pub fn spawn_unix(engine: Arc<Engine>, path: &Path) -> io::Result<ServerHandle> {
+pub fn bind_unix(path: &Path) -> io::Result<UnixListener> {
     if UnixStream::connect(path).is_ok() {
         return Err(io::Error::new(
             io::ErrorKind::AddrInUse,
@@ -80,24 +91,18 @@ pub fn spawn_unix(engine: Arc<Engine>, path: &Path) -> io::Result<ServerHandle> 
         ));
     }
     let _ = std::fs::remove_file(path);
-    let listener = UnixListener::bind(path)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept_stop = Arc::clone(&stop);
-    let accept_thread = std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            if accept_stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = conn else { continue };
-            let engine = Arc::clone(&engine);
-            std::thread::spawn(move || handle_unix(&engine, stream));
-        }
-    });
-    Ok(ServerHandle {
-        stop,
-        wake: Wake::Unix(path.to_owned()),
-        accept_thread: Some(accept_thread),
-    })
+    UnixListener::bind(path)
+}
+
+/// Accepts on `listener`, bound by [`bind_unix`] at `path`, on a
+/// background thread.
+pub fn serve_unix(engine: Arc<Engine>, listener: UnixListener, path: &Path) -> ServerHandle {
+    accept_loop(
+        engine,
+        Wake::Unix(path.to_owned()),
+        move || listener.accept().map(|(stream, _)| stream),
+        handle_unix,
+    )
 }
 
 /// Binds an HTTP server on `addr` (e.g. `"127.0.0.1:0"`) and starts
@@ -111,28 +116,54 @@ pub fn spawn_http(
     engine: Arc<Engine>,
     addr: &str,
 ) -> io::Result<(ServerHandle, std::net::SocketAddr)> {
-    let listener = TcpListener::bind(addr)?;
+    serve_http(engine, TcpListener::bind(addr)?)
+}
+
+/// Accepts HTTP connections on an already bound `listener` on a
+/// background thread. Returns the handle and the bound address.
+///
+/// # Errors
+///
+/// Returns the error if the listener's local address cannot be read.
+pub fn serve_http(
+    engine: Arc<Engine>,
+    listener: TcpListener,
+) -> io::Result<(ServerHandle, std::net::SocketAddr)> {
     let local = listener.local_addr()?;
+    let handle = accept_loop(
+        engine,
+        Wake::Http(local),
+        move || listener.accept().map(|(stream, _)| stream),
+        handle_http,
+    );
+    Ok((handle, local))
+}
+
+/// Starts the accept loop on a background thread: each connection that
+/// `accept` returns is answered by `handle` on a thread of its own,
+/// until [`ServerHandle::shutdown`].
+fn accept_loop<S: Send + 'static>(
+    engine: Arc<Engine>,
+    wake: Wake,
+    mut accept: impl FnMut() -> io::Result<S> + Send + 'static,
+    handle: fn(&Engine, S),
+) -> ServerHandle {
     let stop = Arc::new(AtomicBool::new(false));
     let accept_stop = Arc::clone(&stop);
-    let accept_thread = std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            if accept_stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = conn else { continue };
-            let engine = Arc::clone(&engine);
-            std::thread::spawn(move || handle_http(&engine, stream));
+    let accept_thread = std::thread::spawn(move || loop {
+        let conn = accept();
+        if accept_stop.load(Ordering::SeqCst) {
+            break;
         }
+        let Ok(stream) = conn else { continue };
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || handle(&engine, stream));
     });
-    Ok((
-        ServerHandle {
-            stop,
-            wake: Wake::Http(local),
-            accept_thread: Some(accept_thread),
-        },
-        local,
-    ))
+    ServerHandle {
+        stop,
+        wake,
+        accept_thread: Some(accept_thread),
+    }
 }
 
 /// Runs one request against the engine, writing each response line (and

@@ -126,7 +126,7 @@ impl Mode {
 ///
 /// `config_fp` is [`MachineConfig::fingerprint`] (with the sampling
 /// parameters folded in for [`Mode::Sampled`] — see
-/// `engine::sampled_config_fp`), `trace_hash` is
+/// `engine::cell_config_fp`), `trace_hash` is
 /// [`Workload::trace_hash`]. Both are cross-process stable, so a store
 /// written by one daemon is valid for any later one built at the same
 /// format versions.

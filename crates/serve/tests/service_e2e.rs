@@ -222,7 +222,8 @@ fn warm_cells_survive_daemon_restart() {
 }
 
 /// A second server started on a live server's socket path fails with
-/// `AddrInUse` and leaves the first reachable; a socket file that nothing
+/// `AddrInUse` and leaves the first reachable, and the daemon binary
+/// refused there leaves no store behind; a socket file that nothing
 /// answers on (a dead daemon's) is replaced.
 #[test]
 fn second_server_cannot_take_over_a_live_socket() {
@@ -247,6 +248,28 @@ fn second_server_cannot_take_over_a_live_socket() {
     client::query_unix(&socket, req, |_| {}).expect("the first server still answers");
     assert_eq!(first.store().len(), 1);
     assert_eq!(second.store().len(), 0);
+
+    // The daemon binary on the live path is refused before it creates
+    // (or recovers) its store.
+    let fresh_store = dir.join("c");
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_aurora-serve"))
+        .arg("--store")
+        .arg(&fresh_store)
+        .arg("--unix")
+        .arg(&socket)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("run aurora-serve");
+    assert!(
+        !status.success(),
+        "a daemon on a live socket must exit non-zero"
+    );
+    assert!(
+        !fresh_store.exists(),
+        "a refused daemon must not create its store"
+    );
+    client::query_unix(&socket, req, |_| {}).expect("the first server still answers");
     handle.shutdown();
 
     // A listener dropped without unlinking leaves a stale socket file.
