@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI gate: format, lint, build, test, docs, clippy, the
-# byte-identical EXPERIMENTS.md check (and each fig/tab binary against
-# its section), and smoke runs of the observability report and the
-# daemon.
+# byte-identical EXPERIMENTS.md check (and each of the nine fig/tab
+# binaries against its section), and smoke runs of the observability
+# report and the daemon.
 # Run from the repo root; exits non-zero on any failure.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -56,9 +56,9 @@ echo "== EXPERIMENTS.md is byte-identical to a fresh paper_report =="
 cmp EXPERIMENTS.md target/ci/EXPERIMENTS.md
 
 echo "== each fig/tab binary prints exactly its EXPERIMENTS.md section =="
-# Each of these experiments is defined once, in aurora_bench::report: a
-# binary's stdout must equal its section of the fresh report, from its
-# `## ` heading up to the next one.
+# Each of these nine experiments is defined once, in
+# aurora_bench::report: a binary's stdout must equal its section of the
+# fresh report, from its `## ` heading up to the next one.
 while IFS='|' read -r bin heading; do
     ./target/release/"$bin" --scale small > "target/ci/$bin.md"
     [ -s "target/ci/$bin.md" ]
@@ -71,6 +71,7 @@ fig5_prefetch_removal|## Figure 5 —
 fig6_stall_breakdown|## Figure 6 —
 fig7_mshr_sweep|## Figure 7 —
 tab5_write_cache|## Table 5 —
+fig8_espresso_scatter|## Figure 8 —
 tab6_fpu_policies|## Table 6 —
 fig9_fpu_sweeps|## Figure 9 —
 SECTIONS

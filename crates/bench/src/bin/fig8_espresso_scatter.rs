@@ -1,112 +1,12 @@
-//! Figure 8: the full cost/performance scatter for espresso at 17-cycle
+//! Figure 8: espresso's full cost/performance scatter at 17-cycle
 //! latency — single-issue models plus dual-issue machines of every
 //! instruction-cache size crossed with a range of memory-element
-//! allocations, including the paper's annotated points:
-//!
-//! * **A** — single-MSHR configurations (blocking cache), well above the
-//!   rest at equal cost,
-//! * **B** — the large model's plateau,
-//! * **C**/**D** — a prefetch-off/on pair,
-//! * **E** — the recommended machine: 4 KB I$, 4-line write cache,
-//!   6-entry ROB, 4 MSHRs.
+//! allocations — with the paper's annotated points A–E. Prints the
+//! Figure 8 section of `EXPERIMENTS.md` at `--scale`
+//! ([`aurora_bench::report::fig8`]).
 
-use aurora_bench::harness::{cpi, run_matrix, scale_from_args, TextTable};
-use aurora_core::{IssueWidth, MachineConfig, MachineModel};
-use aurora_cost::ipu_cost;
-use aurora_mem::LatencyModel;
-use aurora_workloads::IntBenchmark;
-
-/// One memory-element allocation (write-cache lines, ROB entries,
-/// prefetch buffers, MSHRs, prefetch enabled).
-#[derive(Clone, Copy)]
-struct Alloc(usize, usize, usize, usize, bool);
-
-fn config(icache_kb: u32, issue: IssueWidth, a: Alloc) -> MachineConfig {
-    let mut cfg = MachineModel::Baseline.config(issue, LatencyModel::Fixed(17));
-    cfg.icache_bytes = icache_kb * 1024;
-    // Scale the external D-cache with the I-cache per Table 1.
-    cfg.dcache_bytes = icache_kb * 16 * 1024;
-    cfg.write_cache_lines = a.0;
-    cfg.rob_entries = a.1;
-    cfg.prefetch_buffers = a.2.max(1);
-    cfg.prefetch_enabled = a.4 && a.2 > 0;
-    cfg.mshr_entries = a.3;
-    cfg.name = format!(
-        "{icache_kb}K/{issue}/wc{}rob{}pf{}mshr{}{}",
-        a.0,
-        a.1,
-        a.2,
-        a.3,
-        if cfg.prefetch_enabled { "" } else { "-nopf" }
-    );
-    cfg
-}
+use aurora_bench::{harness::scale_from_args, report};
 
 fn main() {
-    let scale = scale_from_args();
-    let espresso = IntBenchmark::Espresso.workload(scale);
-
-    // Collect every scatter point first, so espresso is captured once and
-    // all points replay in parallel through the matrix runner.
-    let mut labels: Vec<String> = Vec::new();
-    let mut configs: Vec<MachineConfig> = Vec::new();
-
-    // Squares: single-issue systems of the three cache sizes + recommended.
-    for kb in [1u32, 2, 4] {
-        let alloc = match kb {
-            1 => Alloc(2, 2, 2, 1, true),
-            2 => Alloc(4, 6, 4, 2, true),
-            _ => Alloc(8, 8, 8, 4, true),
-        };
-        labels.push(if kb == 1 { "sq/A" } else { "sq" }.to_string());
-        configs.push(config(kb, IssueWidth::Single, alloc));
-    }
-
-    // Diamonds/triangles/circles: dual issue, 1/2/4 KB I-cache, eight
-    // memory-element allocations each.
-    let allocs = [
-        Alloc(2, 2, 2, 1, true), // small elements, 1 MSHR -> "A"
-        Alloc(2, 2, 2, 2, true),
-        Alloc(4, 6, 4, 1, true),  // 1 MSHR -> "A"
-        Alloc(4, 6, 4, 2, false), // prefetch off -> "C"
-        Alloc(4, 6, 4, 2, true),  // prefetch on  -> "D"
-        Alloc(4, 6, 4, 4, true),  // recommended elements -> "E" at 4K
-        Alloc(8, 8, 8, 2, true),
-        Alloc(8, 8, 8, 4, true), // full large elements -> "B" at 4K
-    ];
-    for kb in [1u32, 2, 4] {
-        let shape = match kb {
-            1 => "dia",
-            2 => "tri",
-            _ => "cir",
-        };
-        for (i, &alloc) in allocs.iter().enumerate() {
-            let note = match (kb, i) {
-                (_, 0) | (_, 2) => "/A",
-                (4, 3) => "/C",
-                (4, 4) => "/D",
-                (4, 5) => "/E",
-                (4, 7) => "/B",
-                _ => "",
-            };
-            labels.push(format!("{shape}{note}"));
-            configs.push(config(kb, IssueWidth::Dual, alloc));
-        }
-    }
-
-    let grid = run_matrix(&configs, std::slice::from_ref(&espresso));
-    let mut t = TextTable::new(["point", "config", "cost RBE", "CPI"]);
-    for ((label, cfg), row) in labels.iter().zip(&configs).zip(&grid) {
-        t.row([
-            label.clone(),
-            cfg.name.clone(),
-            ipu_cost(cfg).0.to_string(),
-            cpi(row[0].cpi()),
-        ]);
-    }
-    println!("Figure 8: espresso full cost-performance scatter @ L17 (scale {scale})");
-    println!("{}", t.render());
-    println!("paper annotations: A = single-MSHR points lie above equal-cost");
-    println!("configs; B = the large plateau; D beats C by the prefetch gain;");
-    println!("E (4K I$, 4-line WC, 6 ROB, 4 MSHR) nears large at lower cost.");
+    print!("{}", report::fig8(scale_from_args()));
 }

@@ -10,14 +10,14 @@ use aurora_workloads::{FpBenchmark, IntBenchmark, Workload};
 fn profile(t: &mut TextTable, w: &Workload) {
     let mut lines: HashSet<u32> = HashSet::new();
     let mut pcs: HashSet<u32> = HashSet::new();
-    let trace = w.trace().expect("kernel runs");
-    for op in &trace.ops {
-        pcs.insert(op.pc);
-        if let Some(ea) = op.kind.effective_address() {
-            lines.insert(ea / 32);
-        }
-    }
-    let s = &trace.stats;
+    let s = w
+        .run_traced(|op| {
+            pcs.insert(op.pc);
+            if let Some(ea) = op.kind.effective_address() {
+                lines.insert(ea / 32);
+            }
+        })
+        .expect("kernel runs");
     let total = s.total as f64;
     t.row([
         w.name().to_string(),

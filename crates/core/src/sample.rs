@@ -52,11 +52,6 @@ pub struct SampledStats {
 }
 
 impl SampledStats {
-    /// Estimated whole-trace cycles: mean CPI × instruction count.
-    pub fn estimated_cycles(&self) -> f64 {
-        self.cpi * self.instructions as f64
-    }
-
     /// Fraction of the trace that ran through the detailed model.
     pub fn detail_fraction(&self) -> f64 {
         if self.instructions == 0 {
@@ -117,7 +112,7 @@ fn run_sampled_inner(
     let mut sim = Simulator::new(cfg);
     if ops.len() <= unit {
         // Shorter than one sampling unit: the exact run *is* the estimate.
-        sim.feed_records(ops);
+        feed_ops(&mut sim, ops);
         let stats = sim.finish();
         return SampledStats {
             instructions: stats.instructions,
@@ -154,9 +149,12 @@ fn run_sampled_inner(
         // incommensurate with any workload period.
         let off = ((k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize) % (slots + 1);
         sim.warm_digest(digest, i..i + off);
-        sim.feed_records(&ops[i + off..i + off + sampling.warmup_ops]);
+        feed_ops(&mut sim, &ops[i + off..i + off + sampling.warmup_ops]);
         let (c0, n0) = (sim.cycle(), sim.retired_instructions());
-        sim.feed_records(&ops[i + off + sampling.warmup_ops..i + off + detail]);
+        feed_ops(
+            &mut sim,
+            &ops[i + off + sampling.warmup_ops..i + off + detail],
+        );
         let (c1, n1) = (sim.cycle(), sim.retired_instructions());
         if n1 > n0 {
             cpis.push((c1 - c0) as f64 / (n1 - n0) as f64);
@@ -185,6 +183,13 @@ fn run_sampled_inner(
         windows: n,
         cpi: mean,
         ci_half_width: ci,
+    }
+}
+
+/// Runs `ops` through the detailed model, one [`Simulator::feed`] each.
+fn feed_ops(sim: &mut Simulator<'_>, ops: &[PackedOp]) {
+    for op in ops.iter().map(PackedOp::unpack) {
+        sim.feed(op);
     }
 }
 
@@ -391,7 +396,7 @@ mod tests {
 
         let mut sim = Simulator::new(&cfg);
         let t = Instant::now();
-        sim.feed_records(ops);
+        feed_ops(&mut sim, ops);
         let feed = t.elapsed().as_secs_f64();
 
         println!(

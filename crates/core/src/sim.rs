@@ -316,83 +316,16 @@ impl<'cfg> Simulator<'cfg> {
     }
 
     /// Feeds one trace op; issues as soon as pairing look-ahead allows.
+    ///
+    /// This is the one per-op driver: live emulation, per-op [`replay`]
+    /// of a packed capture and sampled mode's detailed warm-ups and
+    /// windows all deliver their ops here. Product sweeps and exact
+    /// serve cells replay the block form through
+    /// [`Simulator::feed_blocks`] instead.
     pub fn feed(&mut self, op: TraceOp) {
         self.pending.push_back(op);
         while self.pending.len() >= 2 {
             self.issue_group();
-        }
-    }
-
-    /// Feeds a whole captured trace, decoding packed records on the fly:
-    /// the per-op oracle path, and the engine sampled mode runs its
-    /// detailed windows on. Sweeps replay the block form through
-    /// [`Simulator::feed_blocks`] instead.
-    ///
-    /// This is the replay half of the capture-once / replay-many workflow
-    /// (§4.1): the trace is borrowed, so one capture can drive any number
-    /// of simulators — concurrently, behind an `Arc` — without
-    /// re-emulating the workload or cloning the op buffer.
-    ///
-    /// The issue loop runs straight off the packed record slice: the
-    /// pairing look-ahead reads `ops[i + 1]` in place, so the per-op
-    /// queue shuffle [`Simulator::feed`] pays for incremental delivery
-    /// disappears from the replay hot path.
-    pub fn feed_packed(&mut self, trace: &PackedTrace) {
-        self.feed_records(trace.records());
-    }
-
-    /// [`Simulator::feed_packed`] over a raw record slice. The sampling
-    /// driver uses this to run an arbitrary window of a shared capture
-    /// in detail without re-slicing the owning [`PackedTrace`].
-    // lint:allow(L002): every index is bounds-guarded by the explicit
-    // `i + 1 < ops.len()` checks on each loop path; `get()` would add an
-    // unwrap branch per replayed record to the hottest loop in the tree
-    pub fn feed_records(&mut self, ops: &[PackedOp]) {
-        let mut i = 0;
-        // Ops buffered by earlier feed() calls pair with the trace head.
-        while i < ops.len() && !self.pending.is_empty() {
-            self.feed(ops[i].unpack());
-            i += 1;
-        }
-        if i + 1 < ops.len() {
-            // Each record is decoded exactly once: the look-ahead partner
-            // becomes the next head when the pair does not dual-issue.
-            let mut first = ops[i].unpack();
-            loop {
-                let second = ops[i + 1].unpack();
-                if self.issue_pair(&first, Some(&second)) {
-                    // The loop was entered with `i + 1 < len`, so the
-                    // pair path lands `i` on `len` (even tail: both
-                    // consumed, nothing left), `len - 1` (odd tail: one
-                    // unpaired record kept for the next feed), or
-                    // earlier — it can never exceed `len`, and no record
-                    // is ever skipped. The odd/single-record tails are
-                    // pinned by regression tests in the block
-                    // differential suite.
-                    i += 2;
-                    debug_assert!(i <= ops.len());
-                    if i == ops.len() {
-                        return;
-                    }
-                    if i + 1 == ops.len() {
-                        self.pending.push_back(ops[i].unpack());
-                        return;
-                    }
-                    first = ops[i].unpack();
-                } else {
-                    i += 1;
-                    if i + 1 == ops.len() {
-                        self.pending.push_back(second);
-                        return;
-                    }
-                    first = second;
-                }
-            }
-        }
-        if i < ops.len() {
-            // The final op has no pair partner yet; it issues on the next
-            // feed or at finish(), exactly as incremental delivery would.
-            self.pending.push_back(ops[i].unpack());
         }
     }
 
@@ -479,7 +412,7 @@ impl<'cfg> Simulator<'cfg> {
                     None => {
                         // The block's last op may pair with the next
                         // block's head: defer it through the pending
-                        // queue, exactly like feed_packed's odd tail.
+                        // queue, exactly as feed() holds its last op.
                         self.pending.push_back(*first);
                         i += 1;
                     }
@@ -769,8 +702,8 @@ impl<'cfg> Simulator<'cfg> {
     /// Issues `first` — plus `second` in the same cycle when the
     /// dual-issue rules allow — and returns whether the partner was
     /// consumed. This is the whole issue stage; callers own op delivery
-    /// (the pending queue for [`Simulator::feed`], the packed record
-    /// slice for [`Simulator::feed_packed`]).
+    /// (the pending queue for [`Simulator::feed`], the block templates
+    /// for [`Simulator::feed_blocks`]).
     fn issue_pair(&mut self, first: &TraceOp, second: Option<&TraceOp>) -> bool {
         // Issuing mutates unit state, so any previously probed event
         // horizon is void from here on.
@@ -1755,11 +1688,12 @@ where
     sim.finish()
 }
 
-/// Replays a captured [`PackedTrace`] against `cfg` and returns the run's
-/// statistics. Produces bit-identical [`SimStats`] to feeding the same
-/// ops through [`simulate`], without re-emulating the workload. This is
-/// the per-op oracle that block replay ([`replay_blocks`]) is checked
-/// against; sweeps use the block form.
+/// Replays a captured [`PackedTrace`] op by op against `cfg` and returns
+/// the run's statistics: [`simulate`] over the unpacked records, without
+/// re-emulating the workload. This is the per-op oracle that block
+/// replay ([`replay_blocks`]) is checked against by the differential
+/// suites and `aurora_benchmark`'s reference checks; no product path
+/// runs it (sweeps and exact serve cells replay the block form).
 ///
 /// ```
 /// use aurora_core::{replay, simulate, IssueWidth, MachineModel};
@@ -1772,16 +1706,14 @@ where
 /// let capture = PackedTrace::from_ops(ops.iter().copied());
 ///
 /// let cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
-/// // One capture can drive any number of replays — and a replay is
-/// // bit-identical to streaming the live ops through `simulate`.
+/// // One capture can drive any number of replays, and packing loses
+/// // nothing: a replay equals streaming the live ops through `simulate`.
 /// let replayed = replay(&cfg, &capture);
 /// assert_eq!(replayed, simulate(&cfg, ops));
 /// assert_eq!(replayed.instructions, 64);
 /// ```
 pub fn replay(cfg: &MachineConfig, trace: &PackedTrace) -> SimStats {
-    let mut sim = Simulator::new(cfg);
-    sim.feed_packed(trace);
-    sim.finish()
+    simulate(cfg, trace.iter())
 }
 
 /// Replays a lowered [`BlockTrace`] against `cfg` through the
@@ -2442,7 +2374,9 @@ mod tests {
         let digest = WarmDigest::build(capture.records(), c.line_bytes);
         sim.warm_digest(&digest, 0..capture.len());
         sim.mark_warm();
-        sim.feed_packed(&capture);
+        for op in &capture {
+            sim.feed(op);
+        }
         let warm = sim.finish();
         assert_eq!(warm.instructions, cold.instructions);
         assert!(

@@ -174,11 +174,6 @@ impl ProgramBuilder {
         }
     }
 
-    /// Records `name` as a symbol for the current code position.
-    pub fn name_here(&mut self, name: &str) {
-        self.symbols.insert(name.to_owned(), self.here());
-    }
-
     /// Finalises the program, patching all label references.
     ///
     /// # Panics

@@ -237,16 +237,6 @@ impl<'p> Emulator<'p> {
         self.fregs[r.pair().number() as usize] = (bits >> 32) as u32;
     }
 
-    /// Reads a 32-bit word from memory (for test assertions).
-    pub fn load_word(&self, addr: u32) -> u32 {
-        self.mem.read_u32(addr)
-    }
-
-    /// Writes a 32-bit word to memory (for test setup).
-    pub fn store_word(&mut self, addr: u32, v: u32) {
-        self.mem.write_u32(addr, v);
-    }
-
     /// Runs until halt or until `limit` instructions have retired.
     ///
     /// # Errors
@@ -279,18 +269,6 @@ impl<'p> Emulator<'p> {
         } else {
             RunOutcome::LimitReached
         })
-    }
-
-    /// Collects the whole trace into a vector (convenience for tests and
-    /// small kernels; prefer [`Emulator::run_traced`] for long runs).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`EmuError`] raised by [`Emulator::step`].
-    pub fn collect_trace(&mut self, limit: u64) -> Result<Vec<TraceOp>, EmuError> {
-        let mut v = Vec::new();
-        self.run_traced(limit, |op| v.push(op))?;
-        Ok(v)
     }
 
     /// Executes one instruction and returns its trace record.
@@ -798,7 +776,8 @@ mod tests {
         // fine for tests.
         let program = Box::leak(Box::new(Assembler::new().assemble(src).unwrap()));
         let mut emu = Emulator::new(program);
-        let trace = emu.collect_trace(1_000_000).unwrap();
+        let mut trace = Vec::new();
+        emu.run_traced(1_000_000, |op| trace.push(op)).unwrap();
         assert!(emu.is_halted(), "program did not halt");
         (emu, trace)
     }

@@ -211,8 +211,8 @@ impl PackedTrace {
         self.ops.iter().map(PackedOp::unpack)
     }
 
-    /// The raw packed records, for replay loops that want to control
-    /// decoding (e.g. pairwise look-ahead without an intermediate queue).
+    /// The raw packed records: sampled mode and its functional-warming
+    /// digest address the trace by op position through this slice.
     pub fn records(&self) -> &[PackedOp] {
         &self.ops
     }

@@ -98,11 +98,6 @@ impl Geometry {
         ((addr >> self.line_shift) & self.index_mask) as usize
     }
 
-    /// The set index for a line address.
-    pub fn line_index(&self, line: LineAddr) -> usize {
-        (line.0 & self.index_mask) as usize
-    }
-
     /// The tag for byte address `addr` (the line bits above the index).
     pub fn tag(&self, addr: u64) -> u64 {
         (addr >> self.line_shift) >> (self.index_mask.count_ones())

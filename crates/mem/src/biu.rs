@@ -206,11 +206,6 @@ impl Biu {
         }
     }
 
-    /// The configured latency model.
-    pub fn latency_model(&self) -> LatencyModel {
-        self.latency
-    }
-
     /// Cycles to stream one line across a bus.
     fn line_cycles(&self) -> u64 {
         (self.line_bytes / self.bytes_per_cycle).max(1) as u64

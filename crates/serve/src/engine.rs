@@ -24,8 +24,7 @@ use std::sync::{mpsc, Arc};
 
 use aurora_bench::harness::drain_cells_timed;
 use aurora_core::{
-    replay, replay_blocks, run_sampled_digest, MachineConfig, SampledStats, SamplingConfig,
-    WarmDigest,
+    replay_blocks, run_sampled_digest, MachineConfig, SampledStats, SamplingConfig, WarmDigest,
 };
 use aurora_isa::{BlockTrace, Fnv1a, PackedTrace};
 use aurora_workloads::{workload_by_name, TraceStore, Workload};
@@ -43,11 +42,9 @@ pub struct Engine {
 }
 
 /// Everything a pool worker needs for one workload, in the form its
-/// mode replays: Block mode holds only the block lowering, and the
-/// packed trace is fetched only for Detailed and Sampled cells.
+/// mode replays: exact cells (Block and Detailed) hold only the block
+/// form, and the packed trace is fetched only for Sampled cells.
 enum TraceBundle {
-    /// Per-op replay of the packed trace.
-    Detailed(Arc<PackedTrace>),
     /// Block replay of the lowering.
     Block(Arc<BlockTrace>),
     /// Sampled replay of the packed trace with its functional-warming
@@ -236,7 +233,6 @@ impl Engine {
 /// non-blocking — pure replay against pre-captured, shared traces.
 fn compute_cell(cfg: &MachineConfig, bundle: &TraceBundle, sampling: &SamplingConfig) -> CellValue {
     match bundle {
-        TraceBundle::Detailed(packed) => CellValue::Exact(replay(cfg, packed)),
         TraceBundle::Block(blocks) => CellValue::Exact(replay_blocks(cfg, blocks)),
         TraceBundle::Sampled(packed, digest) => {
             let stats = run_sampled_digest(cfg, sampling, packed.records(), digest);
@@ -252,13 +248,17 @@ fn compute_cell(cfg: &MachineConfig, bundle: &TraceBundle, sampling: &SamplingCo
 }
 
 /// Captures (through the global [`TraceStore`]) the trace form `mode`
-/// replays for one workload.
+/// replays for one workload. Detailed cells replay the block form like
+/// Block cells: the block engine's `SimStats` are bit-identical to
+/// per-op replay's, so the two exact modes differ only in name and memo
+/// key.
 fn capture_bundle(workload: &Workload, mode: Mode) -> Result<TraceBundle, ProtoError> {
     let store = TraceStore::global();
     let failed = |e| ProtoError(format!("capturing `{}`: {e}", workload.name()));
     Ok(match mode {
-        Mode::Block => TraceBundle::Block(store.get_blocks(workload).map_err(failed)?),
-        Mode::Detailed => TraceBundle::Detailed(store.get(workload).map_err(failed)?),
+        Mode::Block | Mode::Detailed => {
+            TraceBundle::Block(store.get_blocks(workload).map_err(failed)?)
+        }
         Mode::Sampled => {
             let packed = store.get(workload).map_err(failed)?;
             // Every preset uses 32-byte lines (and `line_bytes` is not an
@@ -319,6 +319,13 @@ mod tests {
     use super::*;
     use aurora_core::{IssueWidth, MachineModel};
     use aurora_mem::LatencyModel;
+
+    #[test]
+    fn detailed_cells_replay_the_block_form() {
+        let w = workload_by_name("compress", aurora_workloads::Scale::Test).expect("kernel");
+        let bundle = capture_bundle(&w, Mode::Detailed).expect("kernel captures");
+        assert!(matches!(bundle, TraceBundle::Block(_)));
+    }
 
     #[test]
     fn sampled_fingerprint_depends_on_sampling_params() {

@@ -68,15 +68,18 @@ const MAX_PAYLOAD: u32 = 1 << 20;
 const TAG_EXACT: u8 = 0x00;
 const TAG_SAMPLED: u8 = 0x01;
 
-/// How a query cell is executed — part of the memo key, since the three
-/// modes return different result shapes (and the sampled estimate is
-/// not bit-comparable to an exact run).
+/// How a query cell is executed — part of the memo key, since the
+/// sampled estimate is a different result shape from an exact run and
+/// not bit-comparable to one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
-    /// Per-op detailed replay of the packed trace.
+    /// An exact run under its historical name. It is answered by block
+    /// replay, exactly like [`Mode::Block`] (the per-op engine it once
+    /// named gives bit-identical statistics and is now only the test
+    /// oracle); it keeps its name and key byte so existing stores and
+    /// clients keep working.
     Detailed,
-    /// Basic-block superinstruction replay (bit-identical statistics to
-    /// [`Mode::Detailed`], the fast default).
+    /// Block replay of the lowered trace: an exact run, the default.
     Block,
     /// SMARTS-style sampled estimate with a confidence interval.
     Sampled,

@@ -8,10 +8,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use aurora_bench::harness::run_matrix;
+use aurora_core::{replay, IssueWidth, MachineModel};
+use aurora_mem::LatencyModel;
 use aurora_serve::json::Json;
 use aurora_serve::proto::{CellResult, QueryRequest, ResponseLine};
 use aurora_serve::{client, server, Engine, ResultStore};
-use aurora_workloads::workload_by_name;
+use aurora_workloads::{workload_by_name, Scale};
 
 /// One NDJSON response stream, parsed: the cell lines' wire fingerprints
 /// and the summary counters.
@@ -364,6 +366,15 @@ fn detailed_and_block_modes_agree() {
     let detailed_fp = fingerprint_for("detailed");
     assert_eq!(block_fp, detailed_fp, "modes must agree bit-for-bit");
     assert_eq!(engine.store().len(), 2, "modes memoise as separate cells");
+    // Both exact modes are answered by block replay; the per-op oracle
+    // on an independent packed capture must agree with them.
+    let cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
+    let trace = workload_by_name("eqntott", Scale::Test)
+        .expect("kernel")
+        .capture()
+        .expect("kernel captures");
+    let oracle = format!("{:#018x}", replay(&cfg, &trace).fingerprint());
+    assert_eq!(block_fp, oracle, "served cells != per-op replay");
 
     handle.shutdown();
     let _ = fs::remove_dir_all(&dir);

@@ -790,11 +790,11 @@ mod tests {
     fn all_kernels_assemble_and_halt() {
         for b in FpBenchmark::ALL {
             let w = b.workload(Scale::Test);
-            let trace = w.trace().unwrap_or_else(|e| panic!("{b}: {e}"));
+            let trace = w.capture().unwrap_or_else(|e| panic!("{b}: {e}"));
             assert!(
-                trace.stats.total > 20_000,
+                trace.stats().total > 20_000,
                 "{b}: only {} instructions",
-                trace.stats.total
+                trace.stats().total
             );
         }
     }
@@ -802,8 +802,8 @@ mod tests {
     #[test]
     fn kernels_have_floating_point_character() {
         for b in FpBenchmark::ALL {
-            let trace = b.workload(Scale::Test).trace().unwrap();
-            let s = &trace.stats;
+            let trace = b.workload(Scale::Test).capture().unwrap();
+            let s = trace.stats();
             let fp = s.fp_fraction();
             assert!(fp > 0.08, "{b}: fp fraction {fp:.3} too low");
             assert!(s.fp_loads > 0, "{b} must load FP data");
@@ -816,21 +816,20 @@ mod tests {
 
     #[test]
     fn ora_uses_sqrt_and_divide() {
-        let trace = FpBenchmark::Ora.workload(Scale::Test).trace().unwrap();
-        let sqrts = trace
-            .ops
-            .iter()
-            .filter(|o| o.kind == OpKind::FpSqrt)
-            .count();
-        let divs = trace.ops.iter().filter(|o| o.kind == OpKind::FpDiv).count();
+        let trace = FpBenchmark::Ora.workload(Scale::Test).capture().unwrap();
+        let sqrts = trace.iter().filter(|o| o.kind == OpKind::FpSqrt).count();
+        let divs = trace.iter().filter(|o| o.kind == OpKind::FpDiv).count();
         assert!(sqrts > 500, "sqrts {sqrts}");
         assert!(divs > 500, "divs {divs}");
     }
 
     #[test]
     fn mdljdp2_divides_per_pair() {
-        let trace = FpBenchmark::Mdljdp2.workload(Scale::Test).trace().unwrap();
-        let divs = trace.ops.iter().filter(|o| o.kind == OpKind::FpDiv).count();
+        let trace = FpBenchmark::Mdljdp2
+            .workload(Scale::Test)
+            .capture()
+            .unwrap();
+        let divs = trace.iter().filter(|o| o.kind == OpKind::FpDiv).count();
         assert!(divs > 1000, "divs {divs}");
     }
 
@@ -839,14 +838,13 @@ mod tests {
         // Structural check: alvinn's adds form one chain per dot product
         // (every FpAdd writes the same accumulator), while nasa7's adds
         // write many different registers over a window.
-        let alvinn = FpBenchmark::Alvinn.workload(Scale::Test).trace().unwrap();
-        let adds: Vec<_> = alvinn
-            .ops
+        let alvinn = FpBenchmark::Alvinn.workload(Scale::Test).capture().unwrap();
+        let distinct: std::collections::HashSet<_> = alvinn
             .iter()
             .filter(|o| o.kind == OpKind::FpAdd)
             .take(64)
+            .map(|o| o.dst)
             .collect();
-        let distinct: std::collections::HashSet<_> = adds.iter().map(|o| o.dst).collect();
         assert!(
             distinct.len() <= 2,
             "alvinn accumulators: {}",
@@ -856,15 +854,18 @@ mod tests {
 
     #[test]
     fn spice_has_low_fp_fraction() {
-        let spice = FpBenchmark::Spice2g6.workload(Scale::Test).trace().unwrap();
-        let nasa = FpBenchmark::Nasa7.workload(Scale::Test).trace().unwrap();
-        assert!(spice.stats.fp_fraction() < nasa.stats.fp_fraction());
+        let spice = FpBenchmark::Spice2g6
+            .workload(Scale::Test)
+            .capture()
+            .unwrap();
+        let nasa = FpBenchmark::Nasa7.workload(Scale::Test).capture().unwrap();
+        assert!(spice.stats().fp_fraction() < nasa.stats().fp_fraction());
     }
 
     #[test]
     fn doduc_branches_on_fp_condition() {
-        let trace = FpBenchmark::Doduc.workload(Scale::Test).trace().unwrap();
-        let cmps = trace.ops.iter().filter(|o| o.kind == OpKind::FpCmp).count();
+        let trace = FpBenchmark::Doduc.workload(Scale::Test).capture().unwrap();
+        let cmps = trace.iter().filter(|o| o.kind == OpKind::FpCmp).count();
         assert!(cmps > 5000, "compares {cmps}");
     }
 

@@ -1054,16 +1054,12 @@ mod tests {
     fn all_kernels_assemble_and_halt() {
         for b in IntBenchmark::ALL {
             let w = b.workload(Scale::Test);
-            let trace = w.trace().unwrap_or_else(|e| panic!("{b}: {e}"));
+            let trace = w.capture().unwrap_or_else(|e| panic!("{b}: {e}"));
+            let total = trace.stats().total;
+            assert!(total > 20_000, "{b}: only {total} instructions");
             assert!(
-                trace.stats.total > 20_000,
-                "{b}: only {} instructions",
-                trace.stats.total
-            );
-            assert!(
-                trace.stats.total < 2_000_000,
-                "{b}: {} instructions is too long for Test scale",
-                trace.stats.total
+                total < 2_000_000,
+                "{b}: {total} instructions is too long for Test scale"
             );
         }
     }
@@ -1071,8 +1067,8 @@ mod tests {
     #[test]
     fn kernels_have_integer_character() {
         for b in IntBenchmark::ALL {
-            let trace = b.workload(Scale::Test).trace().unwrap();
-            let s = &trace.stats;
+            let trace = b.workload(Scale::Test).capture().unwrap();
+            let s = trace.stats();
             assert_eq!(s.fp_ops, 0, "{b} must not use the FPU");
             let mem = s.memory_fraction();
             assert!(
@@ -1101,9 +1097,8 @@ mod tests {
 
     #[test]
     fn gcc_uses_indirect_jumps() {
-        let trace = IntBenchmark::Gcc.workload(Scale::Test).trace().unwrap();
+        let trace = IntBenchmark::Gcc.workload(Scale::Test).capture().unwrap();
         let indirect = trace
-            .ops
             .iter()
             .filter(|o| matches!(o.kind, OpKind::Jump { register: true, .. }))
             .count();
@@ -1112,18 +1107,18 @@ mod tests {
 
     #[test]
     fn li_chases_pointers() {
-        let trace = IntBenchmark::Li.workload(Scale::Test).trace().unwrap();
-        assert!(trace.stats.loads > trace.stats.stores);
+        let trace = IntBenchmark::Li.workload(Scale::Test).capture().unwrap();
+        assert!(trace.stats().loads > trace.stats().stores);
     }
 
     #[test]
     fn compress_misses_spread_over_table() {
         let trace = IntBenchmark::Compress
             .workload(Scale::Test)
-            .trace()
+            .capture()
             .unwrap();
         let mut lines = std::collections::HashSet::new();
-        for op in &trace.ops {
+        for op in &trace {
             if let OpKind::Load { ea, .. } = op.kind {
                 lines.insert(ea / 32);
             }
@@ -1137,12 +1132,15 @@ mod tests {
 
     #[test]
     fn scale_increases_length() {
-        let t = IntBenchmark::Eqntott.workload(Scale::Test).trace().unwrap();
+        let t = IntBenchmark::Eqntott
+            .workload(Scale::Test)
+            .capture()
+            .unwrap();
         let s = IntBenchmark::Eqntott
             .workload(Scale::Small)
-            .trace()
+            .capture()
             .unwrap();
-        assert!(s.stats.total > 3 * t.stats.total);
+        assert!(s.len() > 3 * t.len());
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! use aurora_workloads::{IntBenchmark, Scale};
 //!
 //! let espresso = IntBenchmark::Espresso.workload(Scale::Test);
-//! let trace = espresso.trace().unwrap();
-//! assert!(trace.stats.total > 10_000);
-//! assert!(trace.stats.memory_fraction() > 0.05);
+//! let trace = espresso.capture().unwrap();
+//! assert!(trace.stats().total > 10_000);
+//! assert!(trace.stats().memory_fraction() > 0.05);
 //! ```
 
 mod floating;
@@ -36,7 +36,7 @@ mod workload;
 pub use floating::{FpBenchmark, FpLoadWidth};
 pub use integer::IntBenchmark;
 pub use store::TraceStore;
-pub use workload::{Scale, Trace, Workload, WorkloadError};
+pub use workload::{Scale, Workload, WorkloadError};
 
 /// Resolves a benchmark by its canonical name (`"espresso"`, `"alvinn"`,
 /// …) at the given scale, searching the integer suite then the

@@ -98,15 +98,6 @@ impl From<EmuError> for WorkloadError {
     }
 }
 
-/// A fully collected dynamic trace with its summary statistics.
-#[derive(Debug, Clone)]
-pub struct Trace {
-    /// The trace records in program order.
-    pub ops: Vec<TraceOp>,
-    /// Summary statistics.
-    pub stats: TraceStats,
-}
-
 /// An assembled, runnable kernel.
 ///
 /// Cheap to clone: clones share one [`Program`] behind an `Arc`, and
@@ -186,17 +177,6 @@ impl Workload {
             return Err(WorkloadError::DidNotHalt { limit });
         }
         Ok(stats)
-    }
-
-    /// Runs the kernel and collects the whole trace.
-    ///
-    /// # Errors
-    ///
-    /// See [`Workload::run_traced`].
-    pub fn trace(&self) -> Result<Trace, WorkloadError> {
-        let mut ops = Vec::new();
-        let stats = self.run_traced(|op| ops.push(op))?;
-        Ok(Trace { ops, stats })
     }
 
     /// Runs the kernel once and captures the whole trace in packed form,
@@ -335,16 +315,16 @@ mod tests {
             Scale::Test,
             ".text\n li $t0, 100\nl: addiu $t0, $t0, -1\n bgtz $t0, l\n nop\n break\n",
         );
-        let trace = w.trace().unwrap();
-        assert_eq!(trace.stats.total, trace.ops.len() as u64);
-        assert!(trace.stats.branches >= 100);
+        let trace = w.capture().unwrap();
+        assert_eq!(trace.stats().total, trace.len() as u64);
+        assert!(trace.stats().branches >= 100);
         assert!(w.to_string().contains("trivial"));
     }
 
     #[test]
     fn non_halting_kernel_reports() {
         let w = Workload::assemble("spin", Scale::Test, ".text\nx: b x\n nop\n break\n");
-        match w.trace() {
+        match w.capture() {
             Err(WorkloadError::DidNotHalt { .. }) => {}
             other => panic!("expected DidNotHalt, got {other:?}"),
         }

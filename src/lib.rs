@@ -17,15 +17,15 @@
 //! # Quick start
 //!
 //! ```
-//! use aurora3::core::{simulate, IssueWidth, MachineModel};
+//! use aurora3::core::{replay_blocks, IssueWidth, MachineModel};
 //! use aurora3::mem::LatencyModel;
 //! use aurora3::workloads::{IntBenchmark, Scale};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let workload = IntBenchmark::Compress.workload(Scale::Test);
-//! let trace = workload.trace()?;
+//! let blocks = workload.capture_blocks()?;
 //! let cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
-//! let stats = simulate(&cfg, trace.ops);
+//! let stats = replay_blocks(&cfg, &blocks);
 //! println!("{}: CPI {:.3}", workload.name(), stats.cpi());
 //! # Ok(())
 //! # }

@@ -1,23 +1,24 @@
 //! Differential validation of basic-block superinstruction replay: the
 //! block-granular engine (`replay_blocks`, with its scoreboard-only
-//! fast path) must be *observationally identical* to the per-op packed
-//! walk (`replay`) and to incremental streaming (`simulate`).
+//! fast path) must be *observationally identical* to the per-op oracle,
+//! incremental streaming through `Simulator::feed` (`simulate`, and
+//! `replay` of a packed capture).
 //!
 //! Layers of evidence:
 //!
 //! 1. a property test over random short traces — every op kind,
 //!    register shape and address pattern — crossed with all three
-//!    machine models and both issue widths, comparing five engines
-//!    (streaming, packed, block fast path, block with the fast path
+//!    machine models and both issue widths, comparing four engines
+//!    (per-op streaming, block fast path, block with the fast path
 //!    disabled by an attached observer, and block replay under the
 //!    naive cycle-walking reference engine), with the streamed
 //!    lowering (`lower_ops`) checked equal to the sliced one (`lower`),
 //! 2. the full 15-kernel suite replayed block-wise vs per-op, and
 //!    captured straight into blocks vs lowered from the packed oracle,
-//! 3. edge cases: odd-length and single-op traces (the `feed_packed`
-//!    tail-handling regression), all-branch traces (every block is one
-//!    op), a strided loop whose one template replays many addresses,
-//!    and mixed incremental-feed + block-feed delivery.
+//! 3. edge cases: every trace length up to several pairs (odd and even
+//!    tails), all-branch traces (every block is one op), a strided loop
+//!    whose one template replays many addresses, and mixed
+//!    incremental-feed + block-feed delivery.
 //!
 //! Equality is `SimStats: Eq` — bit-identical counters, not tolerances.
 
@@ -113,7 +114,7 @@ fn block_per_op(cfg: &MachineConfig, blocks: &BlockTrace) -> SimStats {
     run_blocks(sim, blocks)
 }
 
-/// Runs all five engines over `ops` and asserts pairwise bit-equality.
+/// Runs all four engines over `ops` and asserts pairwise bit-equality.
 /// Returns the agreed stats for any further checks.
 fn assert_engines_agree(model: MachineModel, issue: IssueWidth, ops: &[TraceOp]) -> SimStats {
     let trace = PackedTrace::from_ops(ops.iter().copied());
@@ -127,7 +128,6 @@ fn assert_engines_agree(model: MachineModel, issue: IssueWidth, ops: &[TraceOp])
 
     let cfg = config(model, issue);
     let streamed = simulate(&cfg, ops.iter().copied());
-    let packed = replay(&cfg, &trace);
     let block_fast = replay_blocks(&cfg, &blocks);
     let block_per_op = block_per_op(&cfg, &blocks);
     let block_naive = run_blocks(Simulator::naive_reference(&cfg), &blocks);
@@ -137,7 +137,6 @@ fn assert_engines_agree(model: MachineModel, issue: IssueWidth, ops: &[TraceOp])
     }
     let streamed_naive = streamed_naive.finish();
 
-    assert_eq!(packed, streamed, "packed != streamed");
     assert_eq!(block_fast, streamed, "block fast path != streamed");
     assert_eq!(block_per_op, streamed, "block per-op walk != streamed");
     assert_eq!(block_naive, streamed_naive, "block naive != streamed naive");
@@ -315,14 +314,14 @@ fn all_kernels_lower_to_pinned_masks() {
     );
 }
 
-/// The `feed_packed` tail regression (and its block-engine twin): every
-/// trace length from empty through several pair cycles must deliver
-/// every op exactly once, whichever exit the pair/non-pair paths take.
+/// The tail regression: every trace length from empty through several
+/// pair cycles must deliver every op exactly once through every engine,
+/// whichever exit the pair/non-pair paths take.
 #[test]
 fn odd_and_even_length_tails_deliver_every_op() {
-    // Aligned independent ALU pairs, so the pair path (i += 2) is taken
-    // and exercises its `i == len` / `i + 1 == len` exits; a trailing
-    // branch-heavy variant forces the non-pair path too.
+    // Aligned independent ALU pairs, so the pair path is taken and the
+    // trace can end on either half of a pair; a dependent variant
+    // forces the non-pair path too.
     for len in 0..=17usize {
         let pairable: Vec<TraceOp> = (0..len)
             .map(|i| TraceOp {

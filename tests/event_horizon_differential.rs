@@ -142,7 +142,9 @@ fn all_kernels_agree_skip_vs_naive() {
             let cfg = config(MachineModel::Baseline, issue);
             let skip = replay(&cfg, &trace);
             let mut naive = Simulator::naive_reference(&cfg);
-            naive.feed_packed(&trace);
+            for op in &trace {
+                naive.feed(op);
+            }
             assert_eq!(skip, naive.finish(), "{} diverged ({issue:?})", w.name());
         }
     }

@@ -48,7 +48,9 @@ fn every_stall_cycle_attributes_to_exactly_one_cause() {
             let cfg = model.config(width, LatencyModel::Fixed(17));
             let mut sim = Simulator::new(&cfg);
             sim.enable_observer(DEFAULT_RING_CAPACITY);
-            sim.feed_packed(&trace);
+            for op in trace.iter() {
+                sim.feed(op);
+            }
             let (stats, obs) = sim.finish_observed();
             let obs = obs.expect("observer attached");
 
@@ -82,7 +84,9 @@ fn observer_is_invisible_to_simulation_results() {
             let cfg = model.config(width, LatencyModel::Fixed(17));
             let mut observed = Simulator::new(&cfg);
             observed.enable_observer(DEFAULT_RING_CAPACITY);
-            observed.feed_packed(&trace);
+            for op in trace.iter() {
+                observed.feed(op);
+            }
             assert_eq!(
                 observed.finish(),
                 replay(&cfg, &trace),
@@ -100,7 +104,9 @@ fn chrome_trace_json_is_well_formed_and_complete() {
     let cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
     let mut sim = Simulator::new(&cfg);
     sim.enable_observer(DEFAULT_RING_CAPACITY);
-    sim.feed_packed(&trace);
+    for op in trace.iter() {
+        sim.feed(op);
+    }
     let (stats, obs) = sim.finish_observed();
     let obs = obs.expect("observer attached");
     assert!(!obs.is_empty(), "espresso must produce events");

@@ -164,10 +164,10 @@ fn delay_slots_visible_in_trace() {
 fn workload_stats_agree_with_trace() {
     use aurora3::isa::TraceStats;
     let w = aurora3::workloads::IntBenchmark::Sc.workload(aurora3::workloads::Scale::Test);
-    let trace = w.trace().unwrap();
+    let trace = w.capture().unwrap();
     let mut recount = TraceStats::default();
-    for op in &trace.ops {
-        recount.record(op);
+    for op in &trace {
+        recount.record(&op);
     }
-    assert_eq!(recount, trace.stats);
+    assert_eq!(&recount, trace.stats());
 }

@@ -11,7 +11,7 @@
 //! a known divergence from the nominal 95% that docs/MODEL.md lists.
 
 use aurora3::core::{
-    replay, run_sampled_digest, IssueWidth, MachineModel, SamplingConfig, WarmDigest,
+    replay, run_sampled, run_sampled_digest, IssueWidth, MachineModel, SamplingConfig, WarmDigest,
 };
 use aurora3::mem::LatencyModel;
 use aurora3::workloads::{FpBenchmark, IntBenchmark, Scale, Workload};
@@ -70,4 +70,45 @@ fn suite_mean_cpi_error_within_two_percent() {
         100.0 * mean,
         100.0 * MAX_MEAN_CPI_ERROR
     );
+}
+
+/// Pins sampled mode's output bit for bit on two kernels: the estimate,
+/// its interval, the window count and the detailed-op count. The
+/// accuracy gate above tolerates small drift; this test does not, so a
+/// change to how the sampler feeds its warm-ups and windows to the
+/// simulator cannot move an estimate unseen.
+#[test]
+fn sampled_estimates_are_pinned() {
+    let cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
+    let pinned = [
+        (
+            IntBenchmark::Compress.workload(Scale::Test),
+            0x3ffd_c83d_74c6_389e_u64,
+            0x3fb1_622f_7263_c59c_u64,
+            28usize,
+            25_088u64,
+        ),
+        (
+            FpBenchmark::Nasa7.workload(Scale::Test),
+            0x3ff9_2541_738c_9920,
+            0x3f81_35e6_fcce_7ade,
+            17,
+            15_232,
+        ),
+    ];
+    for (w, cpi_bits, ci_bits, windows, detailed) in pinned {
+        let trace = w.capture().expect("kernel captures");
+        let est = run_sampled(&cfg, &SamplingConfig::recommended(), &trace);
+        assert_eq!(
+            (
+                est.cpi.to_bits(),
+                est.ci_half_width.to_bits(),
+                est.windows,
+                est.detailed_instructions
+            ),
+            (cpi_bits, ci_bits, windows, detailed),
+            "{}: sampled estimate moved ({est:?})",
+            w.name()
+        );
+    }
 }
