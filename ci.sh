@@ -2,7 +2,8 @@
 # Offline CI gate: format, lint, build, test, docs, clippy, the
 # byte-identical EXPERIMENTS.md check (and each of the nine fig/tab
 # binaries against its section), and smoke runs of the observability
-# report and the daemon.
+# report and the daemon (a block and a sampled grid, each answered
+# again from the store after a restart).
 # Run from the repo root; exits non-zero on any failure.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -83,7 +84,7 @@ echo "== observability report (event-derived Fig. 6 matches the counters) =="
 ./target/release/obs_report --scale test > target/ci/obs_report.txt
 grep -q "cross-check vs fig6_stall_breakdown counters" target/ci/obs_report.txt
 
-echo "== service smoke (daemon answers a grid; a restarted daemon answers the repeat all-memo, zero re-simulation) =="
+echo "== service smoke (daemon answers a block and a sampled grid; a restarted daemon answers both repeats all-memo, zero re-simulation) =="
 rm -rf target/ci/serve-store target/ci/aurora.sock
 # Starts a daemon on the smoke store, its stdout in $1, and waits for
 # its socket.
@@ -94,31 +95,39 @@ start_daemon() {
     for _ in $(seq 1 100); do [ -S target/ci/aurora.sock ] && break; sleep 0.1; done
     [ -S target/ci/aurora.sock ]
 }
-# Queries the same 2×2 grid, writing the NDJSON answer to $1.
+# Queries the same 2×2 grid in mode $1, writing the NDJSON answer to $2.
 query_grid() {
     ./target/release/aurora-query --unix target/ci/aurora.sock \
         --models baseline --issue single,dual --workloads espresso,compress \
-        --scale test --mode block > "$1"
+        --scale test --mode "$1" > "$2"
 }
 start_daemon target/ci/serve_daemon1.txt
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
-query_grid target/ci/serve_pass1.ndjson
-grep -q '"type":"summary"' target/ci/serve_pass1.ndjson
+# Pass 1 simulates both grids on the fresh store: the exact block cells
+# and the sampled cells (SMARTS windows over functional warming).
+for mode in block sampled; do
+    query_grid "$mode" "target/ci/serve_pass1_$mode.ndjson"
+    grep -q '"type":"summary"' "target/ci/serve_pass1_$mode.ndjson"
+    grep -q '"simulated":4' "target/ci/serve_pass1_$mode.ndjson"
+done
 # Stop the daemon and wait for it to exit, then remove its socket so the
 # wait in start_daemon cannot see a stale one. The fresh daemon must
 # reopen the store whole, and derive the same cell keys: pass 2 must be
-# 100% memo hits (>=90% is the gate's floor; the store makes it 4/4).
+# 100% memo hits in both modes (>=90% is the gate's floor; the store
+# makes it 4/4 each).
 kill "$SERVE_PID"
 wait "$SERVE_PID" || true
 rm -f target/ci/aurora.sock
 start_daemon target/ci/serve_daemon2.txt
-query_grid target/ci/serve_pass2.ndjson
+for mode in block sampled; do
+    query_grid "$mode" "target/ci/serve_pass2_$mode.ndjson"
+    grep -q '"memo_hits":4' "target/ci/serve_pass2_$mode.ndjson"
+    grep -q '"simulated":0' "target/ci/serve_pass2_$mode.ndjson"
+done
 # The daemon binds its socket before it opens the store, so its store
 # line is only certain to be written once it has answered a query.
-grep -q 'store: 4 cells' target/ci/serve_daemon2.txt
+grep -q 'store: 8 cells' target/ci/serve_daemon2.txt
 grep -q '0 shard(s) rebuilt' target/ci/serve_daemon2.txt
-grep -q '"memo_hits":4' target/ci/serve_pass2.ndjson
-grep -q '"simulated":0' target/ci/serve_pass2.ndjson
 kill "$SERVE_PID"
 wait "$SERVE_PID" || true
 trap - EXIT

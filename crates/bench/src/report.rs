@@ -117,7 +117,7 @@ pub fn book(scale: Scale) -> String {
             "Fig. 8 espresso scatter",
             "`fig8_espresso_scatter`",
             "`fig8_espresso_scatter -- --scale small`",
-            "stdout, 28 (cost, CPI) points",
+            "stdout, 5 annotated points + the 27-point (cost, CPI) table",
             "shape matches: plateau past the recommended point",
         ),
         (

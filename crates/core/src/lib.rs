@@ -63,11 +63,12 @@ pub mod sample;
 mod sim;
 mod stats;
 
+pub use aurora_isa::WarmDigest;
 pub use config::{
     FpIssuePolicy, FpuConfig, IssueWidth, MachineConfig, MachineModel, SamplingConfig,
 };
 pub use obs::{Histogram, ObsEvent, ObsEventKind, Observer, StallCause};
 pub use rob::ReorderBuffer;
 pub use sample::{run_sampled, run_sampled_digest, SampledStats};
-pub use sim::{replay, replay_blocks, simulate, simulate_program, Simulator, WarmDigest};
+pub use sim::{replay, replay_blocks, simulate, simulate_program, Simulator};
 pub use stats::{SimStats, StallBreakdown, StallKind};

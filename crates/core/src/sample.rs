@@ -25,10 +25,10 @@
 //! Traces no longer than one sampling unit run fully detailed and report
 //! the exact CPI with a zero-width interval.
 
-use aurora_isa::{PackedOp, PackedTrace};
+use aurora_isa::{PackedOp, PackedTrace, WarmDigest};
 
 use crate::config::{MachineConfig, SamplingConfig};
-use crate::sim::{Simulator, WarmDigest};
+use crate::sim::Simulator;
 
 /// Two-sided 95% normal quantile used for the confidence interval.
 const Z_95: f64 = 1.96;

@@ -40,8 +40,8 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use aurora_isa::{
-    ArchReg, BlockTemplate, BlockTrace, EmuError, Emulator, OpKind, PackedOp, PackedTrace, Program,
-    TraceOp,
+    ArchReg, BlockTemplate, BlockTrace, EmuError, Emulator, OpKind, PackedTrace, Program, TraceOp,
+    WarmDigest, WarmKind,
 };
 use aurora_mem::{
     Biu, DecodedICache, DirectMappedCache, Geometry, LineAddr, MshrFile, PairInfo, StreamBuffers,
@@ -1425,12 +1425,12 @@ impl<'cfg> Simulator<'cfg> {
         self.delay_pending = None;
         let mut warm_dline: Option<LineAddr> = None;
         for ev in digest.events_in(range) {
-            match ev.tag {
-                WE_FETCH => {
+            match ev.kind() {
+                WarmKind::Fetch { pc } => {
                     // No same-line memo here: fetch events only exist at
                     // line transitions, so consecutive ones never repeat
                     // a line and a memo could never hit.
-                    let pc = u64::from(ev.a);
+                    let pc = u64::from(pc);
                     self.last_fetch_pair = Some(pc >> 3);
                     if !self.icache.contains(pc) {
                         let line = self.icache.geometry().line(pc);
@@ -1438,11 +1438,11 @@ impl<'cfg> Simulator<'cfg> {
                         self.icache.fill(pc);
                     }
                 }
-                WE_LOAD => {
-                    let ea = u64::from(ev.a);
+                WarmKind::Load { ea, bytes } => {
+                    let ea = u64::from(ea);
                     let line = self.dcache.geometry().line(ea);
                     if warm_dline != Some(line) {
-                        if !self.write_cache.load_covers(ea, u32::from(ev.bytes))
+                        if !self.write_cache.load_covers(ea, u32::from(bytes))
                             && !self.dcache.contains(ea)
                         {
                             self.warm_stream(line, false);
@@ -1451,173 +1451,20 @@ impl<'cfg> Simulator<'cfg> {
                         warm_dline = Some(line);
                     }
                 }
-                WE_STORE => {
-                    let ea = u64::from(ev.a);
-                    self.write_cache.warm_store(ea, u32::from(ev.bytes));
+                WarmKind::Store { ea, bytes } => {
+                    let ea = u64::from(ea);
+                    self.write_cache.warm_store(ea, u32::from(bytes));
                     if !self.dcache.contains(ea) {
                         self.dcache.fill(ea);
                     }
                     warm_dline = None;
                 }
-                WE_CTL => {
-                    self.record_ctl_pair(ev.a, Some(u64::from(ev.b)));
+                WarmKind::Control { pc, target } => {
+                    self.record_ctl_pair(pc, Some(u64::from(target)));
                 }
-                _ => {
-                    debug_assert_eq!(ev.tag, WE_CTL_INDIRECT);
-                    self.record_ctl_pair(ev.a, None);
-                }
+                WarmKind::IndirectJump { pc } => self.record_ctl_pair(pc, None),
             }
         }
-    }
-}
-
-/// Event tags for [`WarmDigest`] entries.
-const WE_FETCH: u8 = 0;
-const WE_LOAD: u8 = 1;
-const WE_STORE: u8 = 2;
-const WE_CTL: u8 = 3;
-const WE_CTL_INDIRECT: u8 = 4;
-
-/// One pre-extracted warming event: `a` holds the fetch/control PC or
-/// the memory effective address, `b` a direct control target, `bytes`
-/// the access width.
-#[derive(Clone, Copy)]
-struct WarmEvent {
-    op_idx: u32,
-    a: u32,
-    b: u32,
-    tag: u8,
-    bytes: u8,
-}
-
-/// The subsequence of a trace that functional warming actually reacts
-/// to, pre-extracted once so every warm pass skips the ops that cannot
-/// change warm state.
-///
-/// Warming op by op would decode every op only to ignore most of them:
-/// ALU and FP arithmetic touch no warm state, and instruction-side
-/// probes collapse to one per cache-line transition. A digest walks the trace once, keeps only line
-/// transitions, memory references and control transfers — each stamped
-/// with its op index — and [`Simulator::warm_digest`] then replays an
-/// arbitrary index range by binary-searching the event list. The digest
-/// depends on the trace and the line granule alone, never on a machine
-/// model, so one digest serves every configuration sharing a line size
-/// (every [`MachineModel`](crate::MachineModel) preset uses 32-byte
-/// lines) across any number of sampling passes.
-pub struct WarmDigest {
-    line_bytes: u32,
-    events: Vec<WarmEvent>,
-}
-
-impl WarmDigest {
-    /// Extracts the warming events of `ops` at a `line_bytes` fetch
-    /// granule (power of two, at least one 8-byte pair per line).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line_bytes` is not a power of two at least 8, or if
-    /// the trace holds `u32::MAX` ops or more (digest indices are
-    /// 32-bit; captured traces are orders of magnitude smaller).
-    #[must_use]
-    pub fn build(ops: &[PackedOp], line_bytes: u32) -> WarmDigest {
-        assert!(
-            line_bytes.is_power_of_two() && line_bytes >= 8,
-            "line_bytes {line_bytes} invalid"
-        );
-        assert!(
-            u32::try_from(ops.len()).is_ok(),
-            "trace too large to digest"
-        );
-        let shift = line_bytes.trailing_zeros();
-        let mut events = Vec::with_capacity(ops.len() / 2);
-        let mut last_line = u64::MAX;
-        for (idx, rec) in ops.iter().enumerate() {
-            let op_idx = idx as u32;
-            let pc = rec.pc();
-            let line = u64::from(pc >> shift);
-            if line != last_line {
-                last_line = line;
-                events.push(WarmEvent {
-                    op_idx,
-                    a: pc,
-                    b: 0,
-                    tag: WE_FETCH,
-                    bytes: 0,
-                });
-            }
-            match rec.kind_only() {
-                OpKind::Load { ea, width } | OpKind::FpLoad { ea, width } => {
-                    events.push(WarmEvent {
-                        op_idx,
-                        a: ea,
-                        b: 0,
-                        tag: WE_LOAD,
-                        bytes: width.bytes() as u8,
-                    });
-                }
-                OpKind::Store { ea, width } | OpKind::FpStore { ea, width } => {
-                    events.push(WarmEvent {
-                        op_idx,
-                        a: ea,
-                        b: 0,
-                        tag: WE_STORE,
-                        bytes: width.bytes() as u8,
-                    });
-                }
-                OpKind::Branch { target, .. } => {
-                    events.push(WarmEvent {
-                        op_idx,
-                        a: pc,
-                        b: target,
-                        tag: WE_CTL,
-                        bytes: 0,
-                    });
-                }
-                OpKind::Jump { target, register } => {
-                    events.push(WarmEvent {
-                        op_idx,
-                        a: pc,
-                        b: target,
-                        tag: if register { WE_CTL_INDIRECT } else { WE_CTL },
-                        bytes: 0,
-                    });
-                }
-                _ => {}
-            }
-        }
-        WarmDigest { line_bytes, events }
-    }
-
-    /// The fetch-line granule the digest was extracted at.
-    #[must_use]
-    pub fn line_bytes(&self) -> u32 {
-        self.line_bytes
-    }
-
-    /// Number of warming events extracted (the density `len() /
-    /// trace_ops` is the fraction of the trace warming actually
-    /// touches).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the digest holds no events (an empty trace).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The events whose source op index falls in `range`.
-    fn events_in(&self, range: Range<usize>) -> &[WarmEvent] {
-        let lo = self
-            .events
-            .partition_point(|e| (e.op_idx as usize) < range.start);
-        // `partition_point` bounds `lo` and `hi` by the slice length, but
-        // the panic-free forms keep the fetch hot path index-free.
-        let tail = self.events.get(lo..).unwrap_or_default();
-        let hi = tail.partition_point(|e| (e.op_idx as usize) < range.end);
-        tail.get(..hi).unwrap_or_default()
     }
 }
 

@@ -18,6 +18,9 @@
 //!   `aurora-core` cycle simulator,
 //! * [`PackedTrace`] — a compact fixed-width in-memory trace: the
 //!   per-op oracle and sampled mode's input,
+//! * [`WarmDigest`] — the events of a packed trace that functional
+//!   warming reacts to (line transitions, memory references, control
+//!   transfers), extracted once per trace and line size,
 //! * [`BlockTrace`] — a trace lowered to basic blocks deduplicated by
 //!   static code, each template carrying its pre-resolved per-op masks,
 //!   plus a stream of effective addresses: what capture-once / replay-many
@@ -64,6 +67,7 @@ mod asm;
 mod block;
 mod builder;
 mod codec;
+mod digest;
 mod emu;
 mod fingerprint;
 mod instr;
@@ -78,6 +82,7 @@ pub use asm::{AsmError, Assembler};
 pub use block::{BlockTemplate, BlockTrace, BlockTraceBuilder, MAX_BLOCK_OPS};
 pub use builder::ProgramBuilder;
 pub use codec::TRACE_FORMAT_VERSION;
+pub use digest::{WarmDigest, WarmEvent, WarmKind};
 pub use emu::{EmuError, Emulator, RunOutcome};
 pub use fingerprint::{fnv1a, Fnv1a};
 pub use instr::{DecodeError, Instruction};

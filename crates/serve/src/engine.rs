@@ -43,13 +43,14 @@ pub struct Engine {
 
 /// Everything a pool worker needs for one workload, in the form its
 /// mode replays: exact cells (Block and Detailed) hold only the block
-/// form, and the packed trace is fetched only for Sampled cells.
+/// form, and the packed trace is fetched only for Sampled cells. Every
+/// form is the [`TraceStore`]'s memoised one, shared across queries.
 enum TraceBundle {
     /// Block replay of the lowering.
     Block(Arc<BlockTrace>),
     /// Sampled replay of the packed trace with its functional-warming
     /// digest.
-    Sampled(Arc<PackedTrace>, WarmDigest),
+    Sampled(Arc<PackedTrace>, Arc<WarmDigest>),
 }
 
 impl Engine {
@@ -251,7 +252,9 @@ fn compute_cell(cfg: &MachineConfig, bundle: &TraceBundle, sampling: &SamplingCo
 /// replays for one workload. Detailed cells replay the block form like
 /// Block cells: the block engine's `SimStats` are bit-identical to
 /// per-op replay's, so the two exact modes differ only in name and memo
-/// key.
+/// key. Sampled cells take the packed trace and its warming digest,
+/// both built at most once per process. Runs on the query's coordinator
+/// thread, never on the pool.
 fn capture_bundle(workload: &Workload, mode: Mode) -> Result<TraceBundle, ProtoError> {
     let store = TraceStore::global();
     let failed = |e| ProtoError(format!("capturing `{}`: {e}", workload.name()));
@@ -264,7 +267,7 @@ fn capture_bundle(workload: &Workload, mode: Mode) -> Result<TraceBundle, ProtoE
             // Every preset uses 32-byte lines (and `line_bytes` is not an
             // override knob); `run_sampled_digest` rebuilds the digest at
             // the config's line size if a future config disagrees.
-            let digest = WarmDigest::build(packed.records(), 32);
+            let digest = store.get_digest(workload, 32).map_err(failed)?;
             TraceBundle::Sampled(packed, digest)
         }
     })
@@ -325,6 +328,21 @@ mod tests {
         let w = workload_by_name("compress", aurora_workloads::Scale::Test).expect("kernel");
         let bundle = capture_bundle(&w, Mode::Detailed).expect("kernel captures");
         assert!(matches!(bundle, TraceBundle::Block(_)));
+    }
+
+    #[test]
+    fn sampled_cells_share_one_memoised_digest() {
+        let w = workload_by_name("compress", aurora_workloads::Scale::Test).expect("kernel");
+        let digest = |bundle| match bundle {
+            TraceBundle::Sampled(_, digest) => digest,
+            TraceBundle::Block(_) => panic!("sampled cells replay the packed trace"),
+        };
+        let first = digest(capture_bundle(&w, Mode::Sampled).expect("kernel captures"));
+        let second = digest(capture_bundle(&w, Mode::Sampled).expect("kernel captures"));
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "each sampled query rebuilt the digest"
+        );
     }
 
     #[test]

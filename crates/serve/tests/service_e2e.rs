@@ -1,14 +1,14 @@
 //! End-to-end service tests: a real daemon on a unix socket (and HTTP),
 //! overlapping grid queries from concurrent clients, and the core
 //! guarantee — warm-path results bit-identical to a direct `run_matrix`
-//! sweep.
+//! sweep, and cold sampled cells to a direct `run_sampled`.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use aurora_bench::harness::run_matrix;
-use aurora_core::{replay, IssueWidth, MachineModel};
+use aurora_core::{replay, run_sampled, IssueWidth, MachineModel};
 use aurora_mem::LatencyModel;
 use aurora_serve::json::Json;
 use aurora_serve::proto::{CellResult, QueryRequest, ResponseLine};
@@ -16,12 +16,15 @@ use aurora_serve::{client, server, Engine, ResultStore};
 use aurora_workloads::{workload_by_name, Scale};
 
 /// One NDJSON response stream, parsed: the cell lines' wire fingerprints
-/// and the summary counters.
+/// (exact cells) or estimates (sampled cells), and the summary counters.
 #[derive(Default)]
 struct Reply {
     /// `(config index, workload name, stats fingerprint hex string)` per
-    /// cell line, in stream order.
+    /// exact cell line, in stream order.
     fingerprints: Vec<(usize, String, String)>,
+    /// `(config index, workload name, cpi, ci_half_width)` per sampled
+    /// cell line, in stream order.
+    sampled: Vec<(usize, String, f64, f64)>,
     cells: u64,
     memo_hits: u64,
     simulated: u64,
@@ -37,12 +40,18 @@ fn parse_reply(lines: &[String]) -> Reply {
             Some("cell") => {
                 let ci = v.get("config").and_then(Json::as_u64).expect("config") as usize;
                 let w = v.get("workload").and_then(Json::as_str).expect("workload");
-                let fp = v
-                    .get("stats")
-                    .and_then(|s| s.get("fingerprint"))
-                    .and_then(Json::as_str)
-                    .expect("fingerprint");
-                reply.fingerprints.push((ci, w.to_owned(), fp.to_owned()));
+                let stats = v.get("stats").expect("stats");
+                match stats.get("fingerprint").and_then(Json::as_str) {
+                    Some(fp) => reply.fingerprints.push((ci, w.to_owned(), fp.to_owned())),
+                    None => {
+                        let cpi = stats.get("cpi").and_then(Json::as_f64).expect("cpi");
+                        let ci_half = stats
+                            .get("ci_half_width")
+                            .and_then(Json::as_f64)
+                            .expect("ci_half_width");
+                        reply.sampled.push((ci, w.to_owned(), cpi, ci_half));
+                    }
+                }
             }
             Some("summary") => {
                 assert_eq!(i + 1, lines.len(), "the summary must be the last line");
@@ -60,7 +69,7 @@ fn parse_reply(lines: &[String]) -> Reply {
         }
     }
     assert_eq!(
-        reply.fingerprints.len() as u64,
+        (reply.fingerprints.len() + reply.sampled.len()) as u64,
         reply.cells,
         "one cell line per summarised cell"
     );
@@ -375,6 +384,51 @@ fn detailed_and_block_modes_agree() {
         .expect("kernel captures");
     let oracle = format!("{:#018x}", replay(&cfg, &trace).fingerprint());
     assert_eq!(block_fp, oracle, "served cells != per-op replay");
+
+    handle.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Two cold sampled queries on one kernel, each with a config of its
+/// own, share the daemon's memoised warming digest; both answers must
+/// be bit-equal to `run_sampled` over an independent packed capture.
+#[test]
+fn cold_sampled_cells_match_run_sampled() {
+    let dir = scratch("sampled");
+    let socket = dir.join("aurora.sock");
+    fs::create_dir_all(&dir).expect("scratch dir");
+    let engine = Arc::new(Engine::new(
+        ResultStore::open(&dir.join("store")).expect("open"),
+    ));
+    let handle = server::spawn_unix(Arc::clone(&engine), &socket).expect("bind");
+    let trace = workload_by_name("compress", Scale::Test)
+        .expect("kernel")
+        .capture()
+        .expect("kernel captures");
+
+    for (model, issue) in [("baseline", "dual"), ("small", "single")] {
+        let text = format!(
+            r#"{{"configs": [{{"model": "{model}", "issue": "{issue}"}}],
+                 "workloads": ["compress"], "scale": "test", "mode": "sampled"}}"#
+        );
+        let mut lines = Vec::new();
+        client::query_unix(&socket, &text, |l| lines.push(l.to_owned())).expect("query");
+        let reply = parse_reply(&lines);
+        assert_eq!((reply.cells, reply.simulated), (1, 1), "{model}-{issue}");
+        let (_, _, cpi, ci_half) = reply.sampled[0];
+
+        let req = QueryRequest::from_json_str(&text).expect("parse");
+        let cfg = &req.machine_configs().expect("resolve")[0];
+        let oracle = run_sampled(cfg, &req.sampling, &trace);
+        assert!(oracle.windows > 1, "the trace must be long enough to warm");
+        assert_eq!(cpi.to_bits(), oracle.cpi.to_bits(), "{model}-{issue} cpi");
+        assert_eq!(
+            ci_half.to_bits(),
+            oracle.ci_half_width.to_bits(),
+            "{model}-{issue} ci_half_width"
+        );
+    }
+    assert_eq!(engine.store().len(), 2);
 
     handle.shutdown();
     let _ = fs::remove_dir_all(&dir);
