@@ -17,16 +17,16 @@ echo "== aurora-lint (workspace invariant gate, docs/LINTS.md) =="
 # stderr, and a non-zero exit fails CI.
 mkdir -p target/ci
 cargo run -q -p aurora-lint -- --format sarif > lint.sarif
-# The semantic rules (dataflow, concurrency, snapshot codec drift, taint,
-# wire drift) must be in the shipped catalogue — a SARIF without them
-# means the gate silently lost coverage.
-for rule in L010 L011 L012 L013 L014 L015 L016; do
+# The shipped catalogue, exactly: `--list` must print these ids and no
+# others, and each must be a SARIF rule, so the gate cannot silently lose
+# (or grow) a rule. docs/LINTS.md names the bug each one catches and why
+# the missing ids were retired.
+LINT_RULES="L000 L001 L002 L003 L004 L009 L010 L013 L015"
+cargo run -q -p aurora-lint -- --list | cut -d' ' -f1 > target/ci/lint_rules.txt
+echo $LINT_RULES | tr ' ' '\n' | diff - target/ci/lint_rules.txt
+for rule in $LINT_RULES; do
     grep -q "\"id\":\"$rule\"" lint.sarif
 done
-cargo run -q -p aurora-lint -- --list > target/ci/lint_rules.txt
-# 15 rules: L005 is retired and L006 moved to clippy (the cast lints
-# denied in crates/isa/src/codec.rs and packed.rs).
-[ "$(grep -c '^L0' target/ci/lint_rules.txt)" -eq 15 ]
 
 echo "== build (release) =="
 cargo build --release --workspace

@@ -32,12 +32,12 @@ fn main() {
     ]
     .concat();
 
-    print!("{md}");
     let args: Vec<String> = std::env::args().collect();
-    for pair in args.windows(2) {
-        if pair[0] == "--write" {
+    match args.windows(2).find(|pair| pair[0] == "--write") {
+        Some(pair) => {
             fs::write(&pair[1], &md).expect("write report");
             eprintln!("wrote {}", pair[1]);
         }
+        None => print!("{md}"),
     }
 }

@@ -72,3 +72,16 @@ pub use rob::ReorderBuffer;
 pub use sample::{run_sampled, run_sampled_digest, SampledStats};
 pub use sim::{replay, replay_blocks, simulate, simulate_program, Simulator};
 pub use stats::{SimStats, StallBreakdown, StallKind};
+
+/// Version of the timing model: what the simulator computes from a
+/// trace and a configuration. The `aurora-serve` result store binds it
+/// in every shard header and rebuilds a shard written under another
+/// value, so a persisted store never serves a cell an older model
+/// computed.
+///
+/// Bump it in any change that moves a `SimStats` value or a sampled
+/// estimate for an unchanged configuration and trace. The root
+/// package's `tests/model_version.rs` pins it together with a hash of
+/// the canary grid's results, so such a change fails that test until
+/// both are updated.
+pub const MODEL_VERSION: u32 = 1;

@@ -452,20 +452,14 @@ mod tests {
     }
 
     /// Every counter set to a distinct value, so the pinned fingerprint
-    /// below covers the position of each field in the image.
+    /// below covers the position of each field in the image. Every field
+    /// is named (no `..Default::default()`), so a counter added later
+    /// must be given a value here, and the round trip below then catches
+    /// a `save` without a matching `restore`.
     fn every_counter_distinct() -> SimStats {
-        let mut stats = SimStats {
-            cycles: 1_000_003,
-            instructions: 700_001,
-            fp_instructions: 41,
-            fp_dual_issues: 42,
-            folded_branches: 43,
-            unfolded_branches: 44,
-            dual_issues: 45,
-            ..Default::default()
-        };
+        let mut stalls = StallBreakdown::default();
         for (i, kind) in StallKind::ALL.into_iter().enumerate() {
-            stats.stalls[kind] = 100 + i as u64;
+            stalls[kind] = 100 + i as u64;
         }
         let cache = |base: u64| CacheStats {
             accesses: base,
@@ -473,40 +467,49 @@ mod tests {
             misses: base + 2,
             evictions: base + 3,
         };
-        stats.icache = cache(200);
-        stats.dcache = cache(210);
         let stream = |base: u64| StreamStats {
             probes: base,
             hits: base + 1,
             prefetches_issued: base + 2,
             allocations: base + 3,
         };
-        stats.istream = stream(300);
-        stats.dstream = stream(310);
-        stats.write_cache = WriteCacheStats {
-            store_accesses: 400,
-            store_hits: 401,
-            load_accesses: 402,
-            load_hits: 403,
-            store_transactions: 404,
-            validations: 405,
-        };
-        stats.mshr = MshrStats {
-            allocations: 500,
-            merges: 501,
-            full_stalls: 502,
-            peak_occupancy: 503,
-        };
-        stats.biu = BiuStats {
-            instr_fills: 600,
-            data_fills: 601,
-            prefetches: 602,
-            write_backs: 603,
-            validations: 604,
-            receive_busy_cycles: 605,
-            transmit_busy_cycles: 606,
-        };
-        stats
+        SimStats {
+            cycles: 1_000_003,
+            instructions: 700_001,
+            stalls,
+            icache: cache(200),
+            dcache: cache(210),
+            istream: stream(300),
+            dstream: stream(310),
+            write_cache: WriteCacheStats {
+                store_accesses: 400,
+                store_hits: 401,
+                load_accesses: 402,
+                load_hits: 403,
+                store_transactions: 404,
+                validations: 405,
+            },
+            mshr: MshrStats {
+                allocations: 500,
+                merges: 501,
+                full_stalls: 502,
+                peak_occupancy: 503,
+            },
+            biu: BiuStats {
+                instr_fills: 600,
+                data_fills: 601,
+                prefetches: 602,
+                write_backs: 603,
+                validations: 604,
+                receive_busy_cycles: 605,
+                transmit_busy_cycles: 606,
+            },
+            fp_instructions: 41,
+            fp_dual_issues: 42,
+            folded_branches: 43,
+            unfolded_branches: 44,
+            dual_issues: 45,
+        }
     }
 
     /// `SimStats::fingerprint` hashes the whole snapshot image, header

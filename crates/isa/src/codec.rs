@@ -25,12 +25,6 @@
 
 use crate::trace::{ArchReg, MemWidth, OpKind};
 
-/// Version stamp of the trace encoding. Its only reader is the
-/// `aurora-serve` result store, whose 20-byte shard header still carries
-/// it: the value stays 1 so existing stores open without a rebuild.
-/// Bumping it discards every stored result.
-pub const TRACE_FORMAT_VERSION: u32 = 1;
-
 // Kind tags.
 pub(crate) const K_INT_ALU: u8 = 0;
 pub(crate) const K_INT_MUL: u8 = 1;

@@ -81,7 +81,6 @@ mod trace;
 pub use asm::{AsmError, Assembler};
 pub use block::{BlockTemplate, BlockTrace, BlockTraceBuilder, MAX_BLOCK_OPS};
 pub use builder::ProgramBuilder;
-pub use codec::TRACE_FORMAT_VERSION;
 pub use digest::{WarmDigest, WarmEvent, WarmKind};
 pub use emu::{EmuError, Emulator, RunOutcome};
 pub use fingerprint::{fnv1a, Fnv1a};

@@ -3,8 +3,8 @@
 //! The workspace deliberately carries no serialization dependency (the
 //! build environment is offline), so every JSON document it reads or
 //! writes goes through this ~300-line crate: the service's wire
-//! protocol, `aurora_benchmark`'s reports, `aurora-lint`'s JSON and
-//! SARIF output and the simulator's Perfetto trace export. It is a
+//! protocol, `aurora_benchmark`'s reports, `aurora-lint`'s SARIF
+//! output and the simulator's Perfetto trace export. It is a
 //! recursive-descent parser into [`Json`] and a writer that escapes
 //! strings and prints numbers in a round-trippable form, compactly and
 //! with sorted object keys. It supports objects, arrays, strings, finite

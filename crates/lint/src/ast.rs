@@ -115,8 +115,8 @@ pub enum Expr {
     /// `&e`, `*e`, `-e`, `!e`.
     Unary(Box<Expr>),
     /// `&mut e` — kept distinct from [`Expr::Unary`] because handing out
-    /// a mutable borrow of a field counts as a write for the
-    /// checkpoint-drift analysis (L014).
+    /// a mutable borrow of a field is a write, not a read, for the
+    /// dead-counter rule (L003).
     MutBorrow(Box<Expr>),
     Binary {
         op: BinOp,

@@ -76,41 +76,6 @@ pub struct ConfigCoverage {
     pub used_in: Vec<String>,
 }
 
-/// One `[[wire]]` entry: a writer/reader function pair whose wire format
-/// must stay in sync (L016). `kind = "json"` checks that every key the
-/// readers look up is actually emitted by the writers; `kind = "record"`
-/// checks that the struct fields the writer serializes and the reader
-/// reconstructs are the same set.
-#[derive(Debug, Clone, Default)]
-pub struct WirePair {
-    /// `"json"` or `"record"`.
-    pub kind: String,
-    pub writer_file: String,
-    /// Writer functions, `"name"` or `"Type::name"`.
-    pub writers: Vec<String>,
-    pub reader_file: String,
-    pub readers: Vec<String>,
-    /// For `kind = "record"`: the structs whose fields travel on the wire.
-    pub structs: Vec<String>,
-}
-
-/// `[checkpoint]` — the writer/reader types whose appearance in a
-/// `save`/`restore` signature marks a Snapshot codec pair (L014).
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    pub writer: String,
-    pub reader: String,
-}
-
-impl Default for Checkpoint {
-    fn default() -> Checkpoint {
-        Checkpoint {
-            writer: "SnapshotWriter".to_string(),
-            reader: "SnapshotReader".to_string(),
-        }
-    }
-}
-
 #[derive(Debug, Clone, Default)]
 pub struct LintConfig {
     pub exclude: Vec<String>,
@@ -118,21 +83,12 @@ pub struct LintConfig {
     /// `[[pool]]` entries: worker-loop roots whose reachable set must stay
     /// free of blocking calls (L013). Same shape as `[[hot]]`.
     pub pool: Vec<HotFile>,
-    pub checkpoint: Checkpoint,
     pub stats: StatsScope,
     pub config_coverage: ConfigCoverage,
-    /// `[determinism] files`: everything reachable from the functions in
-    /// these files must be free of L007 nondeterminism sources.
-    pub determinism_files: Vec<String>,
-    /// `[units] files`: path prefixes where L008 unit-mixing is checked.
-    pub units_files: Vec<String>,
     /// `[[untrusted]]` entries: functions whose return value (and, for
     /// handlers, whose parameters) carry attacker-controlled bytes. The
     /// taint pass (L015) seeds its worklist here.
     pub untrusted: Vec<UntrustedFile>,
-    /// `[[wire]]` entries: writer/reader pairs checked for format drift
-    /// (L016).
-    pub wire: Vec<WirePair>,
 }
 
 #[derive(Debug)]
@@ -168,8 +124,6 @@ impl LintConfig {
                     cfg.pool.push(HotFile::default());
                 } else if section == "untrusted" {
                     cfg.untrusted.push(UntrustedFile::default());
-                } else if section == "wire" {
-                    cfg.wire.push(WirePair::default());
                 }
                 continue;
             }
@@ -284,62 +238,12 @@ impl LintConfig {
                     .ok_or_else(|| err("no [[untrusted]] entry open"))?;
                 entry.sanitizers = want_list(&value)?;
             }
-            ("wire", "kind") => {
-                let entry = self
-                    .wire
-                    .last_mut()
-                    .ok_or_else(|| err("no [[wire]] entry open"))?;
-                let kind = want_str(&value)?;
-                if kind != "json" && kind != "record" {
-                    return Err(err("wire `kind` must be \"json\" or \"record\""));
-                }
-                entry.kind = kind;
-            }
-            ("wire", "writer_file") => {
-                let entry = self
-                    .wire
-                    .last_mut()
-                    .ok_or_else(|| err("no [[wire]] entry open"))?;
-                entry.writer_file = want_str(&value)?;
-            }
-            ("wire", "writers") => {
-                let entry = self
-                    .wire
-                    .last_mut()
-                    .ok_or_else(|| err("no [[wire]] entry open"))?;
-                entry.writers = want_list(&value)?;
-            }
-            ("wire", "reader_file") => {
-                let entry = self
-                    .wire
-                    .last_mut()
-                    .ok_or_else(|| err("no [[wire]] entry open"))?;
-                entry.reader_file = want_str(&value)?;
-            }
-            ("wire", "readers") => {
-                let entry = self
-                    .wire
-                    .last_mut()
-                    .ok_or_else(|| err("no [[wire]] entry open"))?;
-                entry.readers = want_list(&value)?;
-            }
-            ("wire", "structs") => {
-                let entry = self
-                    .wire
-                    .last_mut()
-                    .ok_or_else(|| err("no [[wire]] entry open"))?;
-                entry.structs = want_list(&value)?;
-            }
-            ("checkpoint", "writer") => self.checkpoint.writer = want_str(&value)?,
-            ("checkpoint", "reader") => self.checkpoint.reader = want_str(&value)?,
             ("stats", "file") => self.stats.file = want_str(&value)?,
             ("stats", "structs") => self.stats.structs = want_list(&value)?,
             ("stats", "read_scope") => self.stats.read_scope = want_list(&value)?,
             ("config_coverage", "file") => self.config_coverage.file = want_str(&value)?,
             ("config_coverage", "struct") => self.config_coverage.struct_name = want_str(&value)?,
             ("config_coverage", "used_in") => self.config_coverage.used_in = want_list(&value)?,
-            ("determinism", "files") => self.determinism_files = want_list(&value)?,
-            ("units", "files") => self.units_files = want_list(&value)?,
             _ => {
                 return Err(err(&format!(
                     "unknown key `{key}` in section `[{section}]`"
@@ -495,10 +399,6 @@ roots = ["MshrFile::probe"]
 file = "crates/bench/src/harness.rs"
 roots = ["drain_worker"]
 
-[checkpoint]
-writer = "SnapshotWriter"
-reader = "SnapshotReader"
-
 [stats]
 file = "crates/core/src/stats.rs"
 structs = ["SimStats"]
@@ -509,31 +409,10 @@ file = "crates/core/src/config.rs"
 struct = "MachineConfig"
 used_in = ["crates/bench/src"]
 
-[determinism]
-files = ["crates/core/src/sim.rs"]
-
-[units]
-files = ["crates/core"]
-
 [[untrusted]]
 file = "crates/json/src/lib.rs"
 roots = ["Json::parse"]
 sanitizers = ["QueryRequest::from_json_str"]
-
-[[wire]]
-kind = "json"
-writer_file = "crates/serve/src/proto.rs"
-writers = ["ResponseLine::to_json"]
-reader_file = "crates/serve/tests/service_e2e.rs"
-readers = ["read_response"]
-
-[[wire]]
-kind = "record"
-writer_file = "crates/serve/src/store.rs"
-writers = ["encode_payload"]
-reader_file = "crates/serve/src/store.rs"
-readers = ["decode_payload"]
-structs = ["SampledCell"]
 "##;
         let cfg = LintConfig::parse(text).unwrap();
         assert_eq!(cfg.exclude, vec!["target", "vendor"]);
@@ -542,30 +421,14 @@ structs = ["SampledCell"]
         assert_eq!(cfg.hot[1].file, "crates/mem/src/mshr.rs");
         assert_eq!(cfg.pool.len(), 1);
         assert_eq!(cfg.pool[0].roots, vec!["drain_worker"]);
-        assert_eq!(cfg.checkpoint.writer, "SnapshotWriter");
-        assert_eq!(cfg.checkpoint.reader, "SnapshotReader");
         assert_eq!(cfg.stats.structs, vec!["SimStats"]);
         assert_eq!(cfg.config_coverage.struct_name, "MachineConfig");
-        assert_eq!(cfg.determinism_files, vec!["crates/core/src/sim.rs"]);
-        assert_eq!(cfg.units_files, vec!["crates/core"]);
         assert_eq!(cfg.untrusted.len(), 1);
         assert_eq!(cfg.untrusted[0].roots, vec!["Json::parse"]);
         assert_eq!(
             cfg.untrusted[0].sanitizers,
             vec!["QueryRequest::from_json_str"]
         );
-        assert_eq!(cfg.wire.len(), 2);
-        assert_eq!(cfg.wire[0].kind, "json");
-        assert_eq!(cfg.wire[0].readers, vec!["read_response"]);
-        assert_eq!(cfg.wire[1].kind, "record");
-        assert_eq!(cfg.wire[1].structs, vec!["SampledCell"]);
-    }
-
-    #[test]
-    fn wire_kind_is_validated() {
-        let err = LintConfig::parse("[[wire]]\nkind = \"xml\"\n")
-            .expect_err("unsupported wire kinds must be rejected");
-        assert!(err.to_string().contains("json"), "{err}");
     }
 
     #[test]

@@ -22,11 +22,10 @@
 //! Subtractions additionally consult an order-fact set harvested from
 //! dominating guards: inside `if i >= cap { .. }` the fact `i >= cap`
 //! proves `i - cap`. `saturating_*`/`checked_*`/`wrapping_*` calls and
-//! `as` casts on either operand silence the check (the cast is the
-//! explicit conversion L008 already demands).
+//! `as` casts on either operand silence the check (the cast marks an
+//! explicit conversion).
 
 use crate::ast::{BinOp, Block, Expr, LetStmt, PFn, Stmt};
-use crate::facts::unit_of;
 
 /// An inclusive integer interval. The analysis saturates at the `i128`
 /// rails, which both sit far outside the `u64` range being proven.
@@ -410,8 +409,8 @@ impl<'a> Flow<'a> {
         if is_cast(lhs) || is_cast(rhs) {
             return;
         }
-        let l_unit = arith_name(lhs).and_then(|n| unit_of(&n).map(|_| n));
-        let r_unit = arith_name(rhs).and_then(|n| unit_of(&n).map(|_| n));
+        let l_unit = arith_name(lhs).filter(|n| is_unit_name(n));
+        let r_unit = arith_name(rhs).filter(|n| is_unit_name(n));
         if l_unit.is_none() && r_unit.is_none() {
             return;
         }
@@ -558,6 +557,15 @@ impl<'a> Flow<'a> {
             self.set(&n, OPERAND_TOP);
         }
     }
+}
+
+/// A cycle- or count-named operand: `cycle(s)`, `count`, or a
+/// `_cycle`/`_cycles`/`_count`/`_counts` suffix.
+fn is_unit_name(name: &str) -> bool {
+    ["cycle", "cycles", "count"].contains(&name)
+        || ["_cycle", "_cycles", "_count", "_counts"]
+            .iter()
+            .any(|suffix| name.ends_with(suffix))
 }
 
 fn is_cast(e: &Expr) -> bool {

@@ -36,61 +36,6 @@ pub const ALLOC_PATH_TAILS: &[&str] = &["new", "with_capacity", "from"];
 pub const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 pub const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// Container iteration methods that seed an L007 candidate.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "retain",
-];
-
-/// Methods that only read their receiver: calling one on `self.field`
-/// does not count as a write for the checkpoint-drift analysis (L014).
-const READONLY_RECV_METHODS: &[&str] = &[
-    "len",
-    "is_empty",
-    "capacity",
-    "iter",
-    "get",
-    "contains",
-    "contains_key",
-    "clone",
-    "as_ref",
-    "as_deref",
-    "as_slice",
-    "first",
-    "last",
-    "peek",
-    "front",
-    "back",
-    "is_some",
-    "is_none",
-    "binary_search",
-    "to_vec",
-    "starts_with",
-    "ends_with",
-];
-
-/// Atomic operations whose `Ordering` argument L012 inspects. The
-/// read-modify-write ops are recorded but never flagged on their own:
-/// a `Relaxed` `fetch_add` counter is the idiomatic work-stealing shape.
-const ATOMIC_OPS: &[&str] = &[
-    "load",
-    "store",
-    "swap",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_or",
-    "fetch_and",
-    "fetch_xor",
-    "compare_exchange",
-    "compare_exchange_weak",
-];
-
 /// Free-function names that imply filesystem traffic (L013).
 const BLOCKING_FREE_FNS: &[&str] = &[
     "read_to_string",
@@ -145,71 +90,19 @@ pub enum Event {
     Panic { what: String, line: u32 },
     /// L002 candidate + potential `Index` impl edge: `base[...]`.
     IndexOp { chain: String, line: u32 },
-    /// L007: wall-clock or address-sensitive construct.
-    Nondet { what: String, line: u32 },
-    /// L007 candidate: container iteration; fires only if `chain`
-    /// resolves to a Hash* container.
-    HashIter { chain: String, line: u32 },
-    /// L008: `+`/`-` mixing a cycle-unit operand with a count-unit one.
-    UnitMix { cyc: String, cnt: String, line: u32 },
     /// L010 candidate: unchecked `+`/`-`/`*` on a cycle/count-unit
     /// operand the range analysis could not prove safe.
     Arith { what: String, line: u32 },
-    /// L011/L013: a `.lock()` acquisition of the named lock.
-    Lock { label: String, line: u32 },
-    /// L011: `acquired` was locked while `held`'s guard was live.
-    LockEdge {
-        held: String,
-        acquired: String,
-        line: u32,
-    },
-    /// L011: a call made while `held`'s guard was live; the graph phase
-    /// resolves the call at this line and imports the callee's
-    /// transitive acquisitions as lock-order edges.
-    LockedCall { held: String, line: u32 },
-    /// L012: an atomic operation with its `Ordering` argument.
-    Atomic {
-        label: String,
-        op: String,
-        ordering: String,
-        in_spawn: bool,
-        line: u32,
-    },
     /// L013 candidate: a call that can block (file I/O, `Mutex::lock`,
     /// stdio macros).
     Blocking { what: String, line: u32 },
 }
 
-impl Event {
-    pub fn line(&self) -> u32 {
-        match self {
-            Event::Alloc { line, .. }
-            | Event::Panic { line, .. }
-            | Event::IndexOp { line, .. }
-            | Event::Nondet { line, .. }
-            | Event::HashIter { line, .. }
-            | Event::UnitMix { line, .. }
-            | Event::Arith { line, .. }
-            | Event::Lock { line, .. }
-            | Event::LockEdge { line, .. }
-            | Event::LockedCall { line, .. }
-            | Event::Atomic { line, .. }
-            | Event::Blocking { line, .. } => *line,
-        }
-    }
-}
-
-/// A field access with the receiver's chain (L004 knob coverage, L014
-/// checkpoint drift).
+/// A field access with the receiver's chain (L004 knob coverage).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Access {
     pub chain: String,
     pub field: String,
-    pub line: u32,
-    /// True when the access writes: an assignment target (including
-    /// bases of assigned sub-fields/elements), an `&mut` borrow, or the
-    /// receiver of a non-read-only method.
-    pub write: bool,
 }
 
 /// Facts for one function.
@@ -223,8 +116,8 @@ pub struct FnFacts {
     pub in_test: bool,
     /// Normalized return type ("" for unit).
     pub ret: String,
-    /// Parameter types in declaration order ("" for `self`), so rules
-    /// can detect participation in a protocol by signature (L014).
+    /// Parameter types in declaration order ("" for `self`); the taint
+    /// summaries size their parameter masks from it.
     pub params: Vec<String>,
     pub calls: Vec<CallFact>,
     pub events: Vec<Event>,
@@ -250,9 +143,6 @@ pub struct FileFacts {
     pub structs: Vec<(String, u32, Vec<FieldDef>)>,
     /// Field names read (not assignment targets) anywhere in the file.
     pub field_reads: Vec<String>,
-    /// Wire-format key usage from the raw-source scan (L016):
-    /// `(is_write, key, line)` — see [`crate::lexer::wire_keys`].
-    pub wire_keys: Vec<(bool, String, u32)>,
 }
 
 /// Extract facts from a parsed file.
@@ -266,8 +156,6 @@ pub fn extract(parsed: &[PFn], structs: Vec<(String, u32, Vec<FieldDef>)>) -> Fi
         let mut ex = Extractor {
             file_fns: parsed,
             env: Vec::new(),
-            locks: Vec::new(),
-            spawn_depth: 0,
             out: FnFacts {
                 name: f.name.clone(),
                 self_ty: f.self_ty.clone().unwrap_or_default(),
@@ -313,12 +201,6 @@ struct Extractor<'a> {
     file_fns: &'a [PFn],
     /// Lexically-scoped `name -> chain` bindings.
     env: Vec<(String, String)>,
-    /// Lock labels whose guards are live in the current scope: a
-    /// `let`-bound `.lock()` holds until its block ends (explicit
-    /// `drop(guard)` is not modelled — a documented imprecision).
-    locks: Vec<String>,
-    /// > 0 while visiting the body of a closure passed to `spawn`.
-    spawn_depth: u32,
     out: FnFacts,
     reads: &'a mut Vec<String>,
 }
@@ -334,12 +216,10 @@ impl<'a> Extractor<'a> {
 
     fn visit_block(&mut self, b: &Block) {
         let mark = self.env.len();
-        let lock_mark = self.locks.len();
         for s in b {
             self.visit_stmt(s);
         }
         self.env.truncate(mark);
-        self.locks.truncate(lock_mark);
     }
 
     fn visit_stmt(&mut self, s: &Stmt) {
@@ -352,10 +232,6 @@ impl<'a> Extractor<'a> {
     fn visit_let(&mut self, l: &LetStmt) {
         if let Some(init) = &l.init {
             self.visit_expr(init, false);
-            // A let-bound guard keeps its lock held until block end.
-            if let Some(label) = self.find_lock_label(init) {
-                self.locks.push(label);
-            }
         }
         if let Some(else_b) = &l.else_block {
             self.visit_block(else_b);
@@ -403,25 +279,14 @@ impl<'a> Extractor<'a> {
                         line: *line,
                     });
                 }
-                if segs
-                    .iter()
-                    .any(|s| s == "DefaultHasher" || s == "RandomState")
-                {
-                    self.out.events.push(Event::Nondet {
-                        what: format!("`{}` (randomized hasher state)", segs.join("::")),
-                        line: *line,
-                    });
-                }
             }
-            Expr::Field { base, name, line } => {
+            Expr::Field { base, name, .. } => {
                 // Assignment context propagates into the base: writing
                 // `self.a.b` writes (into) field `a` as well.
                 self.visit_expr(base, assign_target);
                 self.out.accesses.push(Access {
                     chain: self.chain_of(base),
                     field: name.clone(),
-                    line: *line,
-                    write: assign_target,
                 });
                 if !assign_target {
                     self.reads.push(name.clone());
@@ -430,15 +295,7 @@ impl<'a> Extractor<'a> {
             Expr::Call { callee, args, line } => {
                 self.visit_expr(callee, false);
                 self.record_call(callee, *line);
-                let spawning = callee_name(callee) == Some("spawn");
-                if spawning {
-                    self.spawn_depth += 1;
-                }
                 self.visit_args(callee_name(callee), args);
-                if spawning {
-                    self.spawn_depth -= 1;
-                }
-                let _ = line;
             }
             Expr::MethodCall {
                 recv,
@@ -460,71 +317,18 @@ impl<'a> Extractor<'a> {
                         line: *line,
                     });
                 }
-                if ITER_METHODS.contains(&name.as_str()) {
-                    self.out.events.push(Event::HashIter {
-                        chain: chain.clone(),
-                        line: *line,
-                    });
-                }
                 self.out.calls.push(CallFact::Method {
                     chain,
                     name: name.clone(),
                     line: *line,
                 });
-                // A non-read-only method on a `self` field is a write
-                // for the checkpoint-drift analysis (`self.iq.clear()`).
-                if !READONLY_RECV_METHODS.contains(&name.as_str()) {
-                    if let Expr::Field {
-                        base, name: field, ..
-                    } = recv.as_ref()
-                    {
-                        self.out.accesses.push(Access {
-                            chain: self.chain_of(base),
-                            field: field.clone(),
-                            line: *line,
-                            write: true,
-                        });
-                    }
-                }
                 if name == "lock" {
-                    let label = self.lock_label(recv);
-                    for held in self.locks.clone() {
-                        self.out.events.push(Event::LockEdge {
-                            held,
-                            acquired: label.clone(),
-                            line: *line,
-                        });
-                    }
-                    self.out.events.push(Event::Lock { label, line: *line });
                     self.out.events.push(Event::Blocking {
                         what: "Mutex::lock".to_string(),
                         line: *line,
                     });
                 }
-                if ATOMIC_OPS.contains(&name.as_str()) {
-                    if let Some(ordering) = args.iter().find_map(ordering_of) {
-                        self.out.events.push(Event::Atomic {
-                            label: self.lock_label(recv),
-                            op: name.clone(),
-                            ordering,
-                            in_spawn: self.spawn_depth > 0,
-                            line: *line,
-                        });
-                    }
-                }
-                for held in self.locks.clone() {
-                    self.out
-                        .events
-                        .push(Event::LockedCall { held, line: *line });
-                }
-                let spawning = name == "spawn";
-                if spawning {
-                    self.spawn_depth += 1;
-                }
                 self.visit_args(Some(name.as_str()), args);
-                if spawning {
-                    self.spawn_depth -= 1;
-                }
             }
             Expr::Index { base, index, line } => {
                 self.visit_expr(base, assign_target);
@@ -536,38 +340,15 @@ impl<'a> Extractor<'a> {
             }
             Expr::Unary(inner) => self.visit_expr(inner, assign_target),
             Expr::MutBorrow(inner) => self.visit_expr(inner, true),
-            Expr::Binary { op, lhs, rhs, line } => {
+            Expr::Binary { lhs, rhs, .. } => {
                 self.visit_expr(lhs, false);
                 self.visit_expr(rhs, false);
-                if matches!(op, crate::ast::BinOp::Add | crate::ast::BinOp::Sub) {
-                    self.check_unit_mix(lhs, rhs, *line);
-                }
             }
-            Expr::Assign { op, lhs, rhs, line } => {
+            Expr::Assign { lhs, rhs, .. } => {
                 self.visit_expr(lhs, true);
                 self.visit_expr(rhs, false);
-                if matches!(
-                    op,
-                    Some(crate::ast::BinOp::Add) | Some(crate::ast::BinOp::Sub)
-                ) {
-                    self.check_unit_mix(lhs, rhs, *line);
-                }
             }
-            Expr::Cast { expr, ty, line } => {
-                self.visit_expr(expr, false);
-                // `&x as *const T as usize`: an address observed as an
-                // integer — hash/order on it is nondeterministic per run.
-                if ty == "usize" {
-                    if let Expr::Cast { ty: inner_ty, .. } = expr.as_ref() {
-                        if inner_ty.starts_with('*') {
-                            self.out.events.push(Event::Nondet {
-                                what: "pointer address observed as usize".to_string(),
-                                line: *line,
-                            });
-                        }
-                    }
-                }
-            }
+            Expr::Cast { expr, .. } => self.visit_expr(expr, false),
             Expr::Macro { name, args, line } => {
                 if ALLOC_MACROS.contains(&name.as_str()) {
                     self.out.events.push(Event::Alloc {
@@ -623,9 +404,6 @@ impl<'a> Extractor<'a> {
                         self.out.accesses.push(Access {
                             chain: format!("t:{}", esc(head)),
                             field: fname.clone(),
-                            line: *line,
-                            // Construction initializes the field.
-                            write: true,
                         });
                     }
                 }
@@ -689,13 +467,6 @@ impl<'a> Extractor<'a> {
             } => {
                 self.visit_expr(iter, false);
                 let iter_chain = self.chain_of(iter);
-                // `for x in container` iterates it even without `.iter()`.
-                if iter_chain != "?" && !iter_chain.ends_with(".elem") {
-                    self.out.events.push(Event::HashIter {
-                        chain: iter_chain.clone(),
-                        line: iter.line(),
-                    });
-                }
                 let mark = self.env.len();
                 let elem = if iter_chain == "?" {
                     "?".to_string()
@@ -726,9 +497,6 @@ impl<'a> Extractor<'a> {
     /// Record the call edge for a `Call` node.
     fn record_call(&mut self, callee: &Expr, line: u32) {
         if let Expr::Path { segs, .. } = callee {
-            for held in self.locks.clone() {
-                self.out.events.push(Event::LockedCall { held, line });
-            }
             if let Some(what) = blocking_call(segs) {
                 self.out.events.push(Event::Blocking { what, line });
             }
@@ -757,12 +525,6 @@ impl<'a> Extractor<'a> {
                     {
                         self.out.events.push(Event::Alloc {
                             what: format!("{ty}::{name}"),
-                            line,
-                        });
-                    }
-                    if ty == "Instant" || ty == "SystemTime" {
-                        self.out.events.push(Event::Nondet {
-                            what: format!("`{ty}::{name}` (wall clock)"),
                             line,
                         });
                     }
@@ -813,72 +575,6 @@ impl<'a> Extractor<'a> {
             } else {
                 self.visit_expr(a, false);
             }
-        }
-    }
-
-    /// L008: flag `+`/`-` with one cycle-unit and one count-unit operand.
-    fn check_unit_mix(&mut self, lhs: &Expr, rhs: &Expr, line: u32) {
-        let l = classify_unit(lhs);
-        let r = classify_unit(rhs);
-        match (l, r) {
-            (Some((UnitClass::Cycle, cyc)), Some((UnitClass::Count, cnt)))
-            | (Some((UnitClass::Count, cnt)), Some((UnitClass::Cycle, cyc))) => {
-                self.out.events.push(Event::UnitMix { cyc, cnt, line });
-            }
-            _ => {}
-        }
-    }
-
-    /// Search an initializer for a `.lock()` call; its receiver's label
-    /// names the guard the enclosing `let` keeps alive.
-    fn find_lock_label(&self, e: &Expr) -> Option<String> {
-        match e {
-            Expr::MethodCall { recv, name, .. } => {
-                if name == "lock" {
-                    Some(self.lock_label(recv))
-                } else {
-                    self.find_lock_label(recv)
-                }
-            }
-            Expr::Unary(inner) | Expr::MutBorrow(inner) | Expr::Try(inner) => {
-                self.find_lock_label(inner)
-            }
-            Expr::Block(b) => b.iter().rev().find_map(|s| match s {
-                Stmt::Expr(e) => self.find_lock_label(e),
-                Stmt::Let(_) => None,
-            }),
-            _ => None,
-        }
-    }
-
-    /// A workspace-stable name for a lock or atomic: `Type.field` for
-    /// `self` fields, the static's path for globals, and a
-    /// function-qualified name for locals (which never alias across
-    /// functions anyway).
-    fn lock_label(&self, e: &Expr) -> String {
-        match e {
-            Expr::SelfVal(_) => {
-                if self.out.self_ty.is_empty() {
-                    "self".to_string()
-                } else {
-                    self.out.self_ty.clone()
-                }
-            }
-            Expr::Field { base, name, .. } => format!("{}.{}", self.lock_label(base), name),
-            Expr::Path { segs, .. } => match segs.as_slice() {
-                [single] if !starts_upper(single) => match self.lookup(single) {
-                    // A typed param/binding: label by its chain so two
-                    // functions locking the same field agree.
-                    Some(chain) if chain != "?" => chain_label(chain),
-                    _ => format!("{}::{}", self.out.qual_name(), single),
-                },
-                _ => segs.join("::"),
-            },
-            Expr::Unary(inner) | Expr::MutBorrow(inner) | Expr::Try(inner) => {
-                self.lock_label(inner)
-            }
-            Expr::Index { base, .. } => format!("{}[]", self.lock_label(base)),
-            _ => format!("{}::<anon>", self.out.qual_name()),
         }
     }
 
@@ -933,41 +629,6 @@ fn seg(base: String, s: &str) -> String {
     } else {
         format!("{base}.{s}")
     }
-}
-
-/// Flatten a chain descriptor into a lock label: `t:&~TraceStore.f:cells`
-/// becomes `TraceStore.cells`.
-fn chain_label(chain: &str) -> String {
-    chain
-        .split('.')
-        .map(|part| {
-            let part = part
-                .strip_prefix("f:")
-                .or_else(|| part.strip_prefix("m:"))
-                .or_else(|| part.strip_prefix("t:"))
-                .or_else(|| part.strip_prefix("fn:"))
-                .unwrap_or(part);
-            unesc(part)
-                .trim_start_matches(['&', ' '])
-                .trim_start_matches("mut ")
-                .to_string()
-        })
-        .collect::<Vec<_>>()
-        .join(".")
-}
-
-/// The `Ordering` argument of an atomic op, if this expression is one.
-fn ordering_of(e: &Expr) -> Option<String> {
-    const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-    if let Expr::Path { segs, .. } = e {
-        let last = segs.last()?;
-        if ORDERINGS.contains(&last.as_str())
-            && (segs.len() == 1 || segs.iter().any(|s| s == "Ordering"))
-        {
-            return Some(last.clone());
-        }
-    }
-    None
 }
 
 /// A blocking filesystem/stdio call, by path (L013).
@@ -1062,46 +723,6 @@ pub fn fn_trait_args(ty: &str) -> Vec<String> {
     Vec::new()
 }
 
-#[derive(PartialEq)]
-pub(crate) enum UnitClass {
-    Cycle,
-    Count,
-}
-
-pub(crate) fn unit_of(name: &str) -> Option<UnitClass> {
-    if name == "cycle" || name == "cycles" || name.ends_with("_cycle") || name.ends_with("_cycles")
-    {
-        return Some(UnitClass::Cycle);
-    }
-    if name == "count" || name.ends_with("_count") || name.ends_with("_counts") {
-        return Some(UnitClass::Count);
-    }
-    None
-}
-
-/// Classify an L008 operand; `None` is neutral. A cast is always neutral:
-/// it is the explicit conversion site the rule asks for.
-fn classify_unit(e: &Expr) -> Option<(UnitClass, String)> {
-    match e {
-        Expr::Cast { .. } => None,
-        Expr::Unary(inner) | Expr::MutBorrow(inner) | Expr::Try(inner) => classify_unit(inner),
-        Expr::Field { name, .. } => unit_of(name).map(|u| (u, format!(".{name}"))),
-        Expr::Path { segs, .. } => {
-            let last = segs.last()?;
-            unit_of(last).map(|u| (u, last.clone()))
-        }
-        Expr::MethodCall { name, .. } if name == "len" => {
-            Some((UnitClass::Count, ".len()".to_string()))
-        }
-        Expr::MethodCall { name, .. } => unit_of(name).map(|u| (u, format!(".{name}()"))),
-        Expr::Call { callee, .. } => {
-            let name = callee_name(callee)?;
-            unit_of(name).map(|u| (u, format!("{name}()")))
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1164,36 +785,6 @@ mod tests {
         let ff = fn_facts(&f, "hot");
         assert!(ff.events.iter().all(|e| !matches!(e, Event::Panic { .. })));
         assert!(ff.calls.iter().any(|c| c.name() == "check_invariant"));
-    }
-
-    #[test]
-    fn unit_mix_detected_and_cast_neutralizes() {
-        let f = facts(
-            "fn f(&mut self, v: &[u8]) { self.total_cycles += v.len(); self.busy_cycles += v.len() as u64; }",
-        );
-        let ev = &fn_facts(&f, "f").events;
-        let mixes: Vec<_> = ev
-            .iter()
-            .filter(|e| matches!(e, Event::UnitMix { .. }))
-            .collect();
-        assert_eq!(mixes.len(), 1, "{ev:?}");
-    }
-
-    #[test]
-    fn hash_iteration_candidates_carry_chains() {
-        let f = facts("struct S { pages: HashMap<u32, u8> } impl S { fn f(&self) { for p in self.pages.values() { go(p); } } }");
-        let ev = &fn_facts(&f, "f").events;
-        assert!(ev.iter().any(|e| matches!(
-            e,
-            Event::HashIter { chain, .. } if chain == "self.f:pages"
-        )));
-    }
-
-    #[test]
-    fn ptr_address_cast_is_nondet() {
-        let f = facts("fn f(x: &u8) -> usize { x as *const u8 as usize }");
-        let ev = &fn_facts(&f, "f").events;
-        assert!(ev.iter().any(|e| matches!(e, Event::Nondet { .. })));
     }
 
     #[test]

@@ -274,23 +274,6 @@ impl<'a> Graph<'a> {
         &self.files[id.0].0
     }
 
-    /// All fns (non-test) defined in the file whose path ends with
-    /// `suffix`, or named `name` there ("Type::name" constrains the type).
-    pub fn fns_in_file(&self, suffix: &str) -> Vec<FnId> {
-        let mut out = Vec::new();
-        for (fi, (rel, facts)) in self.files.iter().enumerate() {
-            if !path_matches(rel, suffix) {
-                continue;
-            }
-            for (ki, f) in facts.fns.iter().enumerate() {
-                if !f.in_test {
-                    out.push((fi, ki));
-                }
-            }
-        }
-        out
-    }
-
     /// Resolve a root declaration ("name" or "Type::name") within a file.
     pub fn find_root(&self, file_suffix: &str, root: &str) -> Vec<FnId> {
         let (want_ty, want_name) = match root.split_once("::") {

@@ -293,138 +293,6 @@ pub fn comment_lines(src: &str) -> Vec<(u32, String)> {
     out
 }
 
-/// Method names whose single string argument is a key *lookup*.
-const WIRE_READ_FNS: &[&str] = &["get", "remove", "contains_key"];
-
-/// Scan `src` for wire-format key usage (L016): string literals in
-/// call-argument position, classified as written — `insert("k", v)` or
-/// the key slot of a `("k", v)` pair — or read — `get("k")` /
-/// `remove("k")` / `contains_key("k")`. The lexer proper drops literal
-/// bodies, so this is a raw-source pass reusing the same
-/// literal-skipping machinery. Keys are filtered to snake_case
-/// identifiers so format strings, error prose, and separators never
-/// register. Returns `(is_write, key, line)` triples.
-pub fn wire_keys(src: &str) -> Vec<(bool, String, u32)> {
-    let chars: Vec<char> = src.chars().collect();
-    let n = chars.len();
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    let mut line = 1u32;
-    // The most recent identifier and the previous significant character:
-    // a key candidate is a string whose preceding character is `(`.
-    let mut last_ident = String::new();
-    let mut prev_sig = ' ';
-    while i < n {
-        let c = chars[i];
-        if c == '\n' {
-            line += 1;
-            i += 1;
-        } else if c.is_whitespace() {
-            i += 1;
-        } else if c == '/' && i + 1 < n && chars[i + 1] == '/' {
-            while i < n && chars[i] != '\n' {
-                i += 1;
-            }
-        } else if c == '/' && i + 1 < n && chars[i + 1] == '*' {
-            let mut depth = 1u32;
-            i += 2;
-            while i < n && depth > 0 {
-                if chars[i] == '\n' {
-                    line += 1;
-                    i += 1;
-                } else if chars[i] == '/' && i + 1 < n && chars[i + 1] == '*' {
-                    depth += 1;
-                    i += 2;
-                } else if chars[i] == '*' && i + 1 < n && chars[i + 1] == '/' {
-                    depth -= 1;
-                    i += 2;
-                } else {
-                    i += 1;
-                }
-            }
-        } else if c == '"' {
-            let open_line = line;
-            let in_call = prev_sig == '(';
-            let end = skip_string(&chars, i, &mut line);
-            if in_call {
-                // The body sits between the quotes; escapes disqualify
-                // the key at the filter below, so a raw copy suffices.
-                let body: String = chars[i + 1..end.saturating_sub(1).max(i + 1)]
-                    .iter()
-                    .collect();
-                if is_wire_key(&body) {
-                    let verdict = if WIRE_READ_FNS.contains(&last_ident.as_str()) {
-                        Some(false)
-                    } else if last_ident == "insert" {
-                        Some(true)
-                    } else {
-                        // A `("k", ...)` pair: the key slot of a JSON
-                        // object builder. Anything else (`Str("x")`,
-                        // `perr("msg")`) is not a wire key.
-                        let mut j = end;
-                        while j < n && chars[j].is_whitespace() {
-                            j += 1;
-                        }
-                        (chars.get(j) == Some(&',')).then_some(true)
-                    };
-                    if let Some(write) = verdict {
-                        out.push((write, body, open_line));
-                    }
-                }
-            }
-            prev_sig = '"';
-            i = end;
-        } else if c == '\'' {
-            i = skip_quote(&chars, i, &mut line);
-            prev_sig = '\'';
-        } else if is_ident_start(c) {
-            let start = i;
-            while i < n && is_ident_char(chars[i]) {
-                i += 1;
-            }
-            let text: String = chars[start..i].iter().collect();
-            if i < n && matches!(text.as_str(), "r" | "b" | "br" | "rb") {
-                match chars[i] {
-                    '"' if text == "b" => {
-                        i = skip_string(&chars, i, &mut line);
-                        prev_sig = '"';
-                        continue;
-                    }
-                    '"' | '#' if text != "b" => {
-                        i = skip_raw_string(&chars, i, &mut line);
-                        prev_sig = '"';
-                        continue;
-                    }
-                    '\'' if text == "b" => {
-                        i = skip_quote(&chars, i, &mut line);
-                        prev_sig = '\'';
-                        continue;
-                    }
-                    _ => {}
-                }
-            }
-            prev_sig = text.chars().last().unwrap_or(' ');
-            last_ident = text;
-        } else {
-            prev_sig = c;
-            i += 1;
-        }
-    }
-    out
-}
-
-/// A plausible wire key: a snake_case identifier (`cycles`,
-/// `stall_cycles`, `ci_half_width`).
-fn is_wire_key(s: &str) -> bool {
-    let mut it = s.chars();
-    match it.next() {
-        Some(c) if c.is_ascii_lowercase() || c == '_' => {}
-        _ => return false,
-    }
-    s.chars()
-        .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-}
-
 /// A named struct field declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldDef {
@@ -594,51 +462,5 @@ mod tests {
         assert_eq!(fields[1].ty, "[u8;3]");
         assert!(!fields[1].public);
         assert_eq!(fields[2].ty, "Option<u32>");
-    }
-
-    #[test]
-    fn wire_keys_classify_reads_and_writes() {
-        let src = r#"
-            fn to_json(&self) -> Json {
-                let mut m = obj([("cycles", num(self.cycles)), ("cpi", num(self.cpi))]);
-                m.insert("stats".to_string(), nested);
-                write!(w, "{}", m).unwrap(); // format strings don't count
-                Json::Str("cell".to_string());
-                m
-            }
-            fn from_json(v: &Json) -> Self {
-                let c = v.get("cycles").unwrap();
-                if v.contains_key("cpi") { }
-                let s = v.remove("stats");
-                let label = other("prose, not a key");
-                Self { c, s }
-            }
-        "#;
-        let keys = wire_keys(src);
-        let writes: Vec<&str> = keys
-            .iter()
-            .filter(|(w, _, _)| *w)
-            .map(|(_, k, _)| k.as_str())
-            .collect();
-        let reads: Vec<&str> = keys
-            .iter()
-            .filter(|(w, _, _)| !*w)
-            .map(|(_, k, _)| k.as_str())
-            .collect();
-        assert_eq!(writes, ["cycles", "cpi", "stats"]);
-        assert_eq!(reads, ["cycles", "cpi", "stats"]);
-    }
-
-    #[test]
-    fn wire_keys_ignore_non_key_strings() {
-        let src = r##"
-            fn f() {
-                starts_with("content-length:");
-                perr("configs must be non-empty");
-                let r = r#"raw "quoted" body"#;
-                assert_eq!(format!("{a}+{b}"), expected);
-            }
-        "##;
-        assert!(wire_keys(src).is_empty());
     }
 }

@@ -1,22 +1,21 @@
 //! `aurora-lint` — a static analyzer for the aurora workspace. Its one
 //! dependency is the workspace's own `aurora-json`, which prints its
-//! JSON and SARIF reports.
+//! SARIF report.
 //!
-//! The simulator's correctness rests on invariants that ordinary tests
-//! cannot see: the hot loop must stay allocation- and panic-free, every
-//! counter the model accumulates must be consumed by a report, every config
-//! knob must be exercised by a sweep, replay must be deterministic, and
-//! cycle values must not silently mix with counts. This crate parses the
+//! The simulator rests on invariants that ordinary tests cannot see: the
+//! hot loop must stay allocation- and panic-free, every counter the model
+//! accumulates must be consumed by a report, every config knob must be
+//! exercised by a sweep, pool workers must never block, and sizes read
+//! off the service's socket must be bounded. This crate parses the
 //! workspace source with a hand-rolled recursive-descent parser (no `syn` —
 //! tier-1 builds offline), builds a workspace-wide call graph, and enforces
-//! those invariants as lint rules L000–L009 (L005, the trace-format
-//! fingerprint, is retired: no trace outlives the process that captured
-//! it; L006, narrowing casts in the trace codec, moved to clippy's
-//! `cast_possible_truncation` family, denied in the codec files). Rules
-//! L010–L016 run deeper passes over the same graph: interval dataflow for
-//! wrapping arithmetic, lock-order and atomic-ordering checks, blocking
-//! calls in pool workers, snapshot codec drift, taint from the
-//! service's socket boundary, and wire-format drift.
+//! those invariants as nine lint rules: L000–L004 and L009 over the facts
+//! and the graph, and L010, L013 and L015 through deeper passes (interval
+//! dataflow for wrapping arithmetic, blocking calls reachable from pool
+//! workers, taint from the socket boundary). `docs/LINTS.md` names, per
+//! rule, the bug it caught (or was shown on a seeded bug to catch) that
+//! the tests, clippy and the other CI steps missed, and the reason each
+//! retired id (L005–L008, L011, L012, L014, L016) left.
 //!
 //! The pipeline has two phases:
 //!
@@ -37,7 +36,6 @@
 //! unresolvable (dynamic dispatch). See `docs/LINTS.md` for the catalogue.
 
 pub mod ast;
-pub mod concurrency;
 pub mod config;
 pub mod dataflow;
 pub mod facts;
@@ -168,8 +166,7 @@ pub fn load_workspace(root: &Path, cfg: &LintConfig) -> Result<Workspace, String
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let toks = lexer::lex(&src);
         let parsed = parser::parse_file(&toks);
-        let mut facts = facts::extract(&parsed.fns, lexer::all_structs(&toks));
-        facts.wire_keys = lexer::wire_keys(&src);
+        let facts = facts::extract(&parsed.fns, lexer::all_structs(&toks));
         let code_lines: Vec<u32> = toks.iter().map(|t| t.line).collect();
         ws.pragmas.push(scan_pragmas(&src, &code_lines));
         ws.externs.push(scan_externs(&src, &code_lines));

@@ -14,20 +14,13 @@ use std::process::ExitCode;
 use aurora_lint::config::LintConfig;
 use aurora_lint::{analyze_with, find_root, load_workspace, output, rules};
 
-#[derive(PartialEq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut root: Option<PathBuf> = None;
     let mut explain: Option<String> = None;
     let mut list = false;
     let mut graph = false;
-    let mut format = Format::Text;
+    let mut sarif = false;
     let mut i = 0usize;
     while i < args.len() {
         match args[i].as_str() {
@@ -47,11 +40,10 @@ fn main() -> ExitCode {
             }
             "--format" => {
                 i += 1;
-                format = match args.get(i).map(String::as_str) {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    Some("sarif") => Format::Sarif,
-                    _ => return usage("--format needs one of: text, json, sarif"),
+                sarif = match args.get(i).map(String::as_str) {
+                    Some("text") => false,
+                    Some("sarif") => true,
+                    _ => return usage("--format needs one of: text, sarif"),
                 };
             }
             "--list" => list = true,
@@ -116,15 +108,13 @@ fn main() -> ExitCode {
         }
     };
 
-    // Machine formats own stdout; the human summary moves to stderr so a
-    // redirect captures a clean document either way.
-    match format {
-        Format::Json => println!("{}", output::json_report(&report)),
-        Format::Sarif => println!("{}", output::sarif_report(&report)),
-        Format::Text => {
-            for f in &report.findings {
-                println!("{f}");
-            }
+    // SARIF owns stdout; the human summary moves to stderr so a redirect
+    // captures a clean document.
+    if sarif {
+        println!("{}", output::sarif_report(&report));
+    } else {
+        for f in &report.findings {
+            println!("{f}");
         }
     }
     let summary = |to_stderr: bool, msg: String| {
@@ -134,10 +124,9 @@ fn main() -> ExitCode {
             println!("{msg}");
         }
     };
-    let machine = format != Format::Text;
     if report.findings.is_empty() {
         summary(
-            machine,
+            sarif,
             format!(
                 "aurora-lint: clean — {} files scanned, {} finding(s) suppressed by pragma",
                 report.files_scanned, report.suppressed
@@ -146,7 +135,7 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         summary(
-            machine,
+            sarif,
             format!(
                 "aurora-lint: {} finding(s) across {} files ({} suppressed); \
                  run `aurora-lint --explain <rule>` for rationale",
@@ -164,15 +153,15 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("aurora-lint: {err}");
     }
     eprintln!(
-        "usage: aurora-lint [--root <dir>] [--format text|json|sarif] [--graph]\n\
+        "usage: aurora-lint [--root <dir>] [--format text|sarif] [--graph]\n\
          \x20                  [--explain L0xx] [--list]\n\
          \n\
          Parses the workspace rooted at the nearest lint.toml, builds the\n\
          cross-crate call graph, and enforces the hot-path, dead-counter,\n\
-         config-coverage, determinism and unit-safety\n\
-         invariants. Hot-path and determinism rules propagate transitively\n\
-         from the roots declared in lint.toml. Exits non-zero when any\n\
-         unsuppressed finding remains."
+         config-coverage, pool-blocking and untrusted-input invariants.\n\
+         Hot-path and pool rules propagate transitively from the roots\n\
+         declared in lint.toml. Exits non-zero when any unsuppressed\n\
+         finding remains."
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -1,7 +1,7 @@
-//! Machine-readable output: `--format json` and `--format sarif`.
+//! Machine-readable output: `--format sarif`.
 //!
-//! Both documents are [`Json`] values printed by the workspace's one
-//! JSON writer (`aurora-json`): compact, with sorted object keys.
+//! The document is a [`Json`] value printed by the workspace's one JSON
+//! writer (`aurora-json`): compact, with sorted object keys.
 
 use aurora_json::{obj, Json};
 
@@ -15,26 +15,6 @@ fn string(s: &str) -> Json {
 /// A SARIF `message`-shaped object: `{"text": s}`.
 fn text(s: &str) -> Json {
     obj([("text", string(s))])
-}
-
-/// The `--format json` document: a flat findings array plus run totals.
-pub fn json_report(report: &Report) -> Json {
-    let finding = |f: &Finding| {
-        obj([
-            ("file", string(&f.file)),
-            ("line", Json::Num(f64::from(f.line))),
-            ("rule", string(f.rule)),
-            ("message", string(&f.msg)),
-        ])
-    };
-    obj([
-        (
-            "findings",
-            Json::Arr(report.findings.iter().map(finding).collect()),
-        ),
-        ("suppressed", Json::Num(report.suppressed as f64)),
-        ("files_scanned", Json::Num(report.files_scanned as f64)),
-    ])
 }
 
 /// The `--format sarif` document: SARIF 2.1.0 with the full rule catalogue
@@ -130,23 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn json_output_is_well_formed() {
-        let report = sample_report();
-        let doc = reparse(&json_report(&report));
-        let findings = doc.get("findings").and_then(Json::as_array).unwrap();
-        assert_eq!(findings.len(), 2);
-        assert_eq!(findings[0].get("rule").and_then(Json::as_str), Some("L001"));
-        assert_eq!(findings[0].get("line").and_then(Json::as_u64), Some(42));
-        assert_eq!(
-            findings[1].get("message").and_then(Json::as_str),
-            Some(report.findings[1].msg.as_str()),
-            "escapes must round-trip"
-        );
-        assert_eq!(doc.get("suppressed").and_then(Json::as_u64), Some(3));
-        assert_eq!(doc.get("files_scanned").and_then(Json::as_u64), Some(17));
-    }
-
-    #[test]
     fn sarif_output_is_well_formed_and_complete() {
         let doc = reparse(&sarif_report(&sample_report()));
         assert_eq!(doc.get("version").and_then(Json::as_str), Some("2.1.0"));
@@ -185,8 +148,6 @@ mod tests {
             suppressed: 0,
             files_scanned: 0,
         };
-        let json = reparse(&json_report(&empty));
-        assert_eq!(json.get("findings").and_then(Json::as_array), Some(&[][..]));
         let sarif = reparse(&sarif_report(&empty));
         let run = &sarif.get("runs").and_then(Json::as_array).unwrap()[0];
         assert_eq!(run.get("results").and_then(Json::as_array), Some(&[][..]));

@@ -2,10 +2,10 @@
 //! the workspace [`Graph`]; suppression is applied by the caller (`lib.rs`),
 //! which also owns the pragma-hygiene rules L000/L009.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use crate::config::LintConfig;
-use crate::facts::{CallFact, Event, FileFacts, FnFacts};
+use crate::config::{HotFile, LintConfig};
+use crate::facts::Event;
 use crate::graph::{head, path_matches, peel_refs, FnId, Graph};
 use crate::{Finding, Workspace};
 
@@ -15,12 +15,8 @@ pub fn run_all(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
     hot_path_rules(ws, cfg, &graph, &mut out);
     dead_counters(ws, cfg, &mut out);
     config_coverage(ws, cfg, &graph, &mut out);
-    determinism(ws, cfg, &graph, &mut out);
-    unit_mixing(ws, cfg, &mut out);
-    crate::concurrency::run(ws, cfg, &graph, &mut out);
-    checkpoint_drift(ws, cfg, &mut out);
+    pool_blocking(ws, cfg, &graph, &mut out);
     untrusted_flows(ws, cfg, &graph, &mut out);
-    wire_drift(ws, cfg, &mut out);
     out
 }
 
@@ -35,30 +31,43 @@ fn finding(file: &str, line: u32, rule: &'static str, msg: String) -> Finding {
 
 // ---------------------------------------------------------------- L001/L002
 
-/// Resolve the configured hot roots, reporting config drift (missing file
-/// or root) as L001 findings.
-fn hot_roots(ws: &Workspace, cfg: &LintConfig, g: &Graph, out: &mut Vec<Finding>) -> Vec<FnId> {
+/// Resolve the roots declared in `[[hot]]` or `[[pool]]` sections,
+/// reporting config drift (missing file or root) as `rule` findings;
+/// `file_kind`/`root_kind` name the section in those messages.
+fn declared_roots(
+    ws: &Workspace,
+    g: &Graph,
+    entries: &[HotFile],
+    rule: &'static str,
+    file_kind: &str,
+    root_kind: &str,
+    out: &mut Vec<Finding>,
+) -> Vec<FnId> {
     let mut roots = Vec::new();
-    for hot in &cfg.hot {
-        if !ws.files.iter().any(|(rel, _)| path_matches(rel, &hot.file)) {
+    for entry in entries {
+        if !ws
+            .files
+            .iter()
+            .any(|(rel, _)| path_matches(rel, &entry.file))
+        {
             out.push(finding(
-                &hot.file,
+                &entry.file,
                 0,
-                "L001",
-                "hot-path file declared in lint.toml was not found in the workspace".to_string(),
+                rule,
+                format!("{file_kind} file declared in lint.toml was not found in the workspace"),
             ));
             continue;
         }
-        for root in &hot.roots {
-            let ids = g.find_root(&hot.file, root);
+        for root in &entry.roots {
+            let ids = g.find_root(&entry.file, root);
             if ids.is_empty() {
                 out.push(finding(
-                    &hot.file,
+                    &entry.file,
                     0,
-                    "L001",
+                    rule,
                     format!(
-                        "hot root `{root}` declared in lint.toml does not exist in this file — \
-                         update lint.toml"
+                        "{root_kind} root `{root}` declared in lint.toml does not exist in this \
+                         file — update lint.toml"
                     ),
                 ));
             }
@@ -66,6 +75,10 @@ fn hot_roots(ws: &Workspace, cfg: &LintConfig, g: &Graph, out: &mut Vec<Finding>
         }
     }
     roots
+}
+
+fn hot_roots(ws: &Workspace, cfg: &LintConfig, g: &Graph, out: &mut Vec<Finding>) -> Vec<FnId> {
+    declared_roots(ws, g, &cfg.hot, "L001", "hot-path", "hot", out)
 }
 
 /// Human-readable provenance for a transitively-hot function.
@@ -166,6 +179,43 @@ pub fn graph_report(ws: &Workspace, cfg: &LintConfig) -> String {
         out.push_str(&format!("warning: {}\n", s.msg));
     }
     out
+}
+
+// -------------------------------------------------------------------- L013
+
+/// L013: nothing reachable from a `[[pool]]` root may block.
+fn pool_blocking(ws: &Workspace, cfg: &LintConfig, g: &Graph, out: &mut Vec<Finding>) {
+    let roots = declared_roots(ws, g, &cfg.pool, "L013", "pool", "pool", out);
+    if roots.is_empty() {
+        return;
+    }
+    let parent = g.reach(&roots);
+    let mut ids: Vec<FnId> = parent.keys().copied().collect();
+    ids.sort_unstable();
+    for id in ids {
+        let f = g.fn_facts(id);
+        let chain = g.chain_to(&parent, id);
+        let prov = if chain.len() <= 1 {
+            "declared pool root".to_string()
+        } else {
+            format!("in pool loop via {}", chain.join(" -> "))
+        };
+        for ev in &f.events {
+            if let Event::Blocking { what, line } = ev {
+                out.push(finding(
+                    g.rel(id),
+                    *line,
+                    "L013",
+                    format!(
+                        "`{what}` can block inside `{}` ({prov}) — a stalled worker idles its \
+                         core for the whole sweep; hoist the call out of the drain loop or \
+                         hand it to a dedicated thread",
+                        f.qual_name()
+                    ),
+                ));
+            }
+        }
+    }
 }
 
 // -------------------------------------------------------------------- L003
@@ -321,192 +371,6 @@ fn config_coverage(ws: &Workspace, cfg: &LintConfig, g: &Graph, out: &mut Vec<Fi
     }
 }
 
-// -------------------------------------------------------------------- L007
-
-/// Containers whose iteration order is nondeterministic across runs.
-const HASH_CONTAINERS: &[&str] = &["HashMap", "HashSet"];
-
-fn determinism(ws: &Workspace, cfg: &LintConfig, g: &Graph, out: &mut Vec<Finding>) {
-    if cfg.determinism_files.is_empty() {
-        return;
-    }
-    let mut roots = Vec::new();
-    for file in &cfg.determinism_files {
-        if !ws.files.iter().any(|(rel, _)| path_matches(rel, file)) {
-            out.push(finding(
-                file,
-                0,
-                "L007",
-                "determinism file declared in lint.toml was not found".to_string(),
-            ));
-            continue;
-        }
-        roots.extend(g.fns_in_file(file));
-    }
-    let parent = g.reach(&roots);
-    let mut ids: Vec<FnId> = parent.keys().copied().collect();
-    ids.sort_unstable();
-    for id in ids {
-        let f = g.fn_facts(id);
-        let rel = g.rel(id);
-        let prov = via(g, &parent, id);
-        let qual = f.qual_name();
-        for ev in &f.events {
-            match ev {
-                Event::Nondet { what, line } => out.push(finding(
-                    rel,
-                    *line,
-                    "L007",
-                    format!(
-                        "{what} inside `{qual}` ({prov}) — replay must be bit-identical across \
-                         runs; thread a seed or counter through instead"
-                    ),
-                )),
-                Event::HashIter { chain, line } => {
-                    let Some(ty) = g.resolve_type(chain, id.0, &f.self_ty) else {
-                        continue;
-                    };
-                    let h = head(peel_refs(&ty));
-                    if HASH_CONTAINERS.contains(&h) {
-                        out.push(finding(
-                            rel,
-                            *line,
-                            "L007",
-                            format!(
-                                "iteration over `{h}` has nondeterministic order inside `{qual}` \
-                                 ({prov}) — use a BTreeMap/Vec or sort before iterating"
-                            ),
-                        ));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-// -------------------------------------------------------------------- L008
-
-fn unit_mixing(ws: &Workspace, cfg: &LintConfig, out: &mut Vec<Finding>) {
-    if cfg.units_files.is_empty() {
-        return;
-    }
-    for (rel, facts) in &ws.files {
-        if !cfg.units_files.iter().any(|p| in_scope(rel, p)) {
-            continue;
-        }
-        for f in facts.fns.iter().filter(|f| !f.in_test) {
-            for ev in &f.events {
-                if let Event::UnitMix { cyc, cnt, line } = ev {
-                    out.push(finding(
-                        rel,
-                        *line,
-                        "L008",
-                        format!(
-                            "`{cyc}` (cycles) combined with `{cnt}` (a count) in `{}` — unit \
-                             mixing; make the conversion explicit with a cast or rename the \
-                             non-cycle operand",
-                            f.qual_name()
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-// -------------------------------------------------------------------- L014
-
-/// Does `f` participate in the snapshot codec on the given side? Either
-/// its signature mentions the writer/reader type, or it constructs one.
-fn codec_side(f: &FnFacts, marker: &str) -> bool {
-    f.params.iter().any(|t| t.contains(marker))
-        || f.calls.iter().any(
-            |c| matches!(c, CallFact::Qualified { ty, name, .. } if ty == marker && name == "new"),
-        )
-}
-
-/// Every field a fn touches on `self` (any access / write accesses only).
-fn self_fields(f: &FnFacts, writes_only: bool) -> HashSet<&str> {
-    f.accesses
-        .iter()
-        .filter(|a| a.chain == "self" && (!writes_only || a.write))
-        .map(|a| a.field.as_str())
-        .collect()
-}
-
-/// L014: cross-check each Snapshot save/restore pair against the fields
-/// the two sides actually touch. A field save serializes but restore never
-/// mentions — or restore writes but save never serialized — is drift: the
-/// snapshot byte stream and the struct disagree.
-///
-/// "Touched" is asymmetric on purpose: the save side counts *any* access
-/// (serializing `self.tags.len()` covers `tags`), while the restore side
-/// fires only on *writes* for the never-saved direction — restore reading
-/// `self.cfg.instr_queue` to size a buffer is a bound, not state.
-fn checkpoint_drift(ws: &Workspace, cfg: &LintConfig, out: &mut Vec<Finding>) {
-    for (rel, facts) in &ws.files {
-        let mut pairs: HashMap<&str, (Option<&FnFacts>, Option<&FnFacts>)> = HashMap::new();
-        for f in facts
-            .fns
-            .iter()
-            .filter(|f| !f.in_test && !f.self_ty.is_empty())
-        {
-            if f.name == "save" && codec_side(f, &cfg.checkpoint.writer) {
-                pairs.entry(&f.self_ty).or_default().0 = Some(f);
-            }
-            if f.name == "restore" && codec_side(f, &cfg.checkpoint.reader) {
-                pairs.entry(&f.self_ty).or_default().1 = Some(f);
-            }
-        }
-        let mut tys: Vec<&&str> = pairs.keys().collect();
-        tys.sort();
-        for ty in tys {
-            let (Some(save), Some(restore)) = pairs[*ty] else {
-                continue;
-            };
-            // Trait declarations and types defined elsewhere have no
-            // struct layout here to check against.
-            let Some((_, _, fields)) = facts.structs.iter().find(|(n, _, _)| n == *ty) else {
-                continue;
-            };
-            let saved = self_fields(save, false);
-            let restored_any = self_fields(restore, false);
-            let restored_writes = self_fields(restore, true);
-            for field in fields {
-                let name = field.name.as_str();
-                if saved.contains(name) && !restored_any.contains(name) {
-                    out.push(finding(
-                        rel,
-                        field.line,
-                        "L014",
-                        format!(
-                            "checkpoint drift in `{ty}`: `{name}` is serialized by \
-                             `{}` but `{}` never touches it — a restored machine silently \
-                             keeps its pre-restore `{name}`",
-                            save.qual_name(),
-                            restore.qual_name()
-                        ),
-                    ));
-                } else if restored_writes.contains(name) && !saved.contains(name) {
-                    out.push(finding(
-                        rel,
-                        field.line,
-                        "L014",
-                        format!(
-                            "checkpoint drift in `{ty}`: `{name}` is written by \
-                             `{}` but `{}` never serializes it — restore consumes or resets \
-                             state the checkpoint does not carry",
-                            restore.qual_name(),
-                            save.qual_name()
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
 // -------------------------------------------------------------------- L015
 
 /// L015: package the taint pass's findings. The flow analysis itself runs
@@ -540,178 +404,6 @@ fn untrusted_flows(ws: &Workspace, cfg: &LintConfig, g: &Graph, out: &mut Vec<Fi
     }
     for (file, line, msg) in &ws.taints {
         out.push(finding(file, *line, "L015", msg.clone()));
-    }
-}
-
-// -------------------------------------------------------------------- L016
-
-/// Match a `"name"` / `"Type::name"` spec from lint.toml against one fn.
-fn fn_spec_matches(f: &FnFacts, spec: &str) -> bool {
-    match spec.split_once("::") {
-        Some((ty, name)) => f.self_ty == ty && f.name == name,
-        None => f.name == spec,
-    }
-}
-
-/// Wire keys of one polarity used inside the named functions of a file.
-fn keys_in_fns(facts: &FileFacts, specs: &[String], write: bool) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    for f in facts
-        .fns
-        .iter()
-        .filter(|f| specs.iter().any(|s| fn_spec_matches(f, s)))
-    {
-        for (w, key, line) in &facts.wire_keys {
-            if *w == write && *line >= f.decl_line && *line <= f.end_line {
-                out.push((key.clone(), *line));
-            }
-        }
-    }
-    out
-}
-
-/// L016: writer/reader wire-format drift. For `kind = "json"` every key
-/// the readers look up must be emitted by some writer; for `kind =
-/// "record"` the struct fields the writer serializes (reads) and the
-/// reader reconstructs (writes through a struct literal) must be the
-/// same set. The json direction is deliberately one-sided — writers may
-/// emit keys a particular reader ignores — while the record check is
-/// symmetric because a length-prefixed binary record has no way to skip
-/// a field it does not understand.
-fn wire_drift(ws: &Workspace, cfg: &LintConfig, out: &mut Vec<Finding>) {
-    for pair in &cfg.wire {
-        let writer = ws.facts_of(&pair.writer_file);
-        let reader = ws.facts_of(&pair.reader_file);
-        for (file, facts) in [(&pair.writer_file, writer), (&pair.reader_file, reader)] {
-            if facts.is_none() {
-                out.push(finding(
-                    file,
-                    0,
-                    "L016",
-                    "wire file declared in lint.toml was not found in the workspace".to_string(),
-                ));
-            }
-        }
-        let (Some(writer), Some(reader)) = (writer, reader) else {
-            continue;
-        };
-        for (file, facts, specs) in [
-            (&pair.writer_file, writer, &pair.writers),
-            (&pair.reader_file, reader, &pair.readers),
-        ] {
-            for spec in specs.iter() {
-                if !facts.fns.iter().any(|f| fn_spec_matches(f, spec)) {
-                    out.push(finding(
-                        file,
-                        0,
-                        "L016",
-                        format!(
-                            "wire function `{spec}` declared in lint.toml was not found — \
-                             update lint.toml"
-                        ),
-                    ));
-                }
-            }
-        }
-        match pair.kind.as_str() {
-            "json" => {
-                let written: HashSet<String> = keys_in_fns(writer, &pair.writers, true)
-                    .into_iter()
-                    .map(|(k, _)| k)
-                    .collect();
-                let mut reads = keys_in_fns(reader, &pair.readers, false);
-                reads.sort();
-                reads.dedup();
-                for (key, line) in reads {
-                    if !written.contains(&key) {
-                        out.push(finding(
-                            &pair.reader_file,
-                            line,
-                            "L016",
-                            format!(
-                                "wire-format drift: reader looks up key `\"{key}\"` that no \
-                                 writer in `{}` ever emits — the lookup will always miss",
-                                pair.writer_file
-                            ),
-                        ));
-                    }
-                }
-            }
-            "record" => {
-                let wfns: Vec<&FnFacts> = writer
-                    .fns
-                    .iter()
-                    .filter(|f| pair.writers.iter().any(|s| fn_spec_matches(f, s)))
-                    .collect();
-                let rfns: Vec<&FnFacts> = reader
-                    .fns
-                    .iter()
-                    .filter(|f| pair.readers.iter().any(|s| fn_spec_matches(f, s)))
-                    .collect();
-                let serialized: HashSet<&str> = wfns
-                    .iter()
-                    .flat_map(|f| f.accesses.iter())
-                    .map(|a| a.field.as_str())
-                    .collect();
-                for sname in &pair.structs {
-                    let def = [(&pair.writer_file, writer), (&pair.reader_file, reader)]
-                        .into_iter()
-                        .find_map(|(file, facts)| {
-                            facts
-                                .structs
-                                .iter()
-                                .find(|(n, _, _)| n == sname)
-                                .map(|s| (file, s))
-                        });
-                    let Some((def_file, (_, _, fdefs))) = def else {
-                        out.push(finding(
-                            &pair.writer_file,
-                            0,
-                            "L016",
-                            format!(
-                                "wire struct `{sname}` declared in lint.toml was not found in \
-                                 the writer or reader file — update lint.toml"
-                            ),
-                        ));
-                        continue;
-                    };
-                    let lit_chain = format!("t:{sname}");
-                    let reconstructed: HashSet<&str> = rfns
-                        .iter()
-                        .flat_map(|f| f.accesses.iter())
-                        .filter(|a| a.write && a.chain == lit_chain)
-                        .map(|a| a.field.as_str())
-                        .collect();
-                    for fd in fdefs {
-                        let name = fd.name.as_str();
-                        if serialized.contains(name) && !reconstructed.contains(name) {
-                            out.push(finding(
-                                def_file,
-                                fd.line,
-                                "L016",
-                                format!(
-                                    "wire-format drift in `{sname}`: `{name}` is serialized \
-                                     by the writer but the reader never reconstructs it — \
-                                     decoded records silently drop the field"
-                                ),
-                            ));
-                        } else if reconstructed.contains(name) && !serialized.contains(name) {
-                            out.push(finding(
-                                def_file,
-                                fd.line,
-                                "L016",
-                                format!(
-                                    "wire-format drift in `{sname}`: the reader fills `{name}` \
-                                     but the writer never serializes it — the value is invented \
-                                     at decode time, not carried on the wire"
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
     }
 }
 
@@ -771,29 +463,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
          typed closure parameter does. Setting a knob in a sweep counts as exercising it.",
     ),
     (
-        "L007",
-        "nondeterminism reachable from the replay core",
-        "Replaying the same packed trace with the same config must produce bit-identical \
-         results: the capture-once/replay-many methodology, the differential equivalence \
-         tests, and every experiment in docs/EXPERIMENTS.md all assume it. Everything \
-         reachable from the functions in lint.toml's [determinism] files therefore must not: \
-         iterate a HashMap/HashSet (randomized seed → randomized order), read the wall clock \
-         (`Instant::now`, `SystemTime::now`), construct a `DefaultHasher`/`RandomState`, or \
-         observe a pointer address as an integer (`as *const _ as usize`). Thread a seed, a \
-         cycle counter, or an ordered container through instead. The diagnostic names the \
-         call chain from the replay core to the offending function.",
-    ),
-    (
-        "L008",
-        "cycle/count unit mixing",
-        "Adding a cycle-valued expression (`*_cycle`, `*_cycles`) to a count-valued one \
-         (`*_count`, `.len()`) with `+`/`-`/`+=`/`-=` is almost always a latency-accounting \
-         bug — the sums type-check because both sides are u64. An explicit `as` cast on \
-         either operand marks the conversion site as intentional and silences the rule, as \
-         does renaming the operand to say what unit it actually carries. Checked in the \
-         files listed under lint.toml's [units] section.",
-    ),
-    (
         "L009",
         "stale suppression pragma",
         "A `lint:allow(L0xx): reason` pragma whose rule no longer fires on its target line \
@@ -817,32 +486,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
          docs/LINTS.md for the full lattice and its deliberate imprecisions.",
     ),
     (
-        "L011",
-        "lock-order inversion cycle",
-        "Every `.lock()` taken while another guard is live contributes a directed edge to a \
-         workspace-wide lock-order graph; calls made under a lock import the callee's \
-         transitive acquisitions as edges too. A cycle means two threads can each hold one \
-         lock and wait for the other — a deadlock that needs no misfortune beyond \
-         scheduling. The diagnostic prints the cycle and names every acquisition site on \
-         it. Locks are identified by label (`Type.field`, `fn::local`, `path::STATIC`), so \
-         same-named statics in different modules alias — an over-approximation that errs \
-         toward reporting. Fix by picking one global acquisition order; explicit `drop()` \
-         of a guard mid-block is not modelled, so early drops need a reasoned pragma.",
-    ),
-    (
-        "L012",
-        "suspicious atomic ordering",
-        "Two shapes fire, both on the same atomic target (matched by label, \
-         workspace-wide): (1) a store/load ordering mismatch — a Release/SeqCst store \
-         observed by a Relaxed load (or an Acquire/SeqCst load of a Relaxed store) does \
-         not synchronize, so data published before the store may not be visible after the \
-         load; (2) an all-Relaxed flag whose stores and loads cross a spawn boundary — if \
-         the flag guards non-atomic data, readers can see the flag flip without the data. \
-         Targets used only through read-modify-write ops (`fetch_add` counters, \
-         `compare_exchange` state machines) are never flagged: Relaxed is the correct \
-         ordering for a pure counter.",
-    ),
-    (
         "L013",
         "blocking call reachable from a pool worker loop",
         "Everything reachable from the worker-loop roots declared in lint.toml's [[pool]] \
@@ -851,21 +494,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
          work-stealing worker and idle its core for the rest of the sweep. The diagnostic \
          names the call chain from the pool root. Hoist the blocking call out of the drain \
          loop, buffer output per worker, or hand the work to a dedicated thread.",
-    ),
-    (
-        "L014",
-        "checkpoint save/restore field drift",
-        "For every type whose `save`/`restore` signature uses the Snapshot codec \
-         (SnapshotWriter/SnapshotReader, configurable under [checkpoint] in lint.toml), \
-         the two sides must touch the same fields: a field save serializes but restore \
-         never mentions keeps whatever value it had before the restore, and a field \
-         restore writes but save never serialized consumes bytes the image does not \
-         carry. The codec persists `SimStats` in the aurora-serve result store and is \
-         what `SimStats::fingerprint` hashes, so either kind of drift corrupts stored \
-         results or moves every stats digest. Reads count as coverage on the restore side \
-         (sizing a buffer from `self.cfg` is a bound, not state), and state a snapshot \
-         deliberately leaves out belongs in a named helper called outside restore, not in \
-         the restore body — see the snapshot codec checklist in docs/LINTS.md.",
     ),
     (
         "L015",
@@ -882,20 +510,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
          and validated constructors (`x.validate()?`). The diagnostic names the source: the \
          declared root, or the call chain the taint rode in on. Fix by bounding the value \
          where it enters, not by suppressing the sink.",
-    ),
-    (
-        "L016",
-        "wire-format drift between a writer/reader pair",
-        "Each [[wire]] pair in lint.toml names writer and reader functions that must agree on \
-         a wire format, the way L014's save/restore check works for the Snapshot codec. \
-         `kind = \"json\"` cross-checks string keys: every key a reader looks up \
-         (`get`/`remove`/`contains_key`) must be emitted by some writer — a misspelled or \
-         renamed key otherwise fails silently at the first decode. `kind = \"record\"` \
-         cross-checks binary record layouts field-by-field: the struct fields the writer \
-         serializes and the fields the reader's struct literal reconstructs must be the same \
-         set, because a length-prefixed record cannot skip a field it does not understand. \
-         The json direction is one-sided by design (writers may emit keys a given reader \
-         ignores); the record check is symmetric.",
     ),
 ];
 

@@ -9,7 +9,7 @@
 //! processes. Each segment is:
 //!
 //! ```text
-//! [magic "AURSTOR1": 8][store version: u32][trace format version: u32]
+//! [magic "AURSTOR1": 8][store version: u32][model version: u32]
 //! [snapshot format version: u32]              -- 20-byte header
 //! record*                                     -- zero or more records
 //! record := [payload_len: u32][payload: payload_len bytes]
@@ -31,14 +31,16 @@
 //! record that is truncated or fails its checksum, truncating the file
 //! there; every record before the tail is intact by construction
 //! (appends are sequential and flushed per put). A shard whose header
-//! does not match — wrong magic, or any of the three format versions
-//! differ — is discarded and rebuilt empty: memoised results are pure
-//! caches of deterministic simulations, so invalidation is always safe,
-//! and a version bump in the `SimStats` snapshot codec would otherwise
-//! let stale bytes masquerade as current results. No trace is stored on
-//! disk, so the trace format version guards nothing; the header keeps
-//! its slot, fixed at 1, so existing stores open without a rebuild (the
-//! `fresh_shard_header_is_pinned` test holds the 20 bytes).
+//! does not match — wrong magic, or any of the three versions differ —
+//! is discarded and rebuilt empty: memoised results are pure caches of
+//! deterministic simulations, so invalidation is always safe, and a
+//! version bump in the `SimStats` snapshot codec would otherwise let
+//! stale bytes masquerade as current results. The model version
+//! ([`aurora_core::MODEL_VERSION`]) does the same for the simulator
+//! itself: a cell computed by an older timing model is never served.
+//! Its slot once held a trace format version, also 1, so stores written
+//! before it open without a rebuild (the `fresh_shard_header_is_pinned`
+//! test holds the 20 bytes).
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -46,8 +48,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use aurora_core::SimStats;
-use aurora_isa::{Fnv1a, SNAPSHOT_FORMAT_VERSION, TRACE_FORMAT_VERSION};
+use aurora_core::{SimStats, MODEL_VERSION};
+use aurora_isa::{Fnv1a, SNAPSHOT_FORMAT_VERSION};
 
 /// Number of segment files a store is sharded over. Sharding bounds
 /// lock contention between concurrent queries (each shard has its own
@@ -335,7 +337,7 @@ impl Shard {
             let mut header = Vec::with_capacity(HEADER_LEN);
             header.extend_from_slice(MAGIC);
             header.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
-            header.extend_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
+            header.extend_from_slice(&MODEL_VERSION.to_le_bytes());
             header.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
             write_atomically(path, &header)?;
         } else if valid_len < bytes.len() {
@@ -352,7 +354,7 @@ fn header_is_current(bytes: &[u8]) -> bool {
     bytes.len() >= HEADER_LEN
         && &bytes[..8] == MAGIC
         && bytes[8..12] == STORE_FORMAT_VERSION.to_le_bytes()
-        && bytes[12..16] == TRACE_FORMAT_VERSION.to_le_bytes()
+        && bytes[12..16] == MODEL_VERSION.to_le_bytes()
         && bytes[16..20] == SNAPSHOT_FORMAT_VERSION.to_le_bytes()
 }
 

@@ -11,7 +11,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use aurora_core::SimStats;
+use aurora_core::{SimStats, MODEL_VERSION};
 use aurora_serve::{CellKey, CellValue, Mode, ResultStore, SampledCell};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -176,8 +176,9 @@ proptest! {
     }
 }
 
-/// A shard whose header carries a different format version is discarded
-/// and rebuilt empty — stale caches must invalidate, not masquerade.
+/// A shard whose header carries a different store format or timing
+/// model version is discarded and rebuilt empty — stale caches must
+/// invalidate, not masquerade.
 #[test]
 fn version_mismatch_rebuilds_shard() {
     let dir = scratch("version", 0);
@@ -186,15 +187,21 @@ fn version_mismatch_rebuilds_shard() {
         let store = ResultStore::open(&dir).expect("open");
         fill(&store, &mut rng, 24)
     };
-    // Bump the store-version field of shard 3's header.
-    let path = dir.join("shard-03.seg");
-    let mut bytes = fs::read(&path).expect("read shard");
-    bytes[8] ^= 0xFF;
-    fs::write(&path, &bytes).expect("write shard");
+    // Bump the store-version field (bytes 8..12) of shard 3's header,
+    // and the model-version field (bytes 12..16) of shard 5's, as a
+    // store written by another simulator would carry.
+    let header = fs::read(dir.join("shard-05.seg")).expect("read shard");
+    assert_eq!(header[12..16], MODEL_VERSION.to_le_bytes());
+    for (shard, offset) in [(3, 8), (5, 12)] {
+        let path = dir.join(format!("shard-{shard:02}.seg"));
+        let mut bytes = fs::read(&path).expect("read shard");
+        bytes[offset] ^= 0xFF;
+        fs::write(&path, &bytes).expect("write shard");
+    }
 
     let reopened = ResultStore::open(&dir).expect("reopen");
-    assert_eq!(reopened.shards_rebuilt(), 1);
-    // Every surviving cell is intact; the rebuilt shard's cells are
+    assert_eq!(reopened.shards_rebuilt(), 2);
+    // Every surviving cell is intact; the rebuilt shards' cells are
     // gone but nothing is wrong.
     let mut lost = 0usize;
     for (key, value) in &written {
@@ -203,7 +210,10 @@ fn version_mismatch_rebuilds_shard() {
             None => lost += 1,
         }
     }
-    assert!(lost < written.len(), "only one shard of eight was rebuilt");
+    assert!(
+        lost < written.len(),
+        "only two shards of eight were rebuilt"
+    );
     // The rebuilt shard works again.
     let (key, value) = random_cell(&mut rng);
     reopened.put(&key, &value).expect("put after rebuild");
