@@ -22,9 +22,11 @@
 //!   miss and queue events, histograms, Perfetto export), attached with
 //!   [`Simulator::enable_observer`]; block replay under an observer
 //!   takes the per-op walk,
-//! * [`run_sampled`] — SMARTS-style sampled simulation: detailed windows
-//!   over a functional-warming fast-forward ([`Simulator::warm_digest`])
-//!   and CPI estimates with confidence intervals ([`SampledStats`]).
+//! * [`run_sampled`] — SMARTS-style sampled simulation of the block
+//!   form: detailed windows over a functional-warming fast-forward and
+//!   CPI estimates with confidence intervals ([`SampledStats`]), held
+//!   bit-identical to its oracle over a packed trace and its
+//!   [`WarmDigest`] ([`run_sampled_digest`], [`Simulator::warm_digest`]).
 //!
 //! # Quick start
 //!

@@ -6,7 +6,7 @@
 //! [`SamplingConfig::interval_ops`] instructions. Within each unit the
 //! simulator:
 //!
-//! 1. **fast-forwards** through [`Simulator::warm_digest`]: ops retire at
+//! 1. **fast-forwards** through functional warming: ops retire at
 //!    near-emulator speed while I-cache tags and pre-decode, D-cache
 //!    tags, write-cache lines and stream-buffer allocation keep evolving,
 //!    so the long-history state a window depends on is warm;
@@ -24,11 +24,18 @@
 //!
 //! Traces no longer than one sampling unit run fully detailed and report
 //! the exact CPI with a zero-width interval.
+//!
+//! [`run_sampled`] walks the block form that sweeps and exact cells
+//! replay, so sampled mode needs no other trace form. Its oracle,
+//! [`run_sampled_digest`], walks a [`PackedTrace`](aurora_isa::PackedTrace)'s
+//! records and their [`WarmDigest`]; both share the placement and
+//! interval loop below and the simulator's per-event warming rule, and
+//! their estimates are bit-identical.
 
-use aurora_isa::{PackedOp, PackedTrace, WarmDigest};
+use aurora_isa::{BlockTrace, PackedOp, WarmDigest};
 
 use crate::config::{MachineConfig, SamplingConfig};
-use crate::sim::Simulator;
+use crate::sim::{BlockCursor, Simulator};
 
 /// Two-sided 95% normal quantile used for the confidence interval.
 const Z_95: f64 = 1.96;
@@ -61,11 +68,12 @@ impl SampledStats {
     }
 }
 
-/// Runs `trace` under `cfg` in sampling mode and returns the CPI
-/// estimate. See the [module docs](self) for the procedure. Builds the
-/// trace's [`WarmDigest`] at the machine's line size for this one run,
-/// unless the trace fits in one sampling unit and runs fully detailed;
-/// [`run_sampled_digest`] reuses a digest across runs.
+/// Runs the trace `blocks` encodes under `cfg` in sampling mode and
+/// returns the CPI estimate. See the [module docs](self) for the
+/// procedure. Warm-ups and windows feed their ops one at a time through
+/// [`Simulator::feed`]; the stretches between them are warmed by
+/// walking the block templates (`Simulator::warm_blocks`), which
+/// needs nothing built beyond per-template line masks.
 ///
 /// # Panics
 ///
@@ -74,45 +82,105 @@ impl SampledStats {
 pub fn run_sampled(
     cfg: &MachineConfig,
     sampling: &SamplingConfig,
-    trace: &PackedTrace,
+    blocks: &BlockTrace,
 ) -> SampledStats {
-    run_sampled_inner(cfg, sampling, trace.records(), None)
+    let len = usize::try_from(blocks.len()).unwrap_or(usize::MAX);
+    sample(cfg, sampling, len, || {
+        BlockCursor::new(blocks, cfg.line_bytes)
+    })
 }
 
-/// [`run_sampled`] with a pre-built [`WarmDigest`] of `ops`, amortizing
-/// the trace scan across models and repetitions (the digest depends
-/// only on the trace and line granule). A digest of another line size
-/// than `cfg`'s is rebuilt at `cfg`'s, so the result never depends on
-/// which digest the caller held.
+/// The oracle of [`run_sampled`]: the same estimate from the packed
+/// records `ops` and a [`WarmDigest`] of them, warming through
+/// [`Simulator::warm_digest`]. A digest of another line size than
+/// `cfg`'s is rebuilt at `cfg`'s, so the result never depends on which
+/// digest the caller held. The differential tests and
+/// `aurora_benchmark`'s reference cells run it; no product path does.
+///
+/// # Panics
+///
+/// As [`run_sampled`].
 pub fn run_sampled_digest(
     cfg: &MachineConfig,
     sampling: &SamplingConfig,
     ops: &[PackedOp],
     digest: &WarmDigest,
 ) -> SampledStats {
-    let digest = Some(digest).filter(|d| d.line_bytes() == cfg.line_bytes);
-    run_sampled_inner(cfg, sampling, ops, digest)
+    sample(cfg, sampling, ops.len(), || {
+        let rebuilt =
+            (digest.line_bytes() != cfg.line_bytes).then(|| WarmDigest::build(ops, cfg.line_bytes));
+        DigestWalk {
+            ops,
+            digest,
+            rebuilt,
+            at: 0,
+        }
+    })
 }
 
-/// The sampled run. `digest` is a [`WarmDigest`] of `ops` at
-/// `cfg.line_bytes`; without one, a digest is built only once the
-/// config has validated and the trace has proved longer than one
-/// sampling unit, so a fully detailed run never pays for a digest it
-/// would not read.
-fn run_sampled_inner(
+/// A trace form the sampler walks forward through, one stretch at a
+/// time, in trace order.
+trait Walk {
+    /// Runs the next `n` ops through the detailed model.
+    fn detail(&mut self, sim: &mut Simulator<'_>, n: usize);
+    /// Functionally warms the next `n` ops. A zero-length stretch still
+    /// drains the simulator's look-ahead and clears its redirect state.
+    fn warm(&mut self, sim: &mut Simulator<'_>, n: usize);
+}
+
+impl Walk for BlockCursor<'_> {
+    fn detail(&mut self, sim: &mut Simulator<'_>, n: usize) {
+        sim.feed_cursor(self, n);
+    }
+
+    fn warm(&mut self, sim: &mut Simulator<'_>, n: usize) {
+        sim.warm_blocks(self, n);
+    }
+}
+
+/// The oracle's walk: an op offset into the packed records, warming
+/// through the digest.
+struct DigestWalk<'a> {
+    ops: &'a [PackedOp],
+    digest: &'a WarmDigest,
+    /// The digest at the machine's line size, when `digest` has another.
+    rebuilt: Option<WarmDigest>,
+    at: usize,
+}
+
+impl Walk for DigestWalk<'_> {
+    fn detail(&mut self, sim: &mut Simulator<'_>, n: usize) {
+        for op in &self.ops[self.at..self.at + n] {
+            sim.feed(op.unpack());
+        }
+        self.at += n;
+    }
+
+    fn warm(&mut self, sim: &mut Simulator<'_>, n: usize) {
+        let digest = self.rebuilt.as_ref().unwrap_or(self.digest);
+        sim.warm_digest(digest, self.at..self.at + n);
+        self.at += n;
+    }
+}
+
+/// The sampled run over a `len`-op trace: window placement and the
+/// interval estimate, shared by the product and the oracle. The walk is
+/// made once the configs have validated.
+fn sample<W: Walk>(
     cfg: &MachineConfig,
     sampling: &SamplingConfig,
-    ops: &[PackedOp],
-    digest: Option<&WarmDigest>,
+    len: usize,
+    walk: impl FnOnce() -> W,
 ) -> SampledStats {
     sampling
         .validate()
         .unwrap_or_else(|e| panic!("invalid sampling config: {e}"));
     let unit = sampling.interval_ops;
     let mut sim = Simulator::new(cfg);
-    if ops.len() <= unit {
+    let mut walk = walk();
+    if len <= unit {
         // Shorter than one sampling unit: the exact run *is* the estimate.
-        feed_ops(&mut sim, ops);
+        walk.detail(&mut sim, len);
         let stats = sim.finish();
         return SampledStats {
             instructions: stats.instructions,
@@ -122,23 +190,15 @@ fn run_sampled_inner(
             ci_half_width: 0.0,
         };
     }
-    let built;
-    let digest = match digest {
-        Some(digest) => digest,
-        None => {
-            built = WarmDigest::build(ops, cfg.line_bytes);
-            &built
-        }
-    };
 
     let detail = sampling.warmup_ops + sampling.window_ops;
     // Free ops around the detailed chunk within one interval.
     let slots = unit - detail;
-    let mut cpis: Vec<f64> = Vec::with_capacity(ops.len() / unit.max(1) + 1);
+    let mut cpis: Vec<f64> = Vec::with_capacity(len / unit.max(1) + 1);
     let mut detailed = 0u64;
     let mut i = 0usize;
     let mut k = 0u64;
-    while i + unit <= ops.len() {
+    while i + unit <= len {
         // Place the detailed chunk at a per-interval offset drawn from a
         // fixed golden-ratio (Weyl) hash of the interval index. A
         // systematic placement (always at the interval's end) aliases
@@ -148,18 +208,15 @@ fn run_sampled_inner(
         // so runs stay exactly reproducible, while the positions are
         // incommensurate with any workload period.
         let off = ((k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize) % (slots + 1);
-        sim.warm_digest(digest, i..i + off);
-        feed_ops(&mut sim, &ops[i + off..i + off + sampling.warmup_ops]);
+        walk.warm(&mut sim, off);
+        walk.detail(&mut sim, sampling.warmup_ops);
         let (c0, n0) = (sim.cycle(), sim.retired_instructions());
-        feed_ops(
-            &mut sim,
-            &ops[i + off + sampling.warmup_ops..i + off + detail],
-        );
+        walk.detail(&mut sim, sampling.window_ops);
         let (c1, n1) = (sim.cycle(), sim.retired_instructions());
         if n1 > n0 {
             cpis.push((c1 - c0) as f64 / (n1 - n0) as f64);
         }
-        sim.warm_digest(digest, i + off + detail..i + unit);
+        walk.warm(&mut sim, slots - off);
         detailed += detail as u64;
         i += unit;
         k += 1;
@@ -167,7 +224,7 @@ fn run_sampled_inner(
     // The sub-unit tail is warmed, not measured: its share of the
     // estimate comes from the windows, weighted like every other
     // fast-forwarded stretch.
-    sim.warm_digest(digest, i.min(ops.len())..ops.len());
+    walk.warm(&mut sim, len - i);
 
     let n = cpis.len();
     let mean = cpis.iter().sum::<f64>() / n.max(1) as f64;
@@ -178,18 +235,11 @@ fn run_sampled_inner(
         0.0
     };
     SampledStats {
-        instructions: ops.len() as u64,
+        instructions: len as u64,
         detailed_instructions: detailed,
         windows: n,
         cpi: mean,
         ci_half_width: ci,
-    }
-}
-
-/// Runs `ops` through the detailed model, one [`Simulator::feed`] each.
-fn feed_ops(sim: &mut Simulator<'_>, ops: &[PackedOp]) {
-    for op in ops.iter().map(PackedOp::unpack) {
-        sim.feed(op);
     }
 }
 
@@ -198,7 +248,7 @@ mod tests {
     use super::*;
     use crate::config::{IssueWidth, MachineModel};
     use crate::sim::replay;
-    use aurora_isa::{ArchReg, MemWidth, OpKind, TraceOp};
+    use aurora_isa::{ArchReg, MemWidth, OpKind, PackedTrace, TraceOp};
     use aurora_mem::LatencyModel;
 
     const BASE: u32 = 0x0040_0000;
@@ -257,11 +307,30 @@ mod tests {
         }))
     }
 
+    /// The product and its oracle agree bit for bit on the 15 kernels
+    /// (`tests/sampled_differential.rs`); this covers the oracle's one
+    /// path those kernels never take.
+    #[test]
+    fn oracle_rebuilds_a_digest_of_another_line_size() {
+        let cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
+        let trace = phased_trace(40_000);
+        let wrong = WarmDigest::build(trace.records(), 2 * cfg.line_bytes);
+        let sampling = SamplingConfig::recommended();
+        assert_eq!(
+            run_sampled_digest(&cfg, &sampling, trace.records(), &wrong),
+            run_sampled(&cfg, &sampling, &BlockTrace::lower(&trace))
+        );
+    }
+
     #[test]
     fn short_trace_runs_fully_detailed() {
         let cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
         let trace = phased_trace(1000);
-        let sampled = run_sampled(&cfg, &SamplingConfig::recommended(), &trace);
+        let sampled = run_sampled(
+            &cfg,
+            &SamplingConfig::recommended(),
+            &BlockTrace::lower(&trace),
+        );
         let exact = replay(&cfg, &trace);
         assert_eq!(sampled.windows, 1);
         assert_eq!(sampled.ci_half_width, 0.0);
@@ -307,7 +376,11 @@ mod tests {
             }
         }));
         let exact = replay(&cfg, &trace).cpi();
-        let sampled = run_sampled(&cfg, &SamplingConfig::recommended(), &trace);
+        let sampled = run_sampled(
+            &cfg,
+            &SamplingConfig::recommended(),
+            &BlockTrace::lower(&trace),
+        );
         let err = (sampled.cpi - exact).abs() / exact;
         assert!(
             err < 0.02,
@@ -337,7 +410,7 @@ mod tests {
             warmup_ops: 256,
             interval_ops: 4096,
         };
-        let sampled = run_sampled(&cfg, &sampling, &trace);
+        let sampled = run_sampled(&cfg, &sampling, &BlockTrace::lower(&trace));
         let err = (sampled.cpi - exact).abs();
         assert!(
             err < 2.0 * sampled.ci_half_width,
@@ -352,9 +425,9 @@ mod tests {
     #[test]
     fn estimator_is_deterministic() {
         let cfg = MachineModel::Small.config(IssueWidth::Single, LatencyModel::average_35());
-        let trace = phased_trace(60_000);
-        let a = run_sampled(&cfg, &SamplingConfig::recommended(), &trace);
-        let b = run_sampled(&cfg, &SamplingConfig::recommended(), &trace);
+        let blocks = BlockTrace::lower(&phased_trace(60_000));
+        let a = run_sampled(&cfg, &SamplingConfig::recommended(), &blocks);
+        let b = run_sampled(&cfg, &SamplingConfig::recommended(), &blocks);
         assert_eq!(a, b);
     }
 
@@ -367,11 +440,14 @@ mod tests {
             warmup_ops: 0,
             interval_ops: 8,
         };
-        run_sampled(&cfg, &bad, &phased_trace(100));
+        run_sampled(&cfg, &bad, &BlockTrace::lower(&phased_trace(100)));
     }
 
-    /// Manual component-rate benchmark for the fast-forward paths. Run
-    /// with:
+    /// Manual component-rate benchmark for functional warming: the
+    /// product's block walk (its line masks included) beside the
+    /// oracle's digest walk (its digest prebuilt, and its build timed
+    /// apart), and the detailed per-op feed for scale, each the best of
+    /// seven interleaved runs over a 4M-op trace. Run with:
     ///
     /// ```text
     /// cargo test --release -p aurora-core -- --ignored warm_component_rates --nocapture
@@ -382,35 +458,39 @@ mod tests {
         use std::time::Instant;
         let trace = phased_trace(4_000_000);
         let ops = trace.records();
+        let blocks = BlockTrace::lower(&trace);
         let cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
-        let rate = |ops: usize, secs: f64| ops as f64 / secs / 1e6;
-
-        let t = Instant::now();
         let digest = WarmDigest::build(ops, cfg.line_bytes);
-        let build = t.elapsed().as_secs_f64();
-
-        let mut sim = Simulator::new(&cfg);
-        let t = Instant::now();
-        sim.warm_digest(&digest, 0..ops.len());
-        let dig = t.elapsed().as_secs_f64();
-
-        let mut sim = Simulator::new(&cfg);
-        let t = Instant::now();
-        feed_ops(&mut sim, ops);
-        let feed = t.elapsed().as_secs_f64();
-
+        let names = [
+            "warm_blocks",
+            "warm_digest",
+            "digest build",
+            "feed (detail)",
+        ];
+        let mut best = [f64::MAX; 4];
+        // Interleaved rounds, so a slow stretch of the host does not
+        // land on one component's every run.
+        for _ in 0..7 {
+            for (k, best) in best.iter_mut().enumerate() {
+                let mut sim = Simulator::new(&cfg);
+                let t = Instant::now();
+                match k {
+                    0 => sim.warm_blocks(&mut BlockCursor::new(&blocks, cfg.line_bytes), ops.len()),
+                    1 => sim.warm_digest(&digest, 0..ops.len()),
+                    2 => drop(WarmDigest::build(ops, cfg.line_bytes)),
+                    _ => sim.feed_cursor(&mut BlockCursor::new(&blocks, cfg.line_bytes), ops.len()),
+                }
+                *best = best.min(t.elapsed().as_secs_f64());
+            }
+        }
         println!(
-            "ops {} events {} ({:.1}%)\n\
-             digest build   {:8.1} Mops/s\n\
-             warm_digest    {:8.1} Mops/s ({:.1} Mevents/s)\n\
-             feed (detail)  {:8.1} Mops/s",
+            "ops {} events {} ({:.1}%); best of 7, Mops/s:",
             ops.len(),
             digest.len(),
             100.0 * digest.len() as f64 / ops.len() as f64,
-            rate(ops.len(), build),
-            rate(ops.len(), dig),
-            rate(digest.len(), dig),
-            rate(ops.len(), feed),
         );
+        for (name, best) in names.iter().zip(best) {
+            println!("{name:14} {:8.1}", ops.len() as f64 / best / 1e6);
+        }
     }
 }

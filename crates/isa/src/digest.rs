@@ -1,12 +1,16 @@
-//! The functional-warming digest of a packed trace.
+//! The functional-warming digest of a packed trace: sampled mode's
+//! warming oracle.
 //!
 //! Sampled simulation fast-forwards most of a trace through *functional
 //! warming*, which keeps only long-history machine state current: cache
 //! tags, write-cache lines, stream buffers and pre-decoded control
-//! pairs. Most ops touch none of it. A [`WarmDigest`] pre-extracts the
-//! ops that do, once per trace and line size, so every warming pass
-//! over any machine model walks that short event list instead of
-//! decoding the whole trace again.
+//! pairs. Most ops touch none of it, and each op that does raises
+//! [`WarmKind`] events. The product sampler finds those ops in the block
+//! form as it walks it; a [`WarmDigest`] instead pre-extracts them from
+//! a [`PackedTrace`](crate::PackedTrace) into one event list per trace
+//! and line size. That second, independent derivation is what the
+//! differential tests and the benchmark's reference cells compare the
+//! product against.
 //!
 //! ```
 //! use aurora_isa::{OpKind, PackedTrace, TraceOp, WarmDigest, WarmKind};
@@ -74,6 +78,33 @@ pub enum WarmKind {
     },
 }
 
+impl WarmKind {
+    /// The event an op of `kind` at `pc` raises besides a fetch-line
+    /// transition: its memory reference or its control transfer. `None`
+    /// for ops that touch no warm state (ALU, FP arithmetic, nops).
+    #[inline]
+    #[must_use]
+    pub fn of(pc: u32, kind: OpKind) -> Option<WarmKind> {
+        Some(match kind {
+            OpKind::Load { ea, width } | OpKind::FpLoad { ea, width } => WarmKind::Load {
+                ea,
+                bytes: width.bytes() as u8,
+            },
+            OpKind::Store { ea, width } | OpKind::FpStore { ea, width } => WarmKind::Store {
+                ea,
+                bytes: width.bytes() as u8,
+            },
+            OpKind::Branch { target, .. }
+            | OpKind::Jump {
+                target,
+                register: false,
+            } => WarmKind::Control { pc, target },
+            OpKind::Jump { register: true, .. } => WarmKind::IndirectJump { pc },
+            _ => return None,
+        })
+    }
+}
+
 /// One pre-extracted warming event, stamped with the index of the op it
 /// came from. Sixteen bytes, the size of the [`PackedOp`] it replaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,9 +123,11 @@ impl WarmEvent {
     }
 }
 
-/// The subsequence of a trace that functional warming actually reacts
+/// The subsequence of a packed trace that functional warming reacts
 /// to, pre-extracted once so every warm pass skips the ops that cannot
-/// change warm state.
+/// change warm state. It is the oracle of sampled mode's warming: the
+/// product sampler (`aurora_core::run_sampled`) finds the same events
+/// in the block form it walks and never builds a digest.
 ///
 /// Warming op by op would decode every op only to ignore most of them:
 /// ALU and FP arithmetic touch no warm state, and instruction-side
@@ -134,7 +167,9 @@ impl WarmDigest {
             "trace too large to digest"
         );
         let shift = line_bytes.trailing_zeros();
-        let mut events = Vec::with_capacity(ops.len() / 2);
+        // Three events per four ops: the 15 test-scale kernels raise
+        // 0.34-0.70 per op at 32-byte lines, so none regrows the list.
+        let mut events = Vec::with_capacity(ops.len() - ops.len() / 4);
         let mut last_line = u64::MAX;
         for (idx, rec) in ops.iter().enumerate() {
             let op_idx = idx as u32;
@@ -147,33 +182,11 @@ impl WarmDigest {
                     kind: WarmKind::Fetch { pc },
                 });
             }
-            let kind = match rec.kind_only() {
-                OpKind::Load { ea, width } | OpKind::FpLoad { ea, width } => WarmKind::Load {
-                    ea,
-                    bytes: width.bytes() as u8,
-                },
-                OpKind::Store { ea, width } | OpKind::FpStore { ea, width } => WarmKind::Store {
-                    ea,
-                    bytes: width.bytes() as u8,
-                },
-                OpKind::Branch { target, .. }
-                | OpKind::Jump {
-                    target,
-                    register: false,
-                } => WarmKind::Control { pc, target },
-                OpKind::Jump { register: true, .. } => WarmKind::IndirectJump { pc },
-                _ => continue,
-            };
-            events.push(WarmEvent { op_idx, kind });
+            if let Some(kind) = WarmKind::of(pc, rec.kind_only()) {
+                events.push(WarmEvent { op_idx, kind });
+            }
         }
         WarmDigest { line_bytes, events }
-    }
-
-    /// Drops the event list's spare capacity. Worth its one copy only
-    /// for a digest held as long as its trace, such as a memoised one;
-    /// a digest built for one run is dropped with it.
-    pub fn shrink_to_fit(&mut self) {
-        self.events.shrink_to_fit();
     }
 
     /// The fetch-line granule the digest was extracted at.

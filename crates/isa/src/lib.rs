@@ -17,14 +17,15 @@
 //! * [`TraceOp`] / [`OpKind`] — the dynamic trace format consumed by the
 //!   `aurora-core` cycle simulator,
 //! * [`PackedTrace`] — a compact fixed-width in-memory trace: the
-//!   per-op oracle and sampled mode's input,
+//!   oracle the differential checks replay op by op,
 //! * [`WarmDigest`] — the events of a packed trace that functional
 //!   warming reacts to (line transitions, memory references, control
-//!   transfers), extracted once per trace and line size,
+//!   transfers), extracted once per trace and line size: sampled mode's
+//!   oracle,
 //! * [`BlockTrace`] — a trace lowered to basic blocks deduplicated by
 //!   static code, each template carrying its pre-resolved per-op masks,
-//!   plus a stream of effective addresses: what capture-once / replay-many
-//!   sweeps replay through the block-granular fast path.
+//!   plus a stream of effective addresses: the one form capture-once /
+//!   replay-many sweeps and sampled runs walk.
 //!   [`BlockTraceBuilder`] builds it one op at a time, straight from the
 //!   emulator, and [`BlockTrace::lower`] from a held packed trace,
 //! * [`Snapshot`] / [`SnapshotWriter`] / [`SnapshotReader`] — the

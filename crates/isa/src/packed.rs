@@ -8,9 +8,9 @@
 //! fixed 16-byte record (less than half the in-memory footprint of a
 //! `Vec<TraceOp>`, which is 28 bytes plus padding per op) and decodes on
 //! the fly during replay, so one captured trace can be shared — typically
-//! behind an `Arc` — by every simulator thread. It is the per-op oracle
-//! and sampled mode's input; sweeps replay the block form
-//! ([`BlockTrace`](crate::BlockTrace)) instead.
+//! behind an `Arc` — by every simulator thread. It is the oracle only:
+//! sweeps and every serve cell, sampled ones included, replay the block
+//! form ([`BlockTrace`](crate::BlockTrace)) instead.
 //!
 //! The field encoding is the shared [`codec`](crate::codec); the block
 //! builder keys its templates on the same packed records.
@@ -140,14 +140,14 @@ impl PackedOp {
     }
 }
 
-/// A whole dynamic trace in packed form: the oracle, and sampled mode's
-/// input.
+/// A whole dynamic trace in packed form: the oracle.
 ///
 /// Per-op replay of this form is what the differential suites and the
 /// benchmark's reference cells compare the block engine against, and
-/// sampled mode seeks into it by op offset. Sweeps never build it: they
-/// capture straight into a [`BlockTrace`](crate::BlockTrace) at about a
-/// tenth of the bytes. Built once per (workload, scale) — see
+/// the digest sampler over it (with a [`WarmDigest`](crate::WarmDigest))
+/// is what they compare sampled mode against. No product path builds
+/// it: sweeps and serve cells capture straight into a
+/// [`BlockTrace`](crate::BlockTrace) at about a tenth of the bytes. Built once per (workload, scale) — see
 /// `aurora-workloads`' trace store — and replayed read-only by any
 /// number of simulator threads.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -94,7 +94,7 @@ pub enum Event {
     /// operand the range analysis could not prove safe.
     Arith { what: String, line: u32 },
     /// L013 candidate: a call that can block (file I/O, `Mutex::lock`,
-    /// stdio macros).
+    /// a channel wait, `thread::sleep`, stdio macros).
     Blocking { what: String, line: u32 },
 }
 
@@ -322,9 +322,9 @@ impl<'a> Extractor<'a> {
                     name: name.clone(),
                     line: *line,
                 });
-                if name == "lock" {
+                if let Some(what) = blocking_method(name) {
                     self.out.events.push(Event::Blocking {
-                        what: "Mutex::lock".to_string(),
+                        what: what.to_string(),
                         line: *line,
                     });
                 }
@@ -631,9 +631,25 @@ fn seg(base: String, s: &str) -> String {
     }
 }
 
-/// A blocking filesystem/stdio call, by path (L013).
+/// A blocking method call, by name (L013): a lock or a channel wait. A
+/// thread handle's `join` is not recognised: the lexer drops string
+/// literals, so `path.join("x")` and `parts.join(",")` parse with no
+/// argument, just like `handle.join()`.
+fn blocking_method(name: &str) -> Option<&'static str> {
+    match name {
+        "lock" => Some("Mutex::lock"),
+        "recv" => Some("Receiver::recv (channel wait)"),
+        "recv_timeout" => Some("Receiver::recv_timeout (channel wait)"),
+        _ => None,
+    }
+}
+
+/// A blocking filesystem, stdio or sleep call, by path (L013).
 fn blocking_call(segs: &[String]) -> Option<String> {
     match segs {
+        [.., thread, name] if thread == "thread" && name == "sleep" => {
+            Some("thread::sleep".to_string())
+        }
         [.., ty, name]
             if (ty == "File" && (name == "open" || name == "create"))
                 || (ty == "OpenOptions" && name == "new") =>

@@ -490,8 +490,9 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "blocking call reachable from a pool worker loop",
         "Everything reachable from the worker-loop roots declared in lint.toml's [[pool]] \
          sections must not block: file I/O (`File::open`, `fs::*`, `read_to_string`), \
-         `Mutex::lock`, and stdio macros (`println!` takes the stdout lock) stall a \
-         work-stealing worker and idle its core for the rest of the sweep. The diagnostic \
+         `Mutex::lock`, channel waits (`recv`, `recv_timeout`), `thread::sleep` and stdio \
+         macros (`println!` takes the stdout lock) stall a work-stealing worker and idle \
+         its core for the rest of the sweep. The diagnostic \
          names the call chain from the pool root. Hoist the blocking call out of the drain \
          loop, buffer output per worker, or hand the work to a dedicated thread.",
     ),

@@ -23,10 +23,8 @@
 use std::sync::{mpsc, Arc};
 
 use aurora_bench::harness::drain_cells_timed;
-use aurora_core::{
-    replay_blocks, run_sampled_digest, MachineConfig, SampledStats, SamplingConfig, WarmDigest,
-};
-use aurora_isa::{BlockTrace, Fnv1a, PackedTrace};
+use aurora_core::{replay_blocks, run_sampled, MachineConfig, SampledStats, SamplingConfig};
+use aurora_isa::{BlockTrace, Fnv1a};
 use aurora_workloads::{workload_by_name, TraceStore, Workload};
 
 use crate::proto::{CellResult, CellSource, ProtoError, QueryRequest, QuerySummary, ResponseLine};
@@ -39,18 +37,6 @@ use crate::store::{CellKey, CellValue, Mode, ResultStore, SampledCell};
 /// locked).
 pub struct Engine {
     store: ResultStore,
-}
-
-/// Everything a pool worker needs for one workload, in the form its
-/// mode replays: exact cells (Block and Detailed) hold only the block
-/// form, and the packed trace is fetched only for Sampled cells. Every
-/// form is the [`TraceStore`]'s memoised one, shared across queries.
-enum TraceBundle {
-    /// Block replay of the lowering.
-    Block(Arc<BlockTrace>),
-    /// Sampled replay of the packed trace with its functional-warming
-    /// digest.
-    Sampled(Arc<PackedTrace>, Arc<WarmDigest>),
 }
 
 impl Engine {
@@ -167,22 +153,26 @@ impl Engine {
         summary: &mut QuerySummary,
         emit: &mut dyn FnMut(&ResponseLine),
     ) -> Result<(), ProtoError> {
-        // Capture-once: materialise each needed workload's trace (and
-        // the per-mode derived forms) before the pool starts, via the
-        // process-wide memoising TraceStore.
+        // Capture-once: materialise each needed workload's block trace
+        // before the pool starts, via the process-wide memoising
+        // TraceStore. Every mode replays that one form.
         let mut needed: Vec<usize> = cold.iter().map(|&(wi, _)| wi).collect();
         needed.sort_unstable();
         needed.dedup();
-        let mut bundles: Vec<Option<TraceBundle>> = (0..workloads.len()).map(|_| None).collect();
+        let mut traces: Vec<Option<Arc<BlockTrace>>> = vec![None; workloads.len()];
         for wi in needed {
-            bundles[wi] = Some(capture_bundle(&workloads[wi], req.mode)?);
+            let w = &workloads[wi];
+            let blocks = TraceStore::global()
+                .get_blocks(w)
+                .map_err(|e| ProtoError(format!("capturing `{}`: {e}", w.name())))?;
+            traces[wi] = Some(blocks);
         }
 
         let (tx, rx) = mpsc::channel::<(usize, CellValue)>();
         let run_cell = |i: usize| {
             let (wi, ci) = cold[i];
-            let bundle = bundles[wi].as_ref().expect("bundle captured above");
-            compute_cell(&configs[ci], bundle, &req.sampling)
+            let blocks = traces[wi].as_ref().expect("trace captured above");
+            compute_cell(&configs[ci], blocks, req.mode, &req.sampling)
         };
         // The drain blocks until every cold cell is done, so it runs on
         // a scoped helper thread while this thread consumes completions:
@@ -232,11 +222,20 @@ impl Engine {
 /// Simulates one cold cell. This is the pool-worker entry point (a
 /// `[[pool]]` root in lint.toml): everything reachable from here must be
 /// non-blocking — pure replay against pre-captured, shared traces.
-fn compute_cell(cfg: &MachineConfig, bundle: &TraceBundle, sampling: &SamplingConfig) -> CellValue {
-    match bundle {
-        TraceBundle::Block(blocks) => CellValue::Exact(replay_blocks(cfg, blocks)),
-        TraceBundle::Sampled(packed, digest) => {
-            let stats = run_sampled_digest(cfg, sampling, packed.records(), digest);
+/// Detailed cells replay the block form like Block cells: the block
+/// engine's `SimStats` are bit-identical to per-op replay's, so the two
+/// exact modes differ only in name and memo key. Sampled cells walk the
+/// same block form.
+fn compute_cell(
+    cfg: &MachineConfig,
+    blocks: &BlockTrace,
+    mode: Mode,
+    sampling: &SamplingConfig,
+) -> CellValue {
+    match mode {
+        Mode::Block | Mode::Detailed => CellValue::Exact(replay_blocks(cfg, blocks)),
+        Mode::Sampled => {
+            let stats = run_sampled(cfg, sampling, blocks);
             CellValue::Sampled(SampledCell {
                 instructions: stats.instructions,
                 detailed_instructions: stats.detailed_instructions,
@@ -246,31 +245,6 @@ fn compute_cell(cfg: &MachineConfig, bundle: &TraceBundle, sampling: &SamplingCo
             })
         }
     }
-}
-
-/// Captures (through the global [`TraceStore`]) the trace form `mode`
-/// replays for one workload. Detailed cells replay the block form like
-/// Block cells: the block engine's `SimStats` are bit-identical to
-/// per-op replay's, so the two exact modes differ only in name and memo
-/// key. Sampled cells take the packed trace and its warming digest,
-/// both built at most once per process. Runs on the query's coordinator
-/// thread, never on the pool.
-fn capture_bundle(workload: &Workload, mode: Mode) -> Result<TraceBundle, ProtoError> {
-    let store = TraceStore::global();
-    let failed = |e| ProtoError(format!("capturing `{}`: {e}", workload.name()));
-    Ok(match mode {
-        Mode::Block | Mode::Detailed => {
-            TraceBundle::Block(store.get_blocks(workload).map_err(failed)?)
-        }
-        Mode::Sampled => {
-            let packed = store.get(workload).map_err(failed)?;
-            // Every preset uses 32-byte lines (and `line_bytes` is not an
-            // override knob); `run_sampled_digest` rebuilds the digest at
-            // the config's line size if a future config disagrees.
-            let digest = store.get_digest(workload, 32).map_err(failed)?;
-            TraceBundle::Sampled(packed, digest)
-        }
-    })
 }
 
 /// The memo-key fingerprint of a configuration under `mode`: the config
@@ -322,28 +296,6 @@ mod tests {
     use super::*;
     use aurora_core::{IssueWidth, MachineModel};
     use aurora_mem::LatencyModel;
-
-    #[test]
-    fn detailed_cells_replay_the_block_form() {
-        let w = workload_by_name("compress", aurora_workloads::Scale::Test).expect("kernel");
-        let bundle = capture_bundle(&w, Mode::Detailed).expect("kernel captures");
-        assert!(matches!(bundle, TraceBundle::Block(_)));
-    }
-
-    #[test]
-    fn sampled_cells_share_one_memoised_digest() {
-        let w = workload_by_name("compress", aurora_workloads::Scale::Test).expect("kernel");
-        let digest = |bundle| match bundle {
-            TraceBundle::Sampled(_, digest) => digest,
-            TraceBundle::Block(_) => panic!("sampled cells replay the packed trace"),
-        };
-        let first = digest(capture_bundle(&w, Mode::Sampled).expect("kernel captures"));
-        let second = digest(capture_bundle(&w, Mode::Sampled).expect("kernel captures"));
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "each sampled query rebuilt the digest"
-        );
-    }
 
     #[test]
     fn sampled_fingerprint_depends_on_sampling_params() {

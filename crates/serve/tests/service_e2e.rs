@@ -1,14 +1,15 @@
 //! End-to-end service tests: a real daemon on a unix socket (and HTTP),
 //! overlapping grid queries from concurrent clients, and the core
 //! guarantee — warm-path results bit-identical to a direct `run_matrix`
-//! sweep, and cold sampled cells to a direct `run_sampled`.
+//! sweep, and cold sampled cells to the sampled-mode oracle
+//! (`run_sampled_digest` over an independent packed capture).
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use aurora_bench::harness::run_matrix;
-use aurora_core::{replay, run_sampled, IssueWidth, MachineModel};
+use aurora_core::{replay, run_sampled_digest, IssueWidth, MachineModel, WarmDigest};
 use aurora_mem::LatencyModel;
 use aurora_serve::json::Json;
 use aurora_serve::proto::{CellResult, QueryRequest, ResponseLine};
@@ -390,8 +391,9 @@ fn detailed_and_block_modes_agree() {
 }
 
 /// Two cold sampled queries on one kernel, each with a config of its
-/// own, share the daemon's memoised warming digest; both answers must
-/// be bit-equal to `run_sampled` over an independent packed capture.
+/// own, walk the daemon's one memoised block trace; both answers must
+/// be bit-equal to the oracle, `run_sampled_digest` over an independent
+/// packed capture and its warming digest.
 #[test]
 fn cold_sampled_cells_match_run_sampled() {
     let dir = scratch("sampled");
@@ -419,7 +421,8 @@ fn cold_sampled_cells_match_run_sampled() {
 
         let req = QueryRequest::from_json_str(&text).expect("parse");
         let cfg = &req.machine_configs().expect("resolve")[0];
-        let oracle = run_sampled(cfg, &req.sampling, &trace);
+        let digest = WarmDigest::build(trace.records(), cfg.line_bytes);
+        let oracle = run_sampled_digest(cfg, &req.sampling, trace.records(), &digest);
         assert!(oracle.windows > 1, "the trace must be long enough to warm");
         assert_eq!(cpi.to_bits(), oracle.cpi.to_bits(), "{model}-{issue} cpi");
         assert_eq!(

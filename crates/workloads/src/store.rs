@@ -7,21 +7,19 @@
 //! per form — even when many sweep threads ask for it concurrently — and
 //! hands out `Arc` clones that replay without copying.
 //!
-//! Three forms are memoised, each per (name, scale, content-hash) key:
+//! Two forms are memoised, each per (name, scale, content-hash) key:
 //!
-//! * [`TraceStore::get_blocks`] is what sweeps replay: the basic-block
-//!   lowering ([`BlockTrace`], about 1.7 bytes per instruction at test
-//!   scale). It lowers a [`PackedTrace`] this store already holds (so a
-//!   process that asked for the oracle first does not capture twice),
-//!   and otherwise captures straight into blocks, building no packed
-//!   trace.
+//! * [`TraceStore::get_blocks`] is what every product path replays:
+//!   sweeps, exact serve cells and sampled cells alike. It is the
+//!   basic-block lowering ([`BlockTrace`], about 1.7 bytes per
+//!   instruction at test scale). It lowers a [`PackedTrace`] this store
+//!   already holds (so a process that asked for the oracle first does
+//!   not capture twice), and otherwise captures straight into blocks,
+//!   building no packed trace.
 //! * [`TraceStore::get`] is the packed oracle ([`PackedTrace`], 16 bytes
 //!   per op): an independent emulator capture that the differential
-//!   checks and sampled mode read. It never derives from the blocks.
-//! * [`TraceStore::get_digest`] is sampled mode's functional-warming
-//!   digest ([`WarmDigest`], 16 bytes per event, about 0.58 events per
-//!   op on the suite), built from the packed trace once per key and
-//!   line size.
+//!   checks and `aurora_benchmark`'s reference cells read. It never
+//!   derives from the blocks.
 //!
 //! Traces live only in memory and each process captures its own:
 //! re-capturing measured about as fast as streaming a stored trace back
@@ -31,11 +29,10 @@
 //! the error: no thread ever sees an empty trace in its place.
 
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use aurora_isa::{BlockTrace, PackedTrace, WarmDigest};
+use aurora_isa::{BlockTrace, PackedTrace};
 
 use crate::workload::{Scale, Workload, WorkloadError};
 
@@ -48,8 +45,8 @@ type TraceKey = (&'static str, Scale, u64);
 /// outcome, so every thread that waited on a failed capture sees its
 /// error.
 type MemoCell<T> = Arc<OnceLock<Result<Arc<T>, WorkloadError>>>;
-/// The memo slots of one trace form, keyed by `K`.
-type Memo<T, K = TraceKey> = Mutex<HashMap<K, MemoCell<T>>>;
+/// The memo slots of one trace form.
+type Memo<T> = Mutex<HashMap<TraceKey, MemoCell<T>>>;
 
 /// A concurrent memo of captured traces.
 ///
@@ -69,8 +66,6 @@ type Memo<T, K = TraceKey> = Mutex<HashMap<K, MemoCell<T>>>;
 pub struct TraceStore {
     packed: Memo<PackedTrace>,
     blocks: Memo<BlockTrace>,
-    /// Warming digests, keyed by trace and line size.
-    digests: Memo<WarmDigest, (TraceKey, u32)>,
     captures: AtomicU64,
     lowerings: AtomicU64,
 }
@@ -88,12 +83,12 @@ impl TraceStore {
     }
 
     /// Returns the packed trace for `workload`: the oracle that per-op
-    /// replay and the differential checks compare against, and the input
-    /// of sampled mode. Captures it with the emulator on the first
-    /// request for its (name, scale, content-hash) key; concurrent
-    /// callers for the same key block until that one capture finishes
-    /// and all share one buffer. Sweeps should call
-    /// [`TraceStore::get_blocks`] instead, which never builds this form.
+    /// replay, the sampled-mode oracle and the differential checks read.
+    /// Captures it with the emulator on the first request for its (name,
+    /// scale, content-hash) key; concurrent callers for the same key
+    /// block until that one capture finishes and all share one buffer.
+    /// No product path calls it: they call [`TraceStore::get_blocks`],
+    /// which never builds this form.
     ///
     /// # Errors
     ///
@@ -133,36 +128,6 @@ impl TraceStore {
         })
     }
 
-    /// Returns the functional-warming digest of `workload`'s packed
-    /// trace at a `line_bytes` line granule, building it at most once
-    /// per (name, scale, content-hash, line size) key from the trace
-    /// [`TraceStore::get`] returns (capturing that first if need be).
-    /// The digest is held for the life of the store, like the trace, so
-    /// it is trimmed to its length.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the capture's [`WorkloadError`] to every caller that
-    /// waited on it. A failed capture is not cached, so a later call
-    /// retries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line_bytes` is not a power of two at least 8, as
-    /// [`WarmDigest::build`] does.
-    pub fn get_digest(
-        &self,
-        workload: &Workload,
-        line_bytes: u32,
-    ) -> Result<Arc<WarmDigest>, WorkloadError> {
-        memoise(&self.digests, (key(workload), line_bytes), || {
-            let trace = self.get(workload)?;
-            let mut digest = WarmDigest::build(trace.records(), line_bytes);
-            digest.shrink_to_fit();
-            Ok(Arc::new(digest))
-        })
-    }
-
     /// Number of emulator runs this store has performed, into either
     /// trace form.
     pub fn captures(&self) -> u64 {
@@ -191,9 +156,9 @@ fn key(workload: &Workload) -> TraceKey {
 /// first request. `init` runs outside the map lock so unrelated
 /// workloads proceed in parallel; the per-key cell still guarantees one
 /// winner, and every caller waiting on it gets the winner's outcome.
-fn memoise<T, K: Eq + Hash + Copy>(
-    memo: &Memo<T, K>,
-    key: K,
+fn memoise<T>(
+    memo: &Memo<T>,
+    key: TraceKey,
     init: impl FnOnce() -> Result<Arc<T>, WorkloadError>,
 ) -> Result<Arc<T>, WorkloadError> {
     let cell = {
@@ -291,52 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_digest_requests_share_one_digest() {
-        use std::sync::Barrier;
-        let store = TraceStore::new();
-        let w = test_workload();
-        let barrier = Barrier::new(4);
-        let digests: Vec<Arc<WarmDigest>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    scope.spawn(|| {
-                        barrier.wait();
-                        store.get_digest(&w, 32).unwrap()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert!(digests.windows(2).all(|p| Arc::ptr_eq(&p[0], &p[1])));
-        assert_eq!(store.captures(), 1);
-    }
-
-    #[test]
-    fn digest_reads_the_held_packed_trace_without_capturing_again() {
-        let store = TraceStore::new();
-        let w = test_workload();
-        let trace = store.get(&w).unwrap();
-        let digest = store.get_digest(&w, 32).unwrap();
-        assert_eq!(store.captures(), 1);
-        assert!(*digest == WarmDigest::build(trace.records(), 32));
-    }
-
-    #[test]
-    fn digests_are_memoised_per_line_size() {
-        let store = TraceStore::new();
-        let w = test_workload();
-        let fresh = w.capture().unwrap();
-        let d32 = store.get_digest(&w, 32).unwrap();
-        let d64 = store.get_digest(&w, 64).unwrap();
-        assert_eq!((d32.line_bytes(), d64.line_bytes()), (32, 64));
-        assert!(*d32 != *d64, "line sizes must not share a digest");
-        assert!(*d32 == WarmDigest::build(fresh.records(), 32));
-        assert!(*d64 == WarmDigest::build(fresh.records(), 64));
-        assert!(Arc::ptr_eq(&d32, &store.get_digest(&w, 32).unwrap()));
-        assert_eq!(store.captures(), 1);
-    }
-
-    #[test]
     fn failed_capture_is_an_error_for_every_waiting_caller() {
         use std::sync::Barrier;
         let spin = Workload::assemble("spin", Scale::Test, ".text\nx: b x\n nop\n break\n");
@@ -365,8 +284,6 @@ mod tests {
         assert!(did_not_halt(
             store.get_blocks(&spin).map(|b| b.len() as usize)
         ));
-        assert!(did_not_halt(store.get_digest(&spin, 32).map(|d| d.len())));
-        assert!(store.digests.lock().unwrap().is_empty());
         assert_eq!(store.lowerings(), 0);
     }
 

@@ -181,10 +181,11 @@ impl Workload {
 
     /// Runs the kernel once and captures the whole trace in packed form,
     /// 16 bytes per op. This is the oracle capture that the differential
-    /// suites and `aurora-core`'s per-op `replay` compare against, and
-    /// the input of sampled mode; sweeps capture straight into the block
-    /// form with [`Workload::capture_blocks`] instead (see
-    /// [`TraceStore`](crate::TraceStore) for the memoising layer).
+    /// suites read, through `aurora-core`'s per-op `replay` and its
+    /// digest sampler `run_sampled_digest`; every product path captures
+    /// straight into the block form with [`Workload::capture_blocks`]
+    /// instead (see [`TraceStore`](crate::TraceStore) for the memoising
+    /// layer).
     ///
     /// # Errors
     ///
@@ -197,7 +198,8 @@ impl Workload {
 
     /// Runs the kernel once and lowers its trace to basic blocks as it
     /// retires, never holding a [`PackedTrace`]: the product form that
-    /// sweeps replay. Equal to `BlockTrace::lower(&self.capture()?)`.
+    /// sweeps, serve cells and sampled runs replay. Equal to
+    /// `BlockTrace::lower(&self.capture()?)`.
     ///
     /// # Errors
     ///

@@ -49,8 +49,8 @@ fn canary() -> u64 {
         IntBenchmark::Compress.workload(Scale::Test),
         FpBenchmark::Nasa7.workload(Scale::Test),
     ] {
-        let trace = w.capture().expect("kernel captures");
-        let est = run_sampled(&cfg, &SamplingConfig::recommended(), &trace);
+        let blocks = w.capture_blocks().expect("kernel captures");
+        let est = run_sampled(&cfg, &SamplingConfig::recommended(), &blocks);
         h.write_u64(est.cpi.to_bits());
         h.write_u64(est.ci_half_width.to_bits());
         h.write_usize(est.windows);

@@ -14,9 +14,7 @@
 //! cells measured), but a kernel whose costly start-up falls between
 //! windows is estimated low, with a narrow interval.
 
-use aurora3::core::{
-    replay, run_sampled, run_sampled_digest, IssueWidth, MachineModel, SamplingConfig, WarmDigest,
-};
+use aurora3::core::{replay_blocks, run_sampled, IssueWidth, MachineModel, SamplingConfig};
 use aurora3::mem::LatencyModel;
 use aurora3::workloads::{FpBenchmark, IntBenchmark, Scale, Workload};
 
@@ -49,12 +47,11 @@ fn suite_mean_cpi_error_within_two_percent() {
     let mut errors = Vec::new();
     let mut misses = Vec::new();
     for w in &workloads {
-        let trace = w.capture().expect("kernel captures");
+        let blocks = w.capture_blocks().expect("kernel captures");
         for model in MachineModel::ALL {
             let cfg = model.config(IssueWidth::Dual, LatencyModel::Fixed(17));
-            let digest = WarmDigest::build(trace.records(), cfg.line_bytes);
-            let exact = replay(&cfg, &trace).cpi();
-            let est = run_sampled_digest(&cfg, &sampling, trace.records(), &digest);
+            let exact = replay_blocks(&cfg, &blocks).cpi();
+            let est = run_sampled(&cfg, &sampling, &blocks);
             let error = (est.cpi - exact).abs();
             if error > est.ci_half_width {
                 let half_widths = error / est.ci_half_width;
@@ -105,8 +102,8 @@ fn sampled_estimates_are_pinned() {
         ),
     ];
     for (w, cpi_bits, ci_bits, windows, detailed) in pinned {
-        let trace = w.capture().expect("kernel captures");
-        let est = run_sampled(&cfg, &SamplingConfig::recommended(), &trace);
+        let blocks = w.capture_blocks().expect("kernel captures");
+        let est = run_sampled(&cfg, &SamplingConfig::recommended(), &blocks);
         assert_eq!(
             (
                 est.cpi.to_bits(),
