@@ -1864,27 +1864,6 @@ mod tests {
     }
 
     #[test]
-    fn dual_issue_improves_independent_code() {
-        // Independent ALU ops in aligned pairs.
-        let trace: Vec<TraceOp> = (0..4000u32)
-            .map(|i| alu(BASE + 4 * (i % 16), (8 + i % 2) as u8, (10 + i % 2) as u8))
-            .collect();
-        let single = simulate(
-            &cfg(MachineModel::Baseline, IssueWidth::Single),
-            trace.clone(),
-        );
-        let dual = simulate(&cfg(MachineModel::Baseline, IssueWidth::Dual), trace);
-        assert!(single.cpi() > 0.95, "single CPI {}", single.cpi());
-        assert!(
-            dual.cpi() < 0.75 * single.cpi(),
-            "dual {} vs single {}",
-            dual.cpi(),
-            single.cpi()
-        );
-        assert!(dual.dual_issue_rate() > 0.4);
-    }
-
-    #[test]
     fn dependent_pair_cannot_dual_issue() {
         // Each odd instruction consumes the even one's result: DI bit set.
         let trace: Vec<TraceOp> = (0..1000u32)
@@ -1947,37 +1926,6 @@ mod tests {
     }
 
     #[test]
-    fn single_mshr_serialises_independent_loads() {
-        // Independent loads to distinct cached lines: with one MSHR they
-        // serialise; with four they pipeline.
-        let mk = |n: u32| -> Vec<TraceOp> {
-            (0..n)
-                .map(|i| {
-                    load(
-                        BASE + 4 * (i % 16),
-                        (8 + i % 16) as u8,
-                        0x2000 + 32 * (i % 16),
-                    )
-                })
-                .collect()
-        };
-        let mut small1 = cfg(MachineModel::Small, IssueWidth::Single);
-        small1.prefetch_enabled = false;
-        small1.rob_entries = 8; // roomy ROB isolates the MSHR effect
-        let mut small4 = small1.clone();
-        small4.mshr_entries = 4;
-        let s1 = simulate(&small1, mk(3000));
-        let s4 = simulate(&small4, mk(3000));
-        assert!(
-            s1.cpi() > 1.2 * s4.cpi(),
-            "1-MSHR {} vs 4-MSHR {}",
-            s1.cpi(),
-            s4.cpi()
-        );
-        assert!(s1.stalls[StallKind::LsuBusy] > s4.stalls[StallKind::LsuBusy]);
-    }
-
-    #[test]
     fn stores_coalesce_in_write_cache() {
         let trace: Vec<TraceOp> = (0..2000u32)
             .map(|i| store(BASE + 4 * (i % 16), 0x3000 + 4 * (i % 8)))
@@ -1985,33 +1933,6 @@ mod tests {
         let stats = simulate(&cfg(MachineModel::Baseline, IssueWidth::Single), trace);
         assert!(stats.write_cache.hit_rate() > 0.9);
         assert!(stats.write_cache.traffic_ratio() < 0.1);
-    }
-
-    #[test]
-    fn prefetch_helps_sequential_misses() {
-        // Sequential walk over a large array: every line is a fresh miss;
-        // stream buffers should catch most after the first.
-        let mk = || -> Vec<TraceOp> {
-            (0..6000u32)
-                .map(|i| load(BASE + 4 * (i % 16), (8 + i % 8) as u8, 0x0010_0000 + 8 * i))
-                .collect()
-        };
-        let with = cfg(MachineModel::Baseline, IssueWidth::Single);
-        let mut without = with.clone();
-        without.prefetch_enabled = false;
-        let s_with = simulate(&with, mk());
-        let s_without = simulate(&without, mk());
-        assert!(
-            s_with.dstream.hit_rate() > 0.5,
-            "{}",
-            s_with.dstream.hit_rate()
-        );
-        assert!(
-            s_with.cpi() < s_without.cpi(),
-            "prefetch {} vs none {}",
-            s_with.cpi(),
-            s_without.cpi()
-        );
     }
 
     #[test]
@@ -2130,28 +2051,6 @@ mod tests {
     }
 
     #[test]
-    fn small_rob_stalls_behind_slow_loads() {
-        // A miss at the head of the ROB followed by many fast ALU ops.
-        let mut trace = Vec::new();
-        for i in 0..300u32 {
-            trace.push(load(BASE + 4 * (i % 16), 8, 0x0020_0000 + 4096 * i));
-            for j in 0..6u32 {
-                trace.push(alu(BASE + 4 * ((i + j) % 16), 9, 10));
-            }
-        }
-        let mut tiny = cfg(MachineModel::Small, IssueWidth::Single);
-        tiny.prefetch_enabled = false;
-        tiny.mshr_entries = 4; // isolate the ROB effect from the MSHRs
-        tiny.rob_entries = 2;
-        let mut roomy = tiny.clone();
-        roomy.rob_entries = 16;
-        let s_tiny = simulate(&tiny, trace.clone());
-        let s_roomy = simulate(&roomy, trace);
-        assert!(s_tiny.stalls[StallKind::RobFull] > s_roomy.stalls[StallKind::RobFull]);
-        assert!(s_tiny.cpi() >= s_roomy.cpi());
-    }
-
-    #[test]
     fn cpi_is_at_least_half_for_dual_and_one_for_single() {
         let trace = tight_loop_trace(2000);
         let s = simulate(&cfg(MachineModel::Large, IssueWidth::Single), trace.clone());
@@ -2248,60 +2147,6 @@ mod tests {
     }
 
     #[test]
-    fn write_validation_knob_controls_mmu_traffic() {
-        let trace: Vec<TraceOp> = (0..500u32)
-            .map(|i| store(BASE + 4 * (i % 16), 0x3000 + 4 * (i % 8)))
-            .collect();
-        let on = cfg(MachineModel::Baseline, IssueWidth::Single);
-        let mut off = on.clone();
-        off.write_validation = false;
-        let s_on = simulate(&on, trace.clone());
-        let s_off = simulate(&off, trace);
-        // Same page throughout: the micro-TLB validates all but the first
-        // store; without it every store queries the MMU.
-        assert!(s_on.biu.validations <= 2, "{}", s_on.biu.validations);
-        assert_eq!(s_off.biu.validations, 500);
-    }
-
-    #[test]
-    fn branch_folding_knob_adds_bubbles() {
-        let mut trace = Vec::new();
-        for _ in 0..400 {
-            trace.push(TraceOp {
-                pc: BASE,
-                kind: OpKind::Branch {
-                    taken: true,
-                    target: BASE + 32,
-                },
-                dst: None,
-                src1: Some(ArchReg::Int(8)),
-                src2: None,
-            });
-            trace.push(alu(BASE + 4, 8, 9)); // delay slot
-            trace.push(alu(BASE + 32, 8, 9));
-            trace.push(TraceOp {
-                pc: BASE + 36,
-                kind: OpKind::Branch {
-                    taken: true,
-                    target: BASE,
-                },
-                dst: None,
-                src1: Some(ArchReg::Int(8)),
-                src2: None,
-            });
-            trace.push(alu(BASE + 40, 9, 9)); // delay slot
-        }
-        let on = cfg(MachineModel::Baseline, IssueWidth::Single);
-        let mut off = on.clone();
-        off.branch_folding = false;
-        let s_on = simulate(&on, trace.clone());
-        let s_off = simulate(&off, trace);
-        assert!(s_on.folded_branches > 700, "{}", s_on.folded_branches);
-        assert_eq!(s_off.folded_branches, 0);
-        assert!(s_off.cycles > s_on.cycles);
-    }
-
-    #[test]
     fn folded_plus_unfolded_equals_taken_transfers() {
         let mut taken = 0u64;
         let mut trace = Vec::new();
@@ -2344,18 +2189,6 @@ mod tests {
         let stats = simulate(&c, trace);
         assert_eq!(stats.biu.data_fills, 1);
         assert_eq!(stats.mshr.merges, 1);
-    }
-
-    #[test]
-    fn disabling_prefetch_stops_prefetch_traffic() {
-        let trace: Vec<TraceOp> = (0..2000u32)
-            .map(|i| load(BASE + 4 * (i % 16), 8, 0x0050_0000 + 8 * i))
-            .collect();
-        let mut c = cfg(MachineModel::Baseline, IssueWidth::Single);
-        c.prefetch_enabled = false;
-        let stats = simulate(&c, trace);
-        assert_eq!(stats.biu.prefetches, 0);
-        assert_eq!(stats.dstream.probes, 0);
     }
 
     #[test]

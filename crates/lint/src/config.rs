@@ -68,14 +68,6 @@ pub struct StatsScope {
     pub read_scope: Vec<String>,
 }
 
-/// `[config_coverage]` — the knob struct and the code that must exercise it.
-#[derive(Debug, Clone, Default)]
-pub struct ConfigCoverage {
-    pub file: String,
-    pub struct_name: String,
-    pub used_in: Vec<String>,
-}
-
 #[derive(Debug, Clone, Default)]
 pub struct LintConfig {
     pub exclude: Vec<String>,
@@ -84,7 +76,6 @@ pub struct LintConfig {
     /// free of blocking calls (L013). Same shape as `[[hot]]`.
     pub pool: Vec<HotFile>,
     pub stats: StatsScope,
-    pub config_coverage: ConfigCoverage,
     /// `[[untrusted]]` entries: functions whose return value (and, for
     /// handlers, whose parameters) carry attacker-controlled bytes. The
     /// taint pass (L015) seeds its worklist here.
@@ -241,9 +232,6 @@ impl LintConfig {
             ("stats", "file") => self.stats.file = want_str(&value)?,
             ("stats", "structs") => self.stats.structs = want_list(&value)?,
             ("stats", "read_scope") => self.stats.read_scope = want_list(&value)?,
-            ("config_coverage", "file") => self.config_coverage.file = want_str(&value)?,
-            ("config_coverage", "struct") => self.config_coverage.struct_name = want_str(&value)?,
-            ("config_coverage", "used_in") => self.config_coverage.used_in = want_list(&value)?,
             _ => {
                 return Err(err(&format!(
                     "unknown key `{key}` in section `[{section}]`"
@@ -404,11 +392,6 @@ file = "crates/core/src/stats.rs"
 structs = ["SimStats"]
 read_scope = ["crates", "tests"]
 
-[config_coverage]
-file = "crates/core/src/config.rs"
-struct = "MachineConfig"
-used_in = ["crates/bench/src"]
-
 [[untrusted]]
 file = "crates/json/src/lib.rs"
 roots = ["Json::parse"]
@@ -422,7 +405,6 @@ sanitizers = ["QueryRequest::from_json_str"]
         assert_eq!(cfg.pool.len(), 1);
         assert_eq!(cfg.pool[0].roots, vec!["drain_worker"]);
         assert_eq!(cfg.stats.structs, vec!["SimStats"]);
-        assert_eq!(cfg.config_coverage.struct_name, "MachineConfig");
         assert_eq!(cfg.untrusted.len(), 1);
         assert_eq!(cfg.untrusted[0].roots, vec!["Json::parse"]);
         assert_eq!(
@@ -434,6 +416,7 @@ sanitizers = ["QueryRequest::from_json_str"]
     #[test]
     fn rejects_unknown_keys() {
         assert!(LintConfig::parse("bogus = 3").is_err());
+        assert!(LintConfig::parse("[config_coverage]\nfile = \"config.rs\"\n").is_err());
     }
 
     #[test]

@@ -94,15 +94,8 @@ pub enum Event {
     /// operand the range analysis could not prove safe.
     Arith { what: String, line: u32 },
     /// L013 candidate: a call that can block (file I/O, `Mutex::lock`,
-    /// a channel wait, `thread::sleep`, stdio macros).
+    /// a channel wait, a thread `join()`, `thread::sleep`, stdio macros).
     Blocking { what: String, line: u32 },
-}
-
-/// A field access with the receiver's chain (L004 knob coverage).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Access {
-    pub chain: String,
-    pub field: String,
 }
 
 /// Facts for one function.
@@ -121,7 +114,6 @@ pub struct FnFacts {
     pub params: Vec<String>,
     pub calls: Vec<CallFact>,
     pub events: Vec<Event>,
-    pub accesses: Vec<Access>,
 }
 
 impl FnFacts {
@@ -154,7 +146,6 @@ pub fn extract(parsed: &[PFn], structs: Vec<(String, u32, Vec<FieldDef>)>) -> Fi
     let mut reads: Vec<String> = Vec::new();
     for f in parsed {
         let mut ex = Extractor {
-            file_fns: parsed,
             env: Vec::new(),
             out: FnFacts {
                 name: f.name.clone(),
@@ -198,7 +189,6 @@ pub fn unesc(s: &str) -> String {
 }
 
 struct Extractor<'a> {
-    file_fns: &'a [PFn],
     /// Lexically-scoped `name -> chain` bindings.
     env: Vec<(String, String)>,
     out: FnFacts,
@@ -284,10 +274,6 @@ impl<'a> Extractor<'a> {
                 // Assignment context propagates into the base: writing
                 // `self.a.b` writes (into) field `a` as well.
                 self.visit_expr(base, assign_target);
-                self.out.accesses.push(Access {
-                    chain: self.chain_of(base),
-                    field: name.clone(),
-                });
                 if !assign_target {
                     self.reads.push(name.clone());
                 }
@@ -295,7 +281,9 @@ impl<'a> Extractor<'a> {
             Expr::Call { callee, args, line } => {
                 self.visit_expr(callee, false);
                 self.record_call(callee, *line);
-                self.visit_args(callee_name(callee), args);
+                for a in args {
+                    self.visit_expr(a, false);
+                }
             }
             Expr::MethodCall {
                 recv,
@@ -322,13 +310,15 @@ impl<'a> Extractor<'a> {
                     name: name.clone(),
                     line: *line,
                 });
-                if let Some(what) = blocking_method(name) {
+                if let Some(what) = blocking_method(name, args.len()) {
                     self.out.events.push(Event::Blocking {
                         what: what.to_string(),
                         line: *line,
                     });
                 }
-                self.visit_args(Some(name.as_str()), args);
+                for a in args {
+                    self.visit_expr(a, false);
+                }
             }
             Expr::Index { base, index, line } => {
                 self.visit_expr(base, assign_target);
@@ -376,9 +366,7 @@ impl<'a> Extractor<'a> {
                 }
             }
             Expr::Closure { params, body, .. } => {
-                // Untyped closure params shadow outer bindings; callers
-                // that know the callee's `Fn(..)` signature re-visit with
-                // types via `visit_args`.
+                // Closure params are untyped: they shadow outer bindings.
                 let mark = self.env.len();
                 for p in params {
                     self.env.push((p.clone(), "?".to_string()));
@@ -399,12 +387,8 @@ impl<'a> Extractor<'a> {
                             line: *line,
                         });
                     }
-                    for (fname, v) in fields {
+                    for (_, v) in fields {
                         self.visit_expr(v, false);
-                        self.out.accesses.push(Access {
-                            chain: format!("t:{}", esc(head)),
-                            field: fname.clone(),
-                        });
                     }
                 }
                 if let Some(r) = rest {
@@ -545,39 +529,6 @@ impl<'a> Extractor<'a> {
         }
     }
 
-    /// Visit call arguments; closures get their parameters typed from the
-    /// callee's `Fn(..)` parameter when the callee is defined in this
-    /// file (the cross-file case degrades to untyped params).
-    fn visit_args(&mut self, callee: Option<&str>, args: &[Expr]) {
-        let sigs: Option<Vec<String>> = callee.and_then(|name| {
-            self.file_fns
-                .iter()
-                .find(|f| f.name == name)
-                .map(|f| f.params.iter().map(|p| p.ty.clone()).collect())
-        });
-        for (i, a) in args.iter().enumerate() {
-            if let Expr::Closure { params, body, .. } = a {
-                let fn_args = sigs
-                    .as_ref()
-                    .and_then(|s| s.get(i + usize::from(sigs_have_self(&sigs))))
-                    .map(|ty| fn_trait_args(ty))
-                    .unwrap_or_default();
-                let mark = self.env.len();
-                for (j, p) in params.iter().enumerate() {
-                    let chain = fn_args
-                        .get(j)
-                        .map(|t| format!("t:{}", esc(t)))
-                        .unwrap_or_else(|| "?".to_string());
-                    self.env.push((p.clone(), chain));
-                }
-                self.visit_expr(body, false);
-                self.env.truncate(mark);
-            } else {
-                self.visit_expr(a, false);
-            }
-        }
-    }
-
     /// Compute the chain descriptor for an expression used as a receiver.
     fn chain_of(&self, e: &Expr) -> String {
         match e {
@@ -631,15 +582,15 @@ fn seg(base: String, s: &str) -> String {
     }
 }
 
-/// A blocking method call, by name (L013): a lock or a channel wait. A
-/// thread handle's `join` is not recognised: the lexer drops string
-/// literals, so `path.join("x")` and `parts.join(",")` parse with no
-/// argument, just like `handle.join()`.
-fn blocking_method(name: &str) -> Option<&'static str> {
-    match name {
-        "lock" => Some("Mutex::lock"),
-        "recv" => Some("Receiver::recv (channel wait)"),
-        "recv_timeout" => Some("Receiver::recv_timeout (channel wait)"),
+/// A blocking method call, by name and argument count (L013): a lock, a
+/// channel wait, or a thread handle's `join()`. Only a zero-argument
+/// `join` waits: `path.join("x")` and `parts.join(",")` take one.
+fn blocking_method(name: &str, args: usize) -> Option<&'static str> {
+    match (name, args) {
+        ("lock", _) => Some("Mutex::lock"),
+        ("recv", _) => Some("Receiver::recv (channel wait)"),
+        ("recv_timeout", _) => Some("Receiver::recv_timeout (channel wait)"),
+        ("join", 0) => Some("JoinHandle::join (thread wait)"),
         _ => None,
     }
 }
@@ -671,72 +622,10 @@ fn starts_upper(s: &str) -> bool {
     s.chars().next().map(|c| c.is_uppercase()).unwrap_or(false)
 }
 
-fn callee_name(callee: &Expr) -> Option<&str> {
-    match callee {
-        Expr::Path { segs, .. } => segs.last().map(String::as_str),
-        _ => None,
-    }
-}
-
-fn sigs_have_self(sigs: &Option<Vec<String>>) -> bool {
-    // A method's first recorded param is `self` with an empty type.
-    sigs.as_ref()
-        .and_then(|s| s.first())
-        .map(|t| t.is_empty())
-        .unwrap_or(false)
-}
-
 /// True if the type string mentions `name` as a path segment.
 fn mentions_type(ty: &str, name: &str) -> bool {
     ty.split(|c: char| !c.is_alphanumeric() && c != '_')
         .any(|seg| seg == name)
-}
-
-/// Extract the argument types of a `Fn(...)`/`FnMut(...)`/`FnOnce(...)`
-/// bound inside a (normalized) type string.
-pub fn fn_trait_args(ty: &str) -> Vec<String> {
-    for marker in ["Fn(", "FnMut(", "FnOnce("] {
-        if let Some(at) = ty.find(marker) {
-            let open = at + marker.len() - 1;
-            let bytes = ty.as_bytes();
-            let mut depth = 0i32;
-            let mut end = open;
-            for (i, b) in bytes.iter().enumerate().skip(open) {
-                match b {
-                    b'(' | b'[' | b'<' => depth += 1,
-                    b')' | b']' | b'>' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end = i;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            let inner = &ty[open + 1..end];
-            if inner.trim().is_empty() {
-                return Vec::new();
-            }
-            let mut out = Vec::new();
-            let mut depth = 0i32;
-            let mut start = 0usize;
-            for (i, c) in inner.char_indices() {
-                match c {
-                    '(' | '[' | '<' => depth += 1,
-                    ')' | ']' | '>' => depth -= 1,
-                    ',' if depth == 0 => {
-                        out.push(inner[start..i].trim().to_string());
-                        start = i + 1;
-                    }
-                    _ => {}
-                }
-            }
-            out.push(inner[start..].trim().to_string());
-            return out;
-        }
-    }
-    Vec::new()
 }
 
 #[cfg(test)]
@@ -757,11 +646,13 @@ mod tests {
 
     #[test]
     fn params_seed_typed_chains() {
-        let f = facts("fn sweep(cfg: &mut MachineConfig) { cfg.rob_entries = 7; }");
-        let acc = &fn_facts(&f, "sweep").accesses;
-        assert_eq!(acc.len(), 1);
-        assert_eq!(acc[0].chain, "t:&mut~MachineConfig");
-        assert_eq!(acc[0].field, "rob_entries");
+        let f = facts("fn sweep(cfg: &mut MachineConfig) { cfg.validate(); }");
+        let calls = &fn_facts(&f, "sweep").calls;
+        assert!(calls.iter().any(|c| matches!(
+            c,
+            CallFact::Method { chain, name, .. }
+            if name == "validate" && chain == "t:&mut~MachineConfig"
+        )));
     }
 
     #[test]
@@ -804,17 +695,6 @@ mod tests {
     }
 
     #[test]
-    fn closure_params_typed_from_same_file_callee() {
-        let f = facts(
-            "fn sweep(apply: impl Fn(&mut MachineConfig, u32)) {}\nfn main() { sweep(|cfg, v| { cfg.rob_entries = v; }); }",
-        );
-        let acc = &fn_facts(&f, "main").accesses;
-        assert!(acc
-            .iter()
-            .any(|a| a.field == "rob_entries" && a.chain.contains("MachineConfig")));
-    }
-
-    #[test]
     fn assignment_targets_are_not_reads() {
         let f = facts("fn f(&mut self) { self.dead = 1; self.live += self.other; }");
         assert!(!f.field_reads.contains(&"dead".to_string()));
@@ -831,18 +711,5 @@ mod tests {
             e,
             Event::IndexOp { chain, .. } if chain == "self.f:stats.f:stalls"
         )));
-    }
-
-    #[test]
-    fn fn_trait_args_split_nested() {
-        assert_eq!(
-            fn_trait_args("impl Fn(&mut MachineConfig,u32)"),
-            vec!["&mut MachineConfig", "u32"]
-        );
-        assert_eq!(
-            fn_trait_args("impl Fn(Option<(u8,u8)>)"),
-            vec!["Option<(u8,u8)>"]
-        );
-        assert!(fn_trait_args("u32").is_empty());
     }
 }

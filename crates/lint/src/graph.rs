@@ -301,7 +301,7 @@ impl<'a> Graph<'a> {
     }
 
     /// Resolve a chain descriptor to a concrete type string.
-    pub fn resolve_type(&self, chain: &str, file: usize, self_ty: &str) -> Option<String> {
+    fn resolve_type(&self, chain: &str, file: usize, self_ty: &str) -> Option<String> {
         let mut parts = chain.split('.');
         let start = parts.next()?;
         let mut cur: String = if start == "self" {

@@ -1,18 +1,23 @@
 //! Minimal hand-rolled Rust lexer.
 //!
-//! Strips comments and string/char literals, then yields identifier, number,
-//! and punctuation tokens tagged with 1-based line numbers. This is not a
-//! full Rust lexer — it tokenizes just enough to resolve `fn` boundaries,
-//! struct fields, paths, method calls, and `as` casts, which is all the
-//! rule engine needs. Because literals and comments are dropped before any
-//! rule runs, prose like "never call .unwrap() here" in a doc comment can
-//! never trigger a finding.
+//! Strips comments, replaces each string or char literal with one opaque
+//! [`TokKind::Lit`] placeholder on the line where it opens, and yields
+//! identifier, number, and punctuation tokens tagged with 1-based line
+//! numbers. This is not a full Rust lexer — it tokenizes just enough to
+//! resolve `fn` boundaries, struct fields, paths, method calls, call
+//! arity, and `as` casts, which is all the rule engine needs. Because a
+//! literal's body and every comment are dropped before any rule runs,
+//! prose like "never call .unwrap() here" in a string or a doc comment
+//! can never trigger a finding.
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
     Ident,
     Num,
     Punct,
+    /// A string, byte-string, raw-string or char literal; its body is
+    /// dropped, so `f("x")` keeps one argument without exposing `x`.
+    Lit,
 }
 
 #[derive(Debug, Clone)]
@@ -38,6 +43,14 @@ fn is_ident_start(c: char) -> bool {
 
 fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
+}
+
+fn lit(line: u32) -> Tok {
+    Tok {
+        kind: TokKind::Lit,
+        text: "\"\"".to_string(),
+        line,
+    }
 }
 
 /// Tokenize `src`, discarding comments and all literal bodies.
@@ -76,9 +89,15 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 }
             }
         } else if c == '"' {
+            toks.push(lit(line));
             i = skip_string(&chars, i, &mut line);
         } else if c == '\'' {
-            i = skip_quote(&chars, i, &mut line);
+            let open = line;
+            let (end, is_char) = skip_quote(&chars, i, &mut line);
+            if is_char {
+                toks.push(lit(open));
+            }
+            i = end;
         } else if c.is_ascii_digit() {
             let start = i;
             while i < n && (chars[i].is_alphanumeric() || chars[i] == '_') {
@@ -102,20 +121,27 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 i += 1;
             }
             let text: String = chars[start..i].iter().collect();
-            // Raw/byte string prefixes swallow the literal instead of
-            // emitting an identifier token.
+            // Raw/byte literal prefixes become part of the literal's
+            // placeholder instead of an identifier token.
             if i < n && matches!(text.as_str(), "r" | "b" | "br" | "rb") {
+                let open = line;
                 match chars[i] {
                     '"' if text == "b" => {
+                        toks.push(lit(open));
                         i = skip_string(&chars, i, &mut line);
                         continue;
                     }
                     '"' | '#' if text != "b" => {
-                        i = skip_raw_string(&chars, i, &mut line);
+                        let (end, is_str) = skip_raw_string(&chars, i, &mut line);
+                        if is_str {
+                            toks.push(lit(open));
+                        }
+                        i = end;
                         continue;
                     }
                     '\'' if text == "b" => {
-                        i = skip_quote(&chars, i, &mut line);
+                        toks.push(lit(open));
+                        i = skip_quote(&chars, i, &mut line).0;
                         continue;
                     }
                     _ => {}
@@ -163,8 +189,9 @@ fn skip_string(chars: &[char], start: usize, line: &mut u32) -> usize {
 }
 
 /// Skip a raw string literal: cursor is on `"` or the first `#` after an
-/// `r`/`br` prefix.
-fn skip_raw_string(chars: &[char], start: usize, line: &mut u32) -> usize {
+/// `r`/`br` prefix. The flag is false for a raw identifier (`r#type`),
+/// whose hashes alone are skipped.
+fn skip_raw_string(chars: &[char], start: usize, line: &mut u32) -> (usize, bool) {
     let n = chars.len();
     let mut i = start;
     let mut hashes = 0usize;
@@ -174,7 +201,7 @@ fn skip_raw_string(chars: &[char], start: usize, line: &mut u32) -> usize {
     }
     if i >= n || chars[i] != '"' {
         // `r#ident` raw identifier: the hashes belonged to an identifier.
-        return i;
+        return (i, false);
     }
     i += 1;
     while i < n {
@@ -187,27 +214,29 @@ fn skip_raw_string(chars: &[char], start: usize, line: &mut u32) -> usize {
                 h += 1;
             }
             if h == hashes {
-                return i + 1 + hashes;
+                return (i + 1 + hashes, true);
             }
             i += 1;
         } else {
             i += 1;
         }
     }
-    i
+    (i, true)
 }
 
-/// Skip a `'x'` char literal or a `'lifetime`; cursor is on the `'`.
-fn skip_quote(chars: &[char], start: usize, line: &mut u32) -> usize {
+/// Skip a `'x'` char literal or a `'lifetime`; cursor is on the `'`. The
+/// flag is true for a char literal.
+fn skip_quote(chars: &[char], start: usize, line: &mut u32) -> (usize, bool) {
     let n = chars.len();
     let i = start;
     if i + 1 < n && chars[i + 1] == '\\' {
-        // Escaped char literal: scan to the closing quote.
-        let mut j = i + 2;
+        // Escaped char literal: scan to the closing quote from past the
+        // escaped character, so `'\\'` and `'\''` close where they end.
+        let mut j = i + 3;
         while j < n {
             match chars[j] {
                 '\\' => j += 2,
-                '\'' => return j + 1,
+                '\'' => return (j + 1, true),
                 '\n' => {
                     *line += 1;
                     j += 1;
@@ -215,16 +244,16 @@ fn skip_quote(chars: &[char], start: usize, line: &mut u32) -> usize {
                 _ => j += 1,
             }
         }
-        j
+        (j, true)
     } else if i + 2 < n && chars[i + 2] == '\'' && chars[i + 1] != '\'' {
-        i + 3
+        (i + 3, true)
     } else {
         // Lifetime: consume the tick and the trailing identifier.
         let mut j = i + 1;
         while j < n && is_ident_char(chars[j]) {
             j += 1;
         }
-        j
+        (j, false)
     }
 }
 
@@ -271,7 +300,7 @@ pub fn comment_lines(src: &str) -> Vec<(u32, String)> {
         } else if c == '"' {
             i = skip_string(&chars, i, &mut line);
         } else if c == '\'' {
-            i = skip_quote(&chars, i, &mut line);
+            i = skip_quote(&chars, i, &mut line).0;
         } else if is_ident_start(c) {
             let start = i;
             while i < n && is_ident_char(chars[i]) {
@@ -281,8 +310,8 @@ pub fn comment_lines(src: &str) -> Vec<(u32, String)> {
             if i < n && matches!(text.as_str(), "r" | "b" | "br" | "rb") {
                 match chars[i] {
                     '"' if text == "b" => i = skip_string(&chars, i, &mut line),
-                    '"' | '#' if text != "b" => i = skip_raw_string(&chars, i, &mut line),
-                    '\'' if text == "b" => i = skip_quote(&chars, i, &mut line),
+                    '"' | '#' if text != "b" => i = skip_raw_string(&chars, i, &mut line).0,
+                    '\'' if text == "b" => i = skip_quote(&chars, i, &mut line).0,
                     _ => {}
                 }
             }
@@ -434,6 +463,17 @@ mod tests {
         assert!(toks
             .iter()
             .all(|t| t.text != "unwrap" && t.text != "expect" && t.text != "panic"));
+    }
+
+    #[test]
+    fn each_literal_is_one_placeholder_on_its_opening_line() {
+        let toks = lex(r##"f("a\"b", 'c', '\\', b"d", r#"e
+"#, r#type, 'life) g"##);
+        let lits = toks.iter().filter(|t| t.kind == TokKind::Lit);
+        assert_eq!(lits.map(|t| t.line).collect::<Vec<_>>(), [1; 5]);
+        let has = |s| toks.iter().any(|t| t.is_ident(s));
+        assert!(has("type") && !has("life"));
+        assert!(toks.last().is_some_and(|t| t.is_ident("g") && t.line == 2));
     }
 
     #[test]

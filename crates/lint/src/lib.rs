@@ -4,18 +4,18 @@
 //!
 //! The simulator rests on invariants that ordinary tests cannot see: the
 //! hot loop must stay allocation- and panic-free, every counter the model
-//! accumulates must be consumed by a report, every config knob must be
-//! exercised by a sweep, pool workers must never block, and sizes read
-//! off the service's socket must be bounded. This crate parses the
-//! workspace source with a hand-rolled recursive-descent parser (no `syn` —
-//! tier-1 builds offline), builds a workspace-wide call graph, and enforces
-//! those invariants as nine lint rules: L000–L004 and L009 over the facts
-//! and the graph, and L010, L013 and L015 through deeper passes (interval
-//! dataflow for wrapping arithmetic, blocking calls reachable from pool
-//! workers, taint from the socket boundary). `docs/LINTS.md` names, per
-//! rule, the bug it caught (or was shown on a seeded bug to catch) that
-//! the tests, clippy and the other CI steps missed, and the reason each
-//! retired id (L005–L008, L011, L012, L014, L016) left.
+//! accumulates must be consumed by a report, pool workers must never
+//! block, and sizes read off the service's socket must be bounded. This
+//! crate parses the workspace source with a hand-rolled recursive-descent
+//! parser (no `syn` — tier-1 builds offline), builds a workspace-wide call
+//! graph, and enforces those invariants as eight lint rules: L000–L003
+//! and L009 over the facts and the graph, and L010, L013 and L015 through
+//! deeper passes (interval dataflow for wrapping arithmetic, blocking
+//! calls reachable from pool workers, taint from the socket boundary).
+//! `docs/LINTS.md` names, per rule, the bug it caught (or was shown on a
+//! seeded bug to catch) that the tests, clippy and the other CI steps
+//! missed, and the reason each retired id (L004–L008, L011, L012, L014,
+//! L016) left.
 //!
 //! The pipeline has two phases:
 //!

@@ -293,7 +293,11 @@ impl<'t> Parser<'t> {
                 } else if self.at_ident("unsafe") || self.at_ident("async") {
                     self.pos += 1;
                 } else if self.at_ident("extern") {
-                    self.pos += 1; // `extern` (the ABI string is stripped)
+                    self.pos += 1;
+                    // The ABI string, as in `extern "C" fn`.
+                    if self.peek().is_some_and(|t| t.kind == TokKind::Lit) {
+                        self.pos += 1;
+                    }
                 } else {
                     break;
                 }
@@ -1086,32 +1090,17 @@ impl<'t> Parser<'t> {
     fn parse_call_args(&mut self) -> Vec<Expr> {
         let mut args = Vec::new();
         self.eat_punct("(");
-        let mut slot_filled = false;
         loop {
             match self.peek() {
                 None => return args,
                 Some(t) if t.is_punct(")") => {
                     self.pos += 1;
-                    if !slot_filled && !args.is_empty() {
-                        args.push(Expr::Opaque(self.line()));
-                    }
                     return args;
                 }
-                Some(t) if t.is_punct(",") => {
-                    // A separator with no expression since the previous
-                    // one means the lexer dropped a literal argument.
-                    // Keep the slot so positional lookups downstream
-                    // (closure-parameter typing) stay aligned.
-                    if !slot_filled {
-                        args.push(Expr::Opaque(self.line()));
-                    }
-                    slot_filled = false;
-                    self.pos += 1;
-                }
+                Some(t) if t.is_punct(",") => self.pos += 1,
                 _ => {
                     let before = self.pos;
                     args.push(self.parse_expr(false));
-                    slot_filled = true;
                     if self.pos == before {
                         self.pos += 1;
                     }
@@ -1126,6 +1115,10 @@ impl<'t> Parser<'t> {
             Some(t) => t,
             None => return Expr::Opaque(line),
         };
+        if t.kind == TokKind::Lit {
+            self.pos += 1;
+            return Expr::Lit(line);
+        }
         if t.kind == TokKind::Num {
             let text = t.text.clone();
             self.pos += 1;
@@ -1199,11 +1192,11 @@ impl<'t> Parser<'t> {
                     self.skip_attrs();
                     self.parse_expr(ns)
                 }
-                // A lexer-dropped literal can strand a prefix operator
-                // (`*b"SIM_"` lexes to a bare `*`), landing the operand
-                // parse on the enclosing list's closer. That token belongs
-                // to the list parser — consuming it here desynchronizes
-                // every statement after the literal.
+                // A block-bodied match arm followed by a slice-pattern arm
+                // (`_ => {} [.., x] => ..`) parses as an index on the
+                // block, landing the operand parse on the pattern's `,` or
+                // `]`. That token belongs to the list parser — consuming
+                // it here desynchronizes every statement after it.
                 ")" | "]" | "}" | "," | ";" => Expr::Opaque(line),
                 _ => {
                     self.pos += 1;

@@ -14,7 +14,6 @@ pub fn run_all(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
     let mut out = Vec::new();
     hot_path_rules(ws, cfg, &graph, &mut out);
     dead_counters(ws, cfg, &mut out);
-    config_coverage(ws, cfg, &graph, &mut out);
     pool_blocking(ws, cfg, &graph, &mut out);
     untrusted_flows(ws, cfg, &graph, &mut out);
     out
@@ -307,70 +306,6 @@ fn in_scope(rel: &str, prefix: &str) -> bool {
     rel == prefix || rel.starts_with(&format!("{prefix}/"))
 }
 
-// -------------------------------------------------------------------- L004
-
-fn config_coverage(ws: &Workspace, cfg: &LintConfig, g: &Graph, out: &mut Vec<Finding>) {
-    let cov = &cfg.config_coverage;
-    if cov.file.is_empty() {
-        return;
-    }
-    let Some(cfg_facts) = ws.facts_of(&cov.file) else {
-        out.push(finding(
-            &cov.file,
-            0,
-            "L004",
-            "config file declared in lint.toml was not found".to_string(),
-        ));
-        return;
-    };
-    let Some((_, _, fields)) = cfg_facts
-        .structs
-        .iter()
-        .find(|(n, _, _)| *n == cov.struct_name)
-    else {
-        out.push(finding(
-            &cov.file,
-            0,
-            "L004",
-            format!(
-                "struct `{}` declared in lint.toml was not found",
-                cov.struct_name
-            ),
-        ));
-        return;
-    };
-    for field in fields.iter().filter(|f| f.public) {
-        // An access counts only when the receiver *resolves to the knob
-        // struct itself* — a same-named field on an unrelated struct does
-        // not. Setting a knob in a sweep is exercising it just as much as
-        // a report reading it.
-        let used = ws.files.iter().enumerate().any(|(fi, (rel, facts))| {
-            cov.used_in.iter().any(|p| in_scope(rel, p))
-                && facts.fns.iter().any(|f| {
-                    f.accesses.iter().any(|a| {
-                        a.field == field.name
-                            && g.resolve_type(&a.chain, fi, &f.self_ty)
-                                .is_some_and(|ty| head(peel_refs(&ty)) == cov.struct_name)
-                    })
-                })
-        });
-        if !used {
-            out.push(finding(
-                &cov.file,
-                field.line,
-                "L004",
-                format!(
-                    "config knob `{}.{}` is never referenced by {} — add it to a sweep or \
-                     report, or remove it",
-                    cov.struct_name,
-                    field.name,
-                    cov.used_in.join(", ")
-                ),
-            ));
-        }
-    }
-}
-
 // -------------------------------------------------------------------- L015
 
 /// L015: package the taint pass's findings. The flow analysis itself runs
@@ -453,16 +388,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
          `.field` use that is not a plain or compound assignment target.",
     ),
     (
-        "L004",
-        "unexercised config knob",
-        "Every pub field of MachineConfig must be referenced by aurora-bench's sweep/report \
-         code. A knob nothing sweeps or prints is a knob whose effect on the model is \
-         unvalidated — exactly the silent-drift failure mode the gem5 methodology papers \
-         warn about. Accesses are matched *by receiver type*, not by field name alone: a \
-         same-named field on an unrelated struct does not count, while a knob set through a \
-         typed closure parameter does. Setting a knob in a sweep counts as exercising it.",
-    ),
-    (
         "L009",
         "stale suppression pragma",
         "A `lint:allow(L0xx): reason` pragma whose rule no longer fires on its target line \
@@ -490,9 +415,9 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "blocking call reachable from a pool worker loop",
         "Everything reachable from the worker-loop roots declared in lint.toml's [[pool]] \
          sections must not block: file I/O (`File::open`, `fs::*`, `read_to_string`), \
-         `Mutex::lock`, channel waits (`recv`, `recv_timeout`), `thread::sleep` and stdio \
-         macros (`println!` takes the stdout lock) stall a work-stealing worker and idle \
-         its core for the rest of the sweep. The diagnostic \
+         `Mutex::lock`, channel waits (`recv`, `recv_timeout`), a thread `join()`, \
+         `thread::sleep` and stdio macros (`println!` takes the stdout lock) stall a \
+         work-stealing worker and idle its core for the rest of the sweep. The diagnostic \
          names the call chain from the pool root. Hoist the blocking call out of the drain \
          loop, buffer output per worker, or hand the work to a dedicated thread.",
     ),

@@ -1,6 +1,6 @@
 //! L013 fixture: `fixture_drain` is the declared `[[pool]]` root; the
-//! stdio lock two calls down must fire with the full chain in its
-//! message, and so must a sleep and both channel waits.
+//! stdio lock two calls down must fire with the full chain, and so must a
+//! sleep, both channel waits and a thread join, but no path or string join.
 
 pub fn fixture_drain(jobs: &[u64]) -> u64 {
     let mut acc = 0;
@@ -26,4 +26,7 @@ fn wait_for_work(j: u64) {
     let _ = tx.send(j);
     let _ = rx.recv(); // FIRE: L013 (channel wait)
     let _ = rx.recv_timeout(std::time::Duration::from_millis(j)); // FIRE: L013 (timed channel wait)
+    let _ = std::thread::spawn(|| ()).join(); // FIRE: L013 (thread join)
+    let _ = std::path::Path::new("a").join("b");
+    let _ = ["a", "b"].join(",");
 }

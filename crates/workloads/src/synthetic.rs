@@ -1,7 +1,7 @@
 //! Parameterised statistical trace generation.
 //!
 //! Kernels give realistic whole-program behaviour; controlled experiments
-//! (unit tests, ablations, stress runs) often want a trace whose mix is a
+//! (unit tests, knob sweeps, stress runs) often want a trace whose mix is a
 //! *knob*. [`SyntheticConfig`] draws instruction kinds from configured
 //! fractions, walks a bounded code footprint with realistic branch
 //! behaviour, and mixes sequential with random data accesses over a
