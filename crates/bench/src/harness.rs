@@ -9,7 +9,9 @@
 //! process-wide [`TraceStore`], straight into basic-block
 //! superinstructions ([`aurora_isa::BlockTrace`]), with no packed trace
 //! in between — and replays the shared, pre-resolved blocks across a
-//! work-stealing thread pool, one cell at a time. Compared with
+//! work-stealing thread pool, one cell at a time. Captures and the
+//! suites' kernel assembly drain through the same pool, so no more of
+//! them run at once than it has threads. Compared with
 //! re-emulating the kernel per cell, replay skips the functional
 //! emulator entirely; compared with per-op replay, block replay
 //! amortises fetch, footprint and scoreboard checks over whole blocks.
@@ -164,10 +166,11 @@ where
 /// Replays every workload against every configuration: the universal
 /// sweep shape behind the paper's figures and tables.
 ///
-/// Traces are captured into basic blocks once per workload (in
-/// parallel, memoised in the process-wide [`TraceStore`]), then the
-/// `configs.len() × workloads.len()` grid of independent block replays
-/// drains through a work-stealing pool sized to the machine. Returns one
+/// Traces are captured into basic blocks once per workload (memoised in
+/// the process-wide [`TraceStore`]), then the `configs.len() ×
+/// workloads.len()` grid of independent block replays drains; both
+/// phases claim their work from the same work-stealing pool sized to
+/// the machine ([`sweep_threads`]). Returns one
 /// row per configuration, one column per workload: `result[c][w]` is
 /// `configs[c]` × `workloads[w]`.
 ///
@@ -195,18 +198,17 @@ pub fn run_matrix_timed(
         let rows = configs.iter().map(|_| Vec::new()).collect();
         return (rows, MatrixMetrics::default());
     }
-    // Phase 1: capture each workload's trace into blocks, one thread
-    // per workload (memoised in the TraceStore).
-    let traces: Vec<Arc<BlockTrace>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = workloads
-            .iter()
-            .map(|w| scope.spawn(move || capture_blocks(w)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("capture thread"))
-            .collect()
-    });
+    // Phase 1: capture each workload's trace into blocks (memoised in
+    // the TraceStore), claimed through the same pool, so at most
+    // `sweep_threads` captures grow their buffers at once. The store's
+    // map lock is held only to find a workload's slot (`memoise`), never
+    // across a capture, so the no-blocking contract the `[[pool]]` root
+    // states for replay drains (L013) is not at stake here.
+    let (traces, _) = drain_cells_timed(
+        workloads.len(),
+        |wi| capture_blocks(&workloads[wi]),
+        |_, _| {},
+    );
     // Phase 2: drain the replay grid with work stealing — replay times
     // vary wildly across (config, workload) cells, so static chunking
     // would leave threads idle. Cells are claimed in workload-major
@@ -278,20 +280,23 @@ pub fn run_suite<'w>(cfg: &MachineConfig, workloads: &'w [Workload]) -> Vec<(&'w
     workloads.iter().map(Workload::name).zip(row).collect()
 }
 
-/// Builds the full integer suite at `scale`.
+/// Builds the full integer suite at `scale`, assembling its kernels on
+/// the sweep pool; they come back in [`IntBenchmark::ALL`] order.
+///
+/// [`IntBenchmark::ALL`]: aurora_workloads::IntBenchmark::ALL
 pub fn integer_suite(scale: Scale) -> Vec<Workload> {
-    aurora_workloads::IntBenchmark::ALL
-        .into_iter()
-        .map(|b| b.workload(scale))
-        .collect()
+    let all = aurora_workloads::IntBenchmark::ALL;
+    drain_cells_timed(all.len(), |i| all[i].workload(scale), |_, _| {}).0
 }
 
-/// Builds the full floating-point suite at `scale`.
+/// Builds the full floating-point suite at `scale`, assembling its
+/// kernels on the sweep pool; they come back in [`FpBenchmark::ALL`]
+/// order.
+///
+/// [`FpBenchmark::ALL`]: aurora_workloads::FpBenchmark::ALL
 pub fn fp_suite(scale: Scale) -> Vec<Workload> {
-    aurora_workloads::FpBenchmark::ALL
-        .into_iter()
-        .map(|b| b.workload(scale))
-        .collect()
+    let all = aurora_workloads::FpBenchmark::ALL;
+    drain_cells_timed(all.len(), |i| all[i].workload(scale), |_, _| {}).0
 }
 
 /// Reads the scale from argv (`--scale test|small|full`), default small.

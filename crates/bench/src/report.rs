@@ -179,11 +179,11 @@ pub fn book(scale: Scale) -> String {
             "`aurora-lint`",
             "`cargo run -q -p aurora-lint -- --format sarif > lint.sarif` (full command)",
             "`lint.sarif` + exit code",
-            "not a paper number: nine rules (docs/LINTS.md) that keep the replay and warming \
+            "not a paper number: eight rules (docs/LINTS.md) that keep the replay and warming \
              hot path free of allocation, panics and unchecked cycle/count arithmetic, every \
-             `SimStats` counter read and every `MachineConfig` knob swept, pool workers free \
-             of blocking calls, socket-derived sizes bounded, and suppression pragmas \
-             well-formed and live",
+             `SimStats` counter read, pool workers free of blocking calls, socket-derived sizes \
+             bounded, and suppression pragmas well-formed and live; every `MachineConfig` knob \
+             is checked by effect in tests/knob_effects.rs",
         ),
     ] {
         let _ = writeln!(md, "| {artifact} | {binary} | {cmd} | {output} | {delta} |");

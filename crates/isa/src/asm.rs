@@ -205,21 +205,21 @@ impl Assembler {
                 match name {
                     "word" => {
                         for v in csv(args) {
-                            let v = parse_imm::<i64>(&v)
+                            let v = parse_imm::<i64>(v)
                                 .ok_or_else(|| err(line, format!("bad word `{v}`")))?;
                             data.extend_from_slice(&(v as u32).to_le_bytes());
                         }
                     }
                     "half" => {
                         for v in csv(args) {
-                            let v = parse_imm::<i64>(&v)
+                            let v = parse_imm::<i64>(v)
                                 .ok_or_else(|| err(line, format!("bad half `{v}`")))?;
                             data.extend_from_slice(&(v as u16).to_le_bytes());
                         }
                     }
                     "byte" => {
                         for v in csv(args) {
-                            let v = parse_imm::<i64>(&v)
+                            let v = parse_imm::<i64>(v)
                                 .ok_or_else(|| err(line, format!("bad byte `{v}`")))?;
                             data.push(v as u8);
                         }
@@ -542,17 +542,14 @@ fn split_instr(s: &str) -> (String, Vec<String>) {
     match s.find(char::is_whitespace) {
         Some(i) => {
             let (m, rest) = s.split_at(i);
-            (m.to_owned(), csv(rest))
+            (m.to_owned(), csv(rest).map(str::to_owned).collect())
         }
         None => (s.to_owned(), Vec::new()),
     }
 }
 
-fn csv(s: &str) -> Vec<String> {
-    s.split(',')
-        .map(|p| p.trim().to_owned())
-        .filter(|p| !p.is_empty())
-        .collect()
+fn csv(s: &str) -> impl Iterator<Item = &str> {
+    s.split(',').map(str::trim).filter(|p| !p.is_empty())
 }
 
 /// Parses `off(base)` or `(base)` into `(offset, base_register_name)`.

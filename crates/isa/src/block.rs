@@ -174,8 +174,8 @@ impl BlockTrace {
     /// static code into templates, pre-resolves each template's
     /// footprint, and moves every memory op's effective address into
     /// the operand stream. Blocks are sliced straight out of the record
-    /// array and compared in packed form; only a block that starts a
-    /// new template is decoded.
+    /// array and unpacked into the builder's open block, so the oracle
+    /// and a capture share one interning routine.
     pub fn lower(trace: &PackedTrace) -> BlockTrace {
         let s = trace.stats();
         let mut builder = BlockTraceBuilder {
@@ -196,7 +196,8 @@ impl BlockTrace {
                 .position(PackedOp::is_control_flow)
                 .map_or(rest.len().min(MAX_BLOCK_OPS), |p| p + 1);
             let (block, tail) = rest.split_at(len);
-            builder.add_block(block);
+            builder.open.extend(block.iter().map(PackedOp::unpack));
+            builder.close_block();
             rest = tail;
         }
         builder.finish()
@@ -291,11 +292,11 @@ impl BlockTrace {
 
 /// Builds a [`BlockTrace`] from a dynamic trace delivered one op at a
 /// time, so a capture never materialises the 16-byte-per-op
-/// [`PackedTrace`]. At most one open block (≤ [`MAX_BLOCK_OPS`]
-/// records) is buffered; each block is closed and interned as soon as
-/// its control-flow op or the cap arrives. [`BlockTrace::lower`] slices
-/// whole blocks out of a held record array into the same routine, so
-/// both paths produce identical lowerings.
+/// [`PackedTrace`]. At most one open block (≤ [`MAX_BLOCK_OPS`] ops) is
+/// buffered; each block is closed and interned as soon as its
+/// control-flow op or the cap arrives. [`BlockTrace::lower`] unpacks
+/// whole blocks sliced out of a held record array into the same
+/// routine, so both paths produce identical lowerings.
 ///
 /// ```
 /// use aurora_isa::{BlockTrace, BlockTraceBuilder, OpKind, PackedTrace, TraceOp};
@@ -317,11 +318,8 @@ impl BlockTrace {
 pub struct BlockTraceBuilder {
     out: BlockTrace,
     index: TemplateIndex,
-    /// Each template's records with addresses cleared, laid out like
-    /// the op pool: what a candidate block is compared against.
-    keys: Vec<PackedOp>,
-    /// The open block: records since the last block boundary.
-    open: Vec<PackedOp>,
+    /// The open block: ops since the last block boundary.
+    open: Vec<TraceOp>,
 }
 
 impl BlockTraceBuilder {
@@ -333,11 +331,10 @@ impl BlockTraceBuilder {
     /// Appends one op of the dynamic trace, in program order.
     pub fn push(&mut self, op: TraceOp) {
         self.out.stats.record(&op);
-        let rec = PackedOp::pack(&op);
-        self.open.push(rec);
+        self.open.push(op);
         // The cut `BlockTrace::lower` makes by slicing: after a
         // control-flow op, or at the cap.
-        if rec.is_control_flow() || self.open.len() == MAX_BLOCK_OPS {
+        if op.kind.is_control_flow() || self.open.len() == MAX_BLOCK_OPS {
             self.close_block();
         }
     }
@@ -355,53 +352,35 @@ impl BlockTraceBuilder {
     }
 
     /// Interns the open block and empties the buffer, keeping its
-    /// allocation for the next block.
+    /// allocation for the next: the block's addresses go to the operand
+    /// stream, and its static code is compared against the pooled ops
+    /// (addresses cleared) of the templates already interned from the
+    /// same head pc, or becomes a new one.
     fn close_block(&mut self) {
-        let open = std::mem::take(&mut self.open);
-        self.add_block(&open);
-        self.open = open;
-        self.open.clear();
-    }
-
-    /// Appends one complete block: its addresses go to the operand
-    /// stream, and its static code is matched against the templates
-    /// already interned from the same head pc, or becomes a new one.
-    fn add_block(&mut self, block: &[PackedOp]) {
+        let block = self.open.as_slice();
         let Some(head) = block.first() else { return };
         let out = &mut self.out;
         out.total_ops += block.len() as u64;
-        out.addrs.extend(
-            block
-                .iter()
-                .filter(|r| r.is_memory())
-                .map(PackedOp::payload),
-        );
-        let keys = &mut self.keys;
-        let candidates = self.index.entry(head.pc()).or_default();
-        // Compared last record first: blocks from one head pc mostly
-        // differ only in their control op's outcome or target.
+        out.addrs
+            .extend(block.iter().filter_map(|op| op.kind.effective_address()));
+        let candidates = self.index.entry(head.pc).or_default();
+        // Compared last op first: blocks from one head pc mostly differ
+        // only in their control op's outcome or target.
         let found = candidates.iter().copied().find(|&id| {
             out.templates.get(id as usize).is_some_and(|t| {
-                let start = t.start as usize;
-                keys.get(start..start + t.len()).is_some_and(|k| {
-                    k.len() == block.len()
-                        && k.iter()
-                            .rev()
-                            .zip(block.iter().rev())
-                            .all(|(k, r)| *k == r.without_address())
-                })
+                let pooled = out.ops_of(t);
+                pooled.len() == block.len()
+                    && pooled
+                        .iter()
+                        .rev()
+                        .zip(block.iter().rev())
+                        .all(|(p, op)| *p == without_address(op))
             })
         });
         let id = found.unwrap_or_else(|| {
             let id = u32::try_from(out.templates.len()).unwrap_or(u32::MAX);
             let start = out.pool.len();
-            keys.extend(block.iter().map(PackedOp::without_address));
-            let decoded = keys
-                .get(start..)
-                .unwrap_or(&[])
-                .iter()
-                .map(PackedOp::unpack);
-            out.pool.extend(decoded);
+            out.pool.extend(block.iter().map(without_address));
             let ops = out.pool.get(start..).unwrap_or(&[]);
             let tmpl = analyze(u32::try_from(start).unwrap_or(u32::MAX), ops);
             out.templates.push(tmpl);
@@ -409,6 +388,18 @@ impl BlockTraceBuilder {
             id
         });
         out.seq.push(id);
+        self.open.clear();
+    }
+}
+
+/// `op`'s static part, as the pool holds it: a memory op's effective
+/// address is cleared; everything else (pc, kind, width, registers, a
+/// control op's outcome and target) is kept.
+#[inline]
+fn without_address(op: &TraceOp) -> TraceOp {
+    TraceOp {
+        kind: op.kind.with_address(0),
+        ..*op
     }
 }
 

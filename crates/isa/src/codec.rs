@@ -9,10 +9,9 @@
 //! * `payload` — the effective address or control-flow target,
 //! * `dst` / `src1` / `src2` — one-byte register codes.
 //!
-//! Keeping the enum↔field mapping in one place means the packed oracle
-//! and the block builder, which keys its templates on packed records,
-//! can never disagree about what a byte means. No trace outlives the
-//! process that captured it, so the encoding may change freely.
+//! The packed oracle is its only user; the block builder interns
+//! unpacked [`TraceOp`](crate::TraceOp)s. No trace outlives the process
+//! that captured it, so the encoding may change freely.
 
 // Ops are bit-packed here, so a silent truncation would corrupt every
 // replay of a captured trace: clippy (`-D warnings` in ci.sh) rejects

@@ -1,6 +1,5 @@
 //! Functional emulator with MIPS branch-delay-slot semantics.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::instr::Instruction;
@@ -11,49 +10,69 @@ use crate::trace::{ArchReg, MemWidth, OpKind, TraceOp};
 
 const PAGE_BITS: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
+/// Page-number bits resolved by a second-level table; the top
+/// `32 - PAGE_BITS - LEAF_BITS` address bits index the root.
+const LEAF_BITS: u32 = 10;
+const LEAF_PAGES: usize = 1 << LEAF_BITS;
+const ROOT_LEAVES: usize = 1 << (32 - PAGE_BITS - LEAF_BITS);
 
-/// Sparse paged byte-addressable memory.
-#[derive(Debug, Default, Clone)]
+type Page = Box<[u8; PAGE_SIZE]>;
+type Leaf = Box<[Option<Page>; LEAF_PAGES]>;
+
+/// Sparse paged byte-addressable memory over the whole 32-bit space: a
+/// two-level table indexed directly by address bits, so a load or store
+/// costs two indexed reads and no hashing. Pages are allocated on first
+/// write; unmapped bytes read as zero.
+#[derive(Debug, Clone)]
 struct Memory {
-    pages: HashMap<u32, Box<[u8; PAGE_SIZE]>>,
+    root: Box<[Option<Leaf>; ROOT_LEAVES]>,
 }
 
 impl Memory {
+    fn new() -> Memory {
+        Memory {
+            root: Box::new([const { None }; ROOT_LEAVES]),
+        }
+    }
+
+    fn page(&self, addr: u32) -> Option<&[u8; PAGE_SIZE]> {
+        let leaf = self.root[(addr >> (PAGE_BITS + LEAF_BITS)) as usize].as_ref()?;
+        leaf[(addr >> PAGE_BITS) as usize & (LEAF_PAGES - 1)].as_deref()
+    }
+
     fn page_mut(&mut self, addr: u32) -> &mut [u8; PAGE_SIZE] {
-        self.pages
-            .entry(addr >> PAGE_BITS)
-            .or_insert_with(|| Box::new([0; PAGE_SIZE]))
+        let leaf = self.root[(addr >> (PAGE_BITS + LEAF_BITS)) as usize]
+            .get_or_insert_with(|| Box::new([const { None }; LEAF_PAGES]));
+        leaf[(addr >> PAGE_BITS) as usize & (LEAF_PAGES - 1)]
+            .get_or_insert_with(|| Box::new([0; PAGE_SIZE]))
     }
 
-    fn read(&self, addr: u32, buf: &mut [u8]) {
-        let off = (addr as usize) & (PAGE_SIZE - 1);
-        if off + buf.len() <= PAGE_SIZE {
-            // Common case: the access sits inside one page — a single
-            // page lookup instead of one per byte.
-            match self.pages.get(&(addr >> PAGE_BITS)) {
-                Some(p) => buf.copy_from_slice(&p[off..off + buf.len()]),
-                None => buf.fill(0),
+    /// Fills `buf` from `addr` on, a page at a time; addresses wrap at
+    /// the top of the address space.
+    fn read(&self, mut addr: u32, mut buf: &mut [u8]) {
+        while !buf.is_empty() {
+            let off = addr as usize & (PAGE_SIZE - 1);
+            let n = buf.len().min(PAGE_SIZE - off);
+            let (chunk, rest) = buf.split_at_mut(n);
+            match self.page(addr) {
+                Some(p) => chunk.copy_from_slice(&p[off..off + n]),
+                None => chunk.fill(0),
             }
-            return;
-        }
-        for (i, b) in buf.iter_mut().enumerate() {
-            let a = addr.wrapping_add(i as u32);
-            *b = match self.pages.get(&(a >> PAGE_BITS)) {
-                Some(p) => p[(a as usize) & (PAGE_SIZE - 1)],
-                None => 0,
-            };
+            addr = addr.wrapping_add(n as u32);
+            buf = rest;
         }
     }
 
-    fn write(&mut self, addr: u32, bytes: &[u8]) {
-        let off = (addr as usize) & (PAGE_SIZE - 1);
-        if off + bytes.len() <= PAGE_SIZE {
-            self.page_mut(addr)[off..off + bytes.len()].copy_from_slice(bytes);
-            return;
-        }
-        for (i, &b) in bytes.iter().enumerate() {
-            let a = addr.wrapping_add(i as u32);
-            self.page_mut(a)[(a as usize) & (PAGE_SIZE - 1)] = b;
+    /// Copies `bytes` to `addr` on, a page at a time; addresses wrap at
+    /// the top of the address space.
+    fn write(&mut self, mut addr: u32, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let off = addr as usize & (PAGE_SIZE - 1);
+            let n = bytes.len().min(PAGE_SIZE - off);
+            let (chunk, rest) = bytes.split_at(n);
+            self.page_mut(addr)[off..off + n].copy_from_slice(chunk);
+            addr = addr.wrapping_add(n as u32);
+            bytes = rest;
         }
     }
 
@@ -154,7 +173,7 @@ impl<'p> Emulator<'p> {
     /// Creates an emulator with the program's data segment loaded and the
     /// stack pointer initialised.
     pub fn new(program: &'p Program) -> Emulator<'p> {
-        let mut mem = Memory::default();
+        let mut mem = Memory::new();
         mem.write(program.data().base, &program.data().bytes);
         let mut regs = [0; 32];
         regs[Reg::SP.number() as usize] = STACK_TOP;
@@ -770,6 +789,119 @@ fn make_trace_op(pc: u32, instr: &Instruction) -> TraceOp {
 mod tests {
     use super::*;
     use crate::asm::Assembler;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// A start address for a random access: within 8 KB of 0, within
+    /// 8 KB of `0xFFFF_FFFF`, within a page either side of the data
+    /// segment's base, or anywhere (mostly on pages never written).
+    fn pick_addr(region: u8, off: u32, anywhere: u32) -> u32 {
+        match region {
+            0 => off,
+            1 => u32::MAX - off,
+            2 => crate::program::DATA_BASE - PAGE_SIZE as u32 + off,
+            _ => anywhere,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The page table reads back what a byte map holds for the same
+        /// random mix of 1-, 2- and 4-byte and multi-page accesses,
+        /// unmapped bytes read zero, and accesses wrap at the top of the
+        /// address space.
+        #[test]
+        fn memory_matches_a_byte_map(
+            ops in proptest::collection::vec(
+                (0u8..16, 0u8..4, 0u32..8192, any::<u32>(), any::<u32>(), 1usize..9000),
+                1..100,
+            ),
+        ) {
+            let mut mem = Memory::new();
+            let mut reference: BTreeMap<u32, u8> = BTreeMap::new();
+            let expect = |reference: &BTreeMap<u32, u8>, addr: u32, len: usize| -> Vec<u8> {
+                (0..len)
+                    .map(|i| {
+                        let a = addr.wrapping_add(i as u32);
+                        reference.get(&a).copied().unwrap_or(0)
+                    })
+                    .collect()
+            };
+            for (kind, region, off, anywhere, value, long) in ops {
+                let addr = pick_addr(region, off, anywhere);
+                // Kinds 0-5: 1-, 2- and 4-byte reads then writes; 6-7:
+                // multi-page writes and reads; the rest: 4-byte reads,
+                // which on the "anywhere" region mostly hit pages never
+                // written.
+                let len = match kind {
+                    0 | 3 => 1,
+                    1 | 4 => 2,
+                    6 | 7 => long,
+                    _ => 4,
+                };
+                if (3..=6).contains(&kind) {
+                    let bytes: Vec<u8> = (0..len)
+                        .map(|i| value.wrapping_mul(2_654_435_761).wrapping_add(i as u32) as u8)
+                        .collect();
+                    mem.write(addr, &bytes);
+                    for (i, &b) in bytes.iter().enumerate() {
+                        reference.insert(addr.wrapping_add(i as u32), b);
+                    }
+                } else {
+                    let mut buf = vec![0xA5; len];
+                    mem.read(addr, &mut buf);
+                    prop_assert_eq!(buf, expect(&reference, addr, len));
+                }
+            }
+            for (&a, &b) in &reference {
+                let mut one = [0];
+                mem.read(a, &mut one);
+                prop_assert_eq!(one[0], b);
+            }
+        }
+    }
+
+    #[test]
+    fn multi_page_data_segment_reads_back_byte_for_byte() {
+        let words: Vec<String> = (0..5000u32)
+            .map(|i| i.wrapping_mul(2_654_435_761).to_string())
+            .collect();
+        let src = format!(
+            ".data\n .byte 7\n .word {}\n.text\n break\n",
+            words.join(", ")
+        );
+        let program = Assembler::new().assemble(&src).unwrap();
+        let data = program.data();
+        assert!(data.bytes.len() > 4 * PAGE_SIZE);
+        let emu = Emulator::new(&program);
+        let mut back = vec![0; data.bytes.len()];
+        emu.mem.read(data.base, &mut back);
+        assert_eq!(back, data.bytes);
+        assert_eq!(emu.mem.read_u32(data.end().next_multiple_of(4)), 0);
+    }
+
+    #[test]
+    fn a_cloned_emulator_writes_its_own_memory() {
+        let program = Assembler::new()
+            .assemble(
+                ".data\narr: .word 1\n.text\n la $t0, arr\n li $t1, 99\n sw $t1, 0($t0)\n sw $t1, -4($sp)\n break\n",
+            )
+            .unwrap();
+        let emu = Emulator::new(&program);
+        let mut copy = emu.clone();
+        copy.run(100).unwrap();
+        assert!(copy.is_halted());
+        let base = program.data().base;
+        assert_eq!(copy.mem.read_u32(base), 99);
+        assert_eq!(copy.mem.read_u32(STACK_TOP - 4), 99);
+        assert_eq!(emu.mem.read_u32(base), 1, "the original's data page");
+        assert_eq!(
+            emu.mem.read_u32(STACK_TOP - 4),
+            0,
+            "a page only the copy mapped"
+        );
+    }
 
     fn run_program(src: &str) -> (Emulator<'_>, Vec<TraceOp>) {
         // Leak the program so the emulator can borrow it in a return value;

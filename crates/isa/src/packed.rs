@@ -12,8 +12,7 @@
 //! sweeps and every serve cell, sampled ones included, replay the block
 //! form ([`BlockTrace`](crate::BlockTrace)) instead.
 //!
-//! The field encoding is the shared [`codec`](crate::codec); the block
-//! builder keys its templates on the same packed records.
+//! The field encoding is the [`codec`](crate::codec).
 //!
 //! ```
 //! use aurora_isa::{OpKind, PackedTrace, TraceOp};
@@ -102,16 +101,6 @@ impl PackedOp {
         codec::unpack_kind(self.kind, self.aux, self.payload)
     }
 
-    /// Whether the record is a load or store, whose payload is its
-    /// effective address.
-    #[inline]
-    pub(crate) fn is_memory(&self) -> bool {
-        matches!(
-            self.kind,
-            codec::K_LOAD | codec::K_STORE | codec::K_FP_LOAD | codec::K_FP_STORE
-        )
-    }
-
     /// Whether the record is a branch or jump.
     #[inline]
     pub(crate) fn is_control_flow(&self) -> bool {
@@ -119,24 +108,6 @@ impl PackedOp {
             self.kind,
             codec::K_BRANCH | codec::K_BRANCH_TAKEN | codec::K_JUMP | codec::K_JUMP_REG
         )
-    }
-
-    /// The raw payload: a memory op's effective address, a control op's
-    /// target, zero otherwise.
-    #[inline]
-    pub(crate) fn payload(&self) -> u32 {
-        self.payload
-    }
-
-    /// The record's static part: a memory op's effective address is
-    /// cleared, everything else (pc, kind, width, registers, a control
-    /// op's outcome and target) is kept.
-    #[inline]
-    pub(crate) fn without_address(&self) -> PackedOp {
-        PackedOp {
-            payload: if self.is_memory() { 0 } else { self.payload },
-            ..*self
-        }
     }
 }
 

@@ -158,7 +158,7 @@ fn usage(err: &str) -> ExitCode {
          \n\
          Parses the workspace rooted at the nearest lint.toml, builds the\n\
          cross-crate call graph, and enforces the hot-path, dead-counter,\n\
-         config-coverage, pool-blocking and untrusted-input invariants.\n\
+         pool-blocking and untrusted-input invariants.\n\
          Hot-path and pool rules propagate transitively from the roots\n\
          declared in lint.toml. Exits non-zero when any unsuppressed\n\
          finding remains."

@@ -1192,11 +1192,11 @@ impl<'t> Parser<'t> {
                     self.skip_attrs();
                     self.parse_expr(ns)
                 }
-                // A block-bodied match arm followed by a slice-pattern arm
-                // (`_ => {} [.., x] => ..`) parses as an index on the
-                // block, landing the operand parse on the pattern's `,` or
-                // `]`. That token belongs to the list parser — consuming
-                // it here desynchronizes every statement after it.
+                // An operand missing before a closing delimiter or a
+                // separator, as in malformed input (`let x = ;`, `v[]`,
+                // `_ => }`); no shipped file or lint fixture reaches it.
+                // That token belongs to the list parser — consuming it
+                // here desynchronizes every statement after it.
                 ")" | "]" | "}" | "," | ";" => Expr::Opaque(line),
                 _ => {
                     self.pos += 1;
@@ -1604,7 +1604,14 @@ impl<'t> Parser<'t> {
                         self.pos += 2;
                     }
                     let before = self.pos;
-                    let body = self.parse_expr(false);
+                    // A block body ends the arm at its `}`, as in rustc:
+                    // a following slice-pattern arm (`_ => {} [.., x] =>`)
+                    // is not an index on the block.
+                    let body = if self.at_punct("{") {
+                        Expr::Block(self.parse_block())
+                    } else {
+                        self.parse_expr(false)
+                    };
                     if self.pos == before {
                         self.pos += 1;
                     }
@@ -1914,6 +1921,18 @@ mod tests {
             panic!("got {:?}", f.body[0])
         };
         assert_eq!(arms.len(), 2);
+    }
+
+    #[test]
+    fn block_bodied_arm_ends_before_a_slice_pattern() {
+        let f = only_fn("fn f(p: &[u32]) -> u32 { match p { [] => {} [.., x] => g(x), } }");
+        let Stmt::Expr(Expr::Match { arms, .. }) = &f.body[0] else {
+            panic!("got {:?}", f.body[0])
+        };
+        assert_eq!(arms.len(), 2);
+        assert!(matches!(arms[0].body, Expr::Block(_)));
+        let names: Vec<_> = arms[1].bindings.iter().map(|b| b.name.as_str()).collect();
+        assert_eq!(names, ["x"]);
     }
 
     #[test]

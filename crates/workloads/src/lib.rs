@@ -140,4 +140,56 @@ mod tests {
         assert!(workload_by_name("no-such-kernel", Scale::Test).is_none());
         assert!(workload_by_name("", Scale::Small).is_none());
     }
+
+    /// Capture-layer rates over the 15 test-scale kernels: emulation
+    /// alone (an empty sink), the packed capture, the block capture, the
+    /// oracle lowering of a held packed trace, and `Emulator::new` (the
+    /// data-segment load and the per-instruction templates). Manual
+    /// benchmark:
+    ///
+    /// ```text
+    /// cargo test --release -p aurora-workloads -- --ignored capture_rates --nocapture
+    /// ```
+    #[test]
+    #[ignore = "manual benchmark; run with --release --ignored --nocapture"]
+    fn capture_rates() {
+        use aurora_isa::{BlockTrace, Emulator};
+        use std::hint::black_box;
+        use std::time::Instant;
+        let kernels: Vec<Workload> = IntBenchmark::ALL
+            .map(|b| b.workload(Scale::Test))
+            .into_iter()
+            .chain(FpBenchmark::ALL.map(|b| b.workload(Scale::Test)))
+            .collect();
+        let packed: Vec<_> = kernels.iter().map(|w| w.capture().unwrap()).collect();
+        let ops: usize = packed.iter().map(|t| t.len()).sum();
+        let names = ["emulate", "capture", "capture_blocks", "lower"];
+        let mut best = [f64::MAX; 5];
+        // Interleaved rounds, so a slow stretch of the host does not
+        // land on one component's every run.
+        for _ in 0..9 {
+            for (k, best) in best.iter_mut().enumerate() {
+                let t = Instant::now();
+                for (w, trace) in kernels.iter().zip(&packed) {
+                    match k {
+                        0 => drop(black_box(w.run_traced(|_| {}).unwrap())),
+                        1 => drop(black_box(w.capture().unwrap())),
+                        2 => drop(black_box(w.capture_blocks().unwrap())),
+                        3 => drop(black_box(BlockTrace::lower(trace))),
+                        _ => drop(black_box(Emulator::new(w.program()))),
+                    }
+                }
+                *best = best.min(t.elapsed().as_secs_f64());
+            }
+        }
+        println!("{} kernels, {ops} ops; best of 9 rounds:", kernels.len());
+        for (name, best) in names.iter().zip(best) {
+            println!(
+                "{name:15} {:7.2} ms {:7.1} Mops/s",
+                best * 1e3,
+                ops as f64 / best / 1e6
+            );
+        }
+        println!("{:15} {:7.2} ms", "Emulator::new", best[4] * 1e3);
+    }
 }

@@ -1,6 +1,6 @@
 //! The [`Workload`] wrapper: an assembled kernel plus trace utilities.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use aurora_isa::{
@@ -273,7 +273,7 @@ pub(crate) fn words_data(seed: u64, n: usize, bound: u32, per_line: usize) -> St
             if i > chunk_start {
                 out.push_str(", ");
             }
-            out.push_str(&rng.gen_range(0..bound.max(1)).to_string());
+            let _ = write!(out, "{}", rng.gen_range(0..bound.max(1)));
         }
         out.push('\n');
     }
@@ -292,7 +292,7 @@ pub(crate) fn doubles_data(seed: u64, n: usize, lo: f64, hi: f64, per_line: usiz
                 out.push_str(", ");
             }
             let v: f64 = rng.gen_range(lo..hi);
-            out.push_str(&format!("{v:.6}"));
+            let _ = write!(out, "{v:.6}");
         }
         out.push('\n');
     }
