@@ -15,7 +15,9 @@
 //! per-category difference is within 1% for every kernel and prints the
 //! worst observed deviation (expected: 0).
 
-use aurora_bench::harness::{cpi, fp_suite, integer_suite, scale_from_args, TextTable};
+use aurora_bench::harness::{
+    cpi, drain_cells_timed, fp_suite, integer_suite, scale_from_args, TextTable,
+};
 use aurora_core::obs::DEFAULT_RING_CAPACITY;
 use aurora_core::{
     IssueWidth, MachineConfig, MachineModel, Observer, SimStats, Simulator, StallCause, StallKind,
@@ -68,20 +70,10 @@ fn main() {
     for model in MachineModel::ALL {
         let cfg: MachineConfig = model.config(IssueWidth::Dual, LatencyModel::Fixed(17));
 
-        // One observed replay per kernel, in parallel (each needs its own
-        // simulator + observer, so the counter-oriented run_matrix does
-        // not apply here).
-        let cfg_ref = &cfg;
-        let cells: Vec<Cell> = std::thread::scope(|scope| {
-            let handles: Vec<_> = suite
-                .iter()
-                .map(|w| scope.spawn(move || observe(cfg_ref, w)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("observe thread"))
-                .collect()
-        });
+        // One observed replay per kernel on the sweep pool (each needs its
+        // own simulator + observer, so the counter-oriented run_matrix
+        // does not apply here).
+        let (cells, _) = drain_cells_timed(suite.len(), |i| observe(&cfg, &suite[i]), |_, _| {});
 
         // Per-kernel cross-check: the event-derived per-kind cycles must
         // match the counters within 1% (they are exactly equal by

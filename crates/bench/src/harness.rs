@@ -18,7 +18,7 @@
 //! Statistics stay bit-identical throughout.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use aurora_core::{replay_blocks, MachineConfig, SimStats, Simulator};
@@ -107,40 +107,57 @@ impl MatrixMetrics {
 }
 
 /// Runs `cells` independent jobs through the work-stealing sweep pool,
-/// invoking `on_cell` on the worker thread as each job completes. This
+/// invoking `on_cell` on the calling thread as each job completes. This
 /// is the library form of the grid drain behind [`run_matrix`]: callers
 /// with a sparse or heterogeneous cell list (the `aurora-serve` query
 /// engine batching cold design-space cells, a sampled-mode sweep) reuse
 /// the same pool sizing, work stealing and [`MatrixMetrics`] profiling
 /// as the full-matrix path.
 ///
-/// `run_cell(i)` computes cell `i`; results come back as `Vec<R>` in
-/// cell order. `on_cell(i, &result)` fires in *completion* order, on the
-/// pool thread that finished the cell — keep it cheap and non-blocking
-/// (forward into a channel for anything heavier: the drain loop is the
-/// `[[pool]]` lint root, so blocking calls reachable from it fail L013).
+/// `run_cell(i)` computes cell `i` on a pool thread; results come back
+/// as `Vec<R>` in cell order. Each finished cell crosses a channel to
+/// the caller, where `on_cell(i, &result)` fires in *completion* order,
+/// so it may block or do I/O (a store append, a response write) without
+/// holding up a pool thread: the drain loop is the `[[pool]]` lint
+/// root, and L013 checks that nothing reachable from it blocks.
 ///
 /// # Panics
 ///
 /// Propagates panics from `run_cell`/`on_cell` (a panicking cell is a
 /// bug in the cell function, not an operational error).
-pub fn drain_cells_timed<R, F, C>(cells: usize, run_cell: F, on_cell: C) -> (Vec<R>, MatrixMetrics)
+pub fn drain_cells_timed<R, F, C>(
+    cells: usize,
+    run_cell: F,
+    mut on_cell: C,
+) -> (Vec<R>, MatrixMetrics)
 where
-    R: Send + Sync,
+    R: Send,
     F: Fn(usize) -> R + Sync,
-    C: Fn(usize, &R) + Sync,
+    C: FnMut(usize, &R),
 {
     if cells == 0 {
         return (Vec::new(), MatrixMetrics::default());
     }
-    let results: Vec<OnceLock<R>> = (0..cells).map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
     let threads = sweep_threads(cells);
     let drain_start = Instant::now();
+    let mut finished: Vec<(usize, R)> = Vec::with_capacity(cells);
     let profile: Vec<(usize, f64)> = std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel();
         let handles: Vec<_> = (0..threads)
-            .map(|_| scope.spawn(|| drain_worker(&next, cells, &run_cell, &on_cell, &results)))
+            .map(|_| {
+                let tx = tx.clone();
+                let (next, run_cell) = (&next, &run_cell);
+                scope.spawn(move || drain_worker(next, cells, run_cell, &tx))
+            })
             .collect();
+        // Only the workers' clones remain, so the receive loop ends
+        // exactly when the last worker finishes.
+        drop(tx);
+        for (cell, r) in rx {
+            on_cell(cell, &r);
+            finished.push((cell, r));
+        }
         handles
             .into_iter()
             .map(|h| h.join().expect("sweep thread"))
@@ -153,14 +170,8 @@ where
         per_thread_cells: profile.iter().map(|&(done, _)| done).collect(),
         per_thread_seconds: profile.iter().map(|&(_, busy)| busy).collect(),
     };
-    let out: Vec<R> = results
-        .into_iter()
-        .map(|c| match c.into_inner() {
-            Some(r) => r,
-            None => unreachable!("cell not simulated"),
-        })
-        .collect();
-    (out, metrics)
+    finished.sort_unstable_by_key(|&(cell, _)| cell);
+    (finished.into_iter().map(|(_, r)| r).collect(), metrics)
 }
 
 /// Replays every workload against every configuration: the universal
@@ -236,21 +247,19 @@ pub fn run_matrix_timed(
 }
 
 /// One work-stealing pool thread's share of a cell drain: claim cells
-/// off the shared counter until the list is exhausted, returning the
-/// cell count and busy seconds this worker accumulated. Declared as the
-/// `[[pool]]` root in lint.toml — nothing reachable from here may block
-/// (L013), or the sweep serializes on whichever thread holds the lock.
-fn drain_worker<R, F, C>(
+/// off the shared counter until the list is exhausted, sending each
+/// result to the calling thread, and return the cell count and busy
+/// seconds this worker accumulated. Declared as the `[[pool]]` root in
+/// lint.toml — nothing reachable from here may block (L013), or the
+/// sweep serializes on whichever thread holds the lock.
+fn drain_worker<R, F>(
     next: &AtomicUsize,
     cells: usize,
     run_cell: &F,
-    on_cell: &C,
-    results: &[OnceLock<R>],
+    tx: &mpsc::Sender<(usize, R)>,
 ) -> (usize, f64)
 where
-    R: Send + Sync,
-    F: Fn(usize) -> R + Sync,
-    C: Fn(usize, &R) + Sync,
+    F: Fn(usize) -> R,
 {
     let mut done = 0usize;
     let mut busy = 0.0f64;
@@ -263,9 +272,10 @@ where
         let r = run_cell(cell);
         busy += t.elapsed().as_secs_f64();
         done += 1;
-        on_cell(cell, &r);
-        if results[cell].set(r).is_err() {
-            unreachable!("cell simulated twice");
+        // A closed channel means the caller is unwinding from a panic
+        // in `on_cell`; stop claiming cells.
+        if tx.send((cell, r)).is_err() {
+            return (done, busy);
         }
     }
 }
@@ -406,19 +416,31 @@ mod tests {
 
     #[test]
     fn drain_cells_returns_in_cell_order_and_fires_callback_per_cell() {
-        use std::sync::Mutex;
-        let seen = Mutex::new(Vec::new());
-        let (out, metrics) =
-            drain_cells_timed(25, |i| i * i, |i, &r| seen.lock().unwrap().push((i, r)));
+        let mut seen = Vec::new();
+        let (out, metrics) = drain_cells_timed(25, |i| i * i, |i, &r| seen.push((i, r)));
         assert_eq!(out, (0..25).map(|i| i * i).collect::<Vec<_>>());
         assert_eq!(metrics.cells, 25);
         assert_eq!(metrics.per_thread_cells.iter().sum::<usize>(), 25);
-        let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();
         assert_eq!(seen, (0..25).map(|i| (i, i * i)).collect::<Vec<_>>());
         let (empty, m0) = drain_cells_timed(0, |_| 0u32, |_, _| {});
         assert!(empty.is_empty());
         assert_eq!(m0.threads, 0);
+    }
+
+    #[test]
+    fn on_cell_runs_on_the_calling_thread() {
+        use std::sync::Mutex;
+        use std::thread::{current, ThreadId};
+        let caller = current().id();
+        let seen: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+        drain_cells_timed(8, |i| i, |_, _| seen.lock().unwrap().push(current().id()));
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 8);
+        assert!(
+            seen.iter().all(|&id| id == caller),
+            "on_cell left the caller"
+        );
     }
 
     #[test]

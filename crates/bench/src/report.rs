@@ -16,7 +16,7 @@ use aurora_cost::ipu_cost;
 use aurora_mem::LatencyModel;
 use aurora_workloads::{FpBenchmark, IntBenchmark, Scale, Workload};
 
-use crate::harness::{cpi, cpi_range, fp_suite, integer_suite, run_cached, run_matrix, run_suite};
+use crate::harness::{cpi, cpi_range, fp_suite, integer_suite, run_matrix, run_suite};
 
 /// A fraction as a percentage with one decimal, the report's precision.
 fn pct(x: f64) -> String {
@@ -858,10 +858,23 @@ pub fn extension_doubleword(scale: Scale) -> String {
         "| benchmark | 2x32-bit CPI | 64-bit CPI | gain |\n|---|---|---|---|"
     );
     let cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
+    // One sweep over both variants: single-word kernels first, then the
+    // double-word ones, in FpBenchmark::ALL order.
+    let workloads: Vec<Workload> = FpBenchmark::ALL
+        .iter()
+        .map(|b| b.workload(scale))
+        .chain(
+            FpBenchmark::ALL
+                .iter()
+                .map(|b| b.workload_doubleword(scale)),
+        )
+        .collect();
+    let row = run_matrix(std::slice::from_ref(&cfg), &workloads)
+        .pop()
+        .expect("one row");
+    let (single, double) = row.split_at(FpBenchmark::ALL.len());
     let mut total_gain = 0.0;
-    for b in FpBenchmark::ALL {
-        let sw = run_cached(&cfg, &b.workload(scale));
-        let dw = run_cached(&cfg, &b.workload_doubleword(scale));
+    for ((b, sw), dw) in FpBenchmark::ALL.iter().zip(single).zip(double) {
         // Compare cycles for the same work, not CPI (instruction counts differ).
         let gain = (sw.cycles as f64 - dw.cycles as f64) / sw.cycles as f64;
         total_gain += gain;

@@ -326,22 +326,6 @@ impl Fpu {
         self.latest_event.max(self.rob.drained_at())
     }
 
-    /// The next cycle after `now` at which an FPU queue drains or an
-    /// in-flight instruction retires — the earliest moment the unit could
-    /// unblock a waiting dispatcher. Part of the event-horizon protocol.
-    pub(crate) fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        [
-            self.iq.front().copied(),
-            self.ldq.front().copied(),
-            self.stq.front().copied(),
-            self.rob.next_free_at(),
-        ]
-        .into_iter()
-        .flatten()
-        .filter(|&t| t > now)
-        .min()
-    }
-
     fn latency_of(&self, kind: OpKind) -> u32 {
         match kind {
             OpKind::FpAdd | OpKind::FpCmp => self.cfg.add_latency,

@@ -365,26 +365,18 @@ impl Observer {
         }
     }
 
-    /// Records one event, updating the exact aggregates and overwriting
-    /// the oldest ring entry when full. This is the simulator's per-event
-    /// hot path: allocation- and panic-free by construction.
+    /// Records a batch of events in order, updating the exact aggregates
+    /// and overwriting the oldest ring entry when full: allocation- and
+    /// panic-free by construction. The simulator stages events in a
+    /// small fixed array inside its issue loop and flushes it here once
+    /// per issue group, so the cold outlined call (and its
+    /// branch-predictor miss) is paid per group, not per event.
     ///
     /// Never inlined: the simulator's issue loop tests for an attached
-    /// observer and skips the call entirely, and outlining keeps the
+    /// observer before staging anything, and outlining keeps the
     /// disabled path's code footprint at a null test instead of a
-    /// ring-write body per record site (the unobserved throughput budget
+    /// ring-write body per flush site (the unobserved throughput budget
     /// is ≤2%).
-    #[cold]
-    #[inline(never)]
-    pub fn record(&mut self, cycle: u64, kind: ObsEventKind) {
-        self.record_one(cycle, kind);
-    }
-
-    /// Records a batch of staged events in order, equivalent to calling
-    /// [`Observer::record`] once per event. The simulator buffers events
-    /// in a small fixed array inside its issue loop and flushes per
-    /// group, so the cold outlined call (and its branch-predictor miss)
-    /// is paid once per issue group instead of once per event.
     #[cold]
     #[inline(never)]
     pub fn record_batch(&mut self, events: &[ObsEvent]) {
@@ -618,6 +610,10 @@ fn trace_event(
 mod tests {
     use super::*;
 
+    fn ev(cycle: u64, kind: ObsEventKind) -> ObsEvent {
+        ObsEvent { cycle, kind }
+    }
+
     #[test]
     fn cause_kind_map_is_total_and_onto() {
         // Every coarse kind is reachable from at least one cause.
@@ -639,9 +635,10 @@ mod tests {
     #[test]
     fn ring_wraps_dropping_oldest() {
         let mut o = Observer::new(4);
-        for i in 0..10u64 {
-            o.record(i, ObsEventKind::Fetch { pc: i });
-        }
+        let fetches: Vec<ObsEvent> = (0..10u64)
+            .map(|i| ev(i, ObsEventKind::Fetch { pc: i }))
+            .collect();
+        o.record_batch(&fetches);
         assert_eq!(o.len(), 4);
         assert_eq!(o.capacity(), 4);
         assert_eq!(o.dropped(), 6);
@@ -653,13 +650,13 @@ mod tests {
     fn aggregates_survive_ring_drops() {
         let mut o = Observer::new(2);
         for i in 0..100u64 {
-            o.record(
+            o.record_batch(&[ev(
                 i,
                 ObsEventKind::Stall {
                     cause: StallCause::DcacheLoad,
                     cycles: 3,
                 },
-            );
+            )]);
         }
         assert_eq!(o.len(), 2);
         assert_eq!(o.stall_cycles(StallCause::DcacheLoad), 300);
@@ -685,14 +682,16 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let mut o = Observer::new(8);
-        o.record(5, ObsEventKind::DcacheMiss { latency: 20 });
-        o.record(
-            6,
-            ObsEventKind::Stall {
-                cause: StallCause::Icache,
-                cycles: 4,
-            },
-        );
+        o.record_batch(&[
+            ev(5, ObsEventKind::DcacheMiss { latency: 20 }),
+            ev(
+                6,
+                ObsEventKind::Stall {
+                    cause: StallCause::Icache,
+                    cycles: 4,
+                },
+            ),
+        ]);
         o.reset();
         assert!(o.is_empty());
         assert_eq!(o.total_stall_cycles(), 0);
@@ -703,19 +702,21 @@ mod tests {
     #[test]
     fn json_mentions_every_track() {
         let mut o = Observer::new(16);
-        o.record(0, ObsEventKind::Fetch { pc: 64 });
-        o.record(1, ObsEventKind::IcacheMiss { latency: 17 });
-        o.record(
-            2,
-            ObsEventKind::Stall {
-                cause: StallCause::MshrFull,
-                cycles: 5,
-            },
-        );
-        o.record(3, ObsEventKind::MshrAlloc { occupancy: 1 });
-        o.record(9, ObsEventKind::MshrFree { held: 6 });
-        o.record(4, ObsEventKind::WriteCacheMerge);
-        o.record(5, ObsEventKind::FpQueueDepth { depth: 2 });
+        o.record_batch(&[
+            ev(0, ObsEventKind::Fetch { pc: 64 }),
+            ev(1, ObsEventKind::IcacheMiss { latency: 17 }),
+            ev(
+                2,
+                ObsEventKind::Stall {
+                    cause: StallCause::MshrFull,
+                    cycles: 5,
+                },
+            ),
+            ev(3, ObsEventKind::MshrAlloc { occupancy: 1 }),
+            ev(9, ObsEventKind::MshrFree { held: 6 }),
+            ev(4, ObsEventKind::WriteCacheMerge),
+            ev(5, ObsEventKind::FpQueueDepth { depth: 2 }),
+        ]);
         let json = Json::parse(&o.chrome_trace_json()).expect("trace parses");
         assert_eq!(
             json.get("displayTimeUnit").and_then(Json::as_str),

@@ -91,13 +91,6 @@ impl ReorderBuffer {
             .map(|&front| front.max(self.last_retire))
     }
 
-    /// The next cycle at which this buffer's observable state can change —
-    /// the oldest entry's in-order retirement, if any entries are live.
-    /// Part of the event-horizon protocol: no slot frees before this.
-    pub fn next_event_cycle(&self) -> Option<u64> {
-        self.next_free_at()
-    }
-
     /// Whether a push would currently succeed.
     pub fn has_space(&self) -> bool {
         self.entries.len() < self.capacity

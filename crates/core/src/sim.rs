@@ -26,11 +26,10 @@
 //! # Event-horizon scheduling
 //!
 //! The clock advances in one jump per issue group: the binding constraint
-//! (the latest per-unit ready time) *is* the next event horizon for the
-//! stalled front end, and every unit exposes a `next_event_cycle()` hook
-//! reporting the earliest cycle its own state can change. Unit
-//! maintenance inside a jump is deferred and applied at the target cycle
-//! in arrival order, which is sound because all of it is monotone and
+//! (the latest per-unit ready time) *is* the jump target, and nothing
+//! issues in between. Unit maintenance inside a jump (fills in arrival
+//! order, ROB retirement, MSHR release) is deferred and applied at the
+//! target cycle, which is exact because all of it is monotone and
 //! path-independent (see `docs/MODEL.md`). The naive reference engine
 //! (`Simulator::naive_reference`, a test oracle) instead walks every
 //! intervening cycle performing maintenance each time; both produce
@@ -40,8 +39,8 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use aurora_isa::{
-    ArchReg, BlockTemplate, BlockTrace, EmuError, Emulator, OpKind, PackedTrace, Program, TraceOp,
-    WarmDigest, WarmKind,
+    static_pair_ok, ArchReg, BlockTemplate, BlockTrace, EmuError, Emulator, OpKind, PackedTrace,
+    Program, TraceOp, WarmDigest, WarmKind,
 };
 use aurora_mem::{
     Biu, DecodedICache, DirectMappedCache, Geometry, LineAddr, MshrFile, PairInfo, StreamBuffers,
@@ -154,16 +153,10 @@ pub struct Simulator<'cfg> {
     obs_buf_len: u8,
     warm_cycle_offset: u64,
     stats: SimStats,
-    /// Whether the clock jumps straight to the event horizon; `false`
-    /// only in the naive reference engine ([`Simulator::naive_reference`]),
-    /// which walks every cycle.
+    /// Whether the clock jumps straight to each group's binding
+    /// constraint; `false` only in the naive reference engine
+    /// ([`Simulator::naive_reference`]), which walks every cycle.
     horizon_jump: bool,
-    /// Debug-build cross-check for the event-horizon protocol: the last
-    /// `(now, horizon)` reported by [`Simulator::next_event_cycle`].
-    /// While the machine is quiescent (no issue in between) the horizon
-    /// must never move backward; issuing invalidates the probe.
-    #[cfg(debug_assertions)]
-    horizon_probe: std::cell::Cell<Option<(u64, u64)>>,
 }
 
 impl<'cfg> Simulator<'cfg> {
@@ -210,14 +203,12 @@ impl<'cfg> Simulator<'cfg> {
             warm_cycle_offset: 0,
             stats: SimStats::default(),
             horizon_jump: true,
-            #[cfg(debug_assertions)]
-            horizon_probe: std::cell::Cell::new(None),
         }
     }
 
     /// The event-horizon oracle: a simulator that walks every cycle
     /// between issue groups, performing unit maintenance at each one,
-    /// instead of jumping the clock to the next event horizon. It is a
+    /// instead of jumping the clock to the binding constraint. It is a
     /// reference engine for the differential suites, not a product mode:
     /// its [`SimStats`] must be bit-equal to [`Simulator::new`]'s on any
     /// trace, and [`Simulator::feed_blocks`] walks op by op under it.
@@ -468,8 +459,6 @@ impl<'cfg> Simulator<'cfg> {
         // A group whose partner would lie beyond the run exits to the
         // generic path, which owns every cross-boundary pairing call.
         while j + 1 < end {
-            #[cfg(debug_assertions)]
-            self.horizon_probe.set(None);
             if self.next_fill_at <= self.now {
                 self.apply_fills(self.now);
             }
@@ -705,10 +694,6 @@ impl<'cfg> Simulator<'cfg> {
     /// (the pending queue for [`Simulator::feed`], the block templates
     /// for [`Simulator::feed_blocks`]).
     fn issue_pair(&mut self, first: &TraceOp, second: Option<&TraceOp>) -> bool {
-        // Issuing mutates unit state, so any previously probed event
-        // horizon is void from here on.
-        #[cfg(debug_assertions)]
-        self.horizon_probe.set(None);
         if self.next_fill_at <= self.now {
             self.apply_fills(self.now);
         }
@@ -886,69 +871,12 @@ impl<'cfg> Simulator<'cfg> {
         }
     }
 
-    /// The earliest cycle after the current one at which any unit's
-    /// observable state can change: the aggregate event horizon. `None`
-    /// means the machine is fully drained — nothing is in flight anywhere
-    /// and only a new instruction can change state.
-    pub fn next_event_cycle(&self) -> Option<u64> {
-        let now = self.now;
-        let horizon = [
-            (self.next_fill_at != u64::MAX).then_some(self.next_fill_at),
-            self.mshrs.next_event_cycle(),
-            self.rob.next_event_cycle(),
-            self.biu.next_event_cycle(now),
-            self.streams.as_ref().and_then(|s| s.next_event_cycle(now)),
-            self.fpu.next_event_cycle(now),
-            (self.dcache_port_free > now).then_some(self.dcache_port_free),
-        ]
-        .into_iter()
-        .flatten()
-        .filter(|&t| t > now)
-        .min();
-        // Monotonicity invariant: while the machine is quiescent (no issue
-        // between two probes), the reported horizon must never move
-        // backward — cycle skipping relies on exactly this to be safe.
-        #[cfg(debug_assertions)]
-        {
-            let packed = horizon.unwrap_or(u64::MAX);
-            if let Some((probe_now, probe_h)) = self.horizon_probe.get() {
-                if probe_now == now {
-                    debug_assert!(
-                        packed >= probe_h,
-                        "event horizon moved backward while quiescent at cycle {now}: \
-                         {probe_h} -> {packed}"
-                    );
-                }
-            }
-            self.horizon_probe.set(Some((now, packed)));
-        }
-        horizon
-    }
-
     /// Whether `second` can issue in the same cycle `t` as `first`.
     fn can_dual_issue(&mut self, first: &TraceOp, second: &TraceOp, t: u64) -> bool {
-        if self.cfg.issue_width != IssueWidth::Dual {
-            return false;
-        }
-        // Must be the aligned EVEN/ODD pair (Figure 3).
-        if !first.pc.is_multiple_of(8) || second.pc != first.pc + 4 {
-            return false;
-        }
-        // Only a single memory access instruction per cycle (§2).
-        if first.kind.is_memory() && second.kind.is_memory() {
-            return false;
-        }
-        // The DI bit: a true dependency inside the pair prohibits dual issue.
-        if let Some(dst) = first.dst {
-            if second.sources().any(|s| s == dst) {
-                return false;
-            }
-        }
-        // HI/LO and condition-code chains count as dependencies too.
-        if matches!(first.kind, OpKind::FpCmp)
-            && matches!(second.kind, OpKind::Branch { .. })
-            && second.src1 == Some(ArchReg::FpCond)
-        {
+        // The static rules are the ones lowering pre-resolves into
+        // `BlockTemplate::pair_ok`: alignment, one memory op, the DI bit
+        // and the FP-compare→branch hazard.
+        if self.cfg.issue_width != IssueWidth::Dual || !static_pair_ok(first, second) {
             return false;
         }
         // The partner's own operands and resources must be ready at `t`.

@@ -190,38 +190,6 @@ impl SimStats {
 }
 
 impl SimStats {
-    /// Column headers matching [`SimStats::csv_row`], for plotting scripts.
-    pub fn csv_header() -> &'static str {
-        "cycles,instructions,cpi,icache_hit,dcache_hit,ipf_hit,dpf_hit,         wc_hit,wc_traffic,dual_rate,stall_icache,stall_load,stall_rob,         stall_lsu,stall_fpq,stall_fpr,stall_interlock"
-    }
-
-    /// One comma-separated row of the headline metrics.
-    pub fn csv_row(&self) -> String {
-        let s = |k: StallKind| format!("{:.4}", self.stall_cpi(k));
-        format!(
-            "{},{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{},{},{},{},{},{},{}",
-            self.cycles,
-            self.instructions,
-            self.cpi(),
-            self.icache.hit_rate(),
-            self.dcache.hit_rate(),
-            self.istream.hit_rate(),
-            self.dstream.hit_rate(),
-            self.write_cache.hit_rate(),
-            self.write_cache.traffic_ratio(),
-            self.dual_issue_rate(),
-            s(StallKind::ICache),
-            s(StallKind::Load),
-            s(StallKind::RobFull),
-            s(StallKind::LsuBusy),
-            s(StallKind::FpQueue),
-            s(StallKind::FpResult),
-            s(StallKind::Interlock),
-        )
-    }
-}
-
-impl SimStats {
     /// Serializes every counter into a standalone snapshot image: the
     /// versioned `AURACKPT` container of [`aurora_isa::SnapshotWriter`].
     /// This is the persistence format of the `aurora-serve` result store,
@@ -396,19 +364,6 @@ mod tests {
             ..Default::default()
         };
         assert!(stats.to_string().contains("CPI 1.500"));
-    }
-
-    #[test]
-    fn csv_row_matches_header_width() {
-        let stats = SimStats {
-            cycles: 10,
-            instructions: 5,
-            ..Default::default()
-        };
-        let header_cols = SimStats::csv_header().split(',').count();
-        let row_cols = stats.csv_row().split(',').count();
-        assert_eq!(header_cols, row_cols);
-        assert!(stats.csv_row().starts_with("10,5,2.0000"));
     }
 
     #[test]

@@ -75,9 +75,9 @@ pub struct BlockTemplate {
     pub(crate) start: u32,
     /// Number of ops (1 ..= [`MAX_BLOCK_OPS`]).
     pub(crate) len: u16,
-    /// Bit `j` set: ops `j` and `j + 1` satisfy every *static*
-    /// dual-issue rule (alignment, adjacency, not both memory, no
-    /// intra-pair dependence, no FP-compare/branch hazard). Dynamic
+    /// Bit `j` set: ops `j` and `j + 1` pass [`static_pair_ok`], every
+    /// *static* dual-issue rule (alignment, adjacency, not both memory,
+    /// no intra-pair dependence, no FP-compare/branch hazard). Dynamic
     /// rules — partner readiness, ROB space — remain replay's job.
     pub pair_ok: u64,
     /// Bit `j` set: op `j`'s sources must be re-checked dynamically
@@ -421,11 +421,14 @@ fn slow_writer(kind: OpKind) -> bool {
     matches!(kind, OpKind::Load { .. } | OpKind::IntMul | OpKind::IntDiv)
 }
 
-/// Static dual-issue admissibility of adjacent ops `a`, `b` — exactly
-/// the data-independent prefix of the core's dual-issue rules. A set
-/// bit means "the dynamic checks decide"; a clear bit means the pair
-/// can never issue together.
-fn static_pair_ok(a: &TraceOp, b: &TraceOp) -> bool {
+/// Static dual-issue admissibility of adjacent ops `a`, `b`: the
+/// data-independent prefix of the timing core's dual-issue rules. The
+/// core checks it before the partner's dynamic checks, and lowering
+/// resolves it into [`BlockTemplate::pair_ok`]. `true` means "the
+/// dynamic checks decide"; `false` means the pair can never issue
+/// together.
+#[inline]
+pub fn static_pair_ok(a: &TraceOp, b: &TraceOp) -> bool {
     // Fetch-pair alignment: both halves of one aligned doubleword.
     if !a.pc.is_multiple_of(8) || b.pc != a.pc.wrapping_add(4) {
         return false;

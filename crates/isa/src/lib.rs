@@ -80,7 +80,7 @@ mod snapshot;
 mod trace;
 
 pub use asm::{AsmError, Assembler};
-pub use block::{BlockTemplate, BlockTrace, BlockTraceBuilder, MAX_BLOCK_OPS};
+pub use block::{static_pair_ok, BlockTemplate, BlockTrace, BlockTraceBuilder, MAX_BLOCK_OPS};
 pub use builder::ProgramBuilder;
 pub use digest::{WarmDigest, WarmEvent, WarmKind};
 pub use emu::{EmuError, Emulator, RunOutcome};

@@ -253,17 +253,6 @@ impl Biu {
         }
     }
 
-    /// The next cycle after `now` at which a bus transitions from busy to
-    /// free — the earliest moment a queued requester can make progress.
-    /// Part of the event-horizon protocol: between `now` and this cycle
-    /// the BIU's observable state cannot change.
-    pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        [self.transmit_free_at, self.receive_free_at]
-            .into_iter()
-            .filter(|&t| t > now)
-            .min()
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> BiuStats {
         self.stats

@@ -144,14 +144,6 @@ impl MshrFile {
         (self.next_ready != u64::MAX).then_some(self.next_ready)
     }
 
-    /// The next cycle at which this unit's observable state can change —
-    /// the earliest outstanding fill return, if any. Part of the
-    /// event-horizon protocol: a simulator may skip straight over any
-    /// cycle range that ends before every unit's reported event.
-    pub fn next_event_cycle(&self) -> Option<u64> {
-        self.earliest_completion()
-    }
-
     /// Whether a new primary miss can be accepted right now.
     pub fn has_free(&self) -> bool {
         self.entries.len() < self.capacity
@@ -238,14 +230,14 @@ mod tests {
         let mut m = MshrFile::new(4);
         m.allocate(LineAddr(1), 30).unwrap();
         m.allocate(LineAddr(2), 10).unwrap();
-        assert_eq!(m.next_event_cycle(), Some(10));
+        assert_eq!(m.earliest_completion(), Some(10));
         m.expire(5); // nothing completes: early-out path
         assert_eq!(m.occupancy(), 2);
         m.expire(10);
         assert_eq!(m.occupancy(), 1);
-        assert_eq!(m.next_event_cycle(), Some(30));
+        assert_eq!(m.earliest_completion(), Some(30));
         m.expire(30);
-        assert_eq!(m.next_event_cycle(), None);
+        assert_eq!(m.earliest_completion(), None);
     }
 
     #[test]

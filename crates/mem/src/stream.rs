@@ -231,18 +231,6 @@ impl StreamBuffers {
         }
     }
 
-    /// The next cycle after `now` at which a prefetched line arrives on
-    /// chip. Part of the event-horizon protocol: no buffered line's
-    /// availability changes before this cycle.
-    pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        self.buffers
-            .iter()
-            .flat_map(|b| b.slots.iter())
-            .map(|&(_, SlotState::Arriving(at))| at)
-            .filter(|&at| at > now)
-            .min()
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> StreamStats {
         self.stats

@@ -10,17 +10,17 @@
 //!          ──▶ per-cell memo probe ──▶ warm: emit immediately
 //!                                  └─▶ cold: batch
 //! cold batch ──▶ drain_cells_timed (work-stealing pool)
-//!                  workers: simulate, send over channel   (no blocking)
-//!                  caller:  receive ──▶ append to store ──▶ emit
+//!                  workers: simulate                      (no blocking)
+//!                  caller:  on_cell ──▶ append to store ──▶ emit
 //! finally    ──▶ summary line
 //! ```
 //!
 //! Pool workers never touch a lock, a file or a socket (the drain loop
-//! is the `[[pool]]` lint root — L013): each finished cell crosses an
-//! mpsc channel to the *calling* thread, which owns all I/O — the store
-//! append and the response stream.
+//! is the `[[pool]]` lint root — L013): the drain hands each finished
+//! cell back to the *calling* thread, whose `on_cell` owns all I/O — the
+//! store append and the response stream.
 
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use aurora_bench::harness::drain_cells_timed;
 use aurora_core::{replay_blocks, run_sampled, MachineConfig, SampledStats, SamplingConfig};
@@ -168,51 +168,34 @@ impl Engine {
             traces[wi] = Some(blocks);
         }
 
-        let (tx, rx) = mpsc::channel::<(usize, CellValue)>();
         let run_cell = |i: usize| {
             let (wi, ci) = cold[i];
             let blocks = traces[wi].as_ref().expect("trace captured above");
             compute_cell(&configs[ci], blocks, req.mode, &req.sampling)
         };
-        // The drain blocks until every cold cell is done, so it runs on
-        // a scoped helper thread while this thread consumes completions:
-        // store appends and response writes stay off the pool. The
-        // sender drops with the helper's closure, ending the receive
-        // loop exactly when the drain finishes.
-        let metrics = std::thread::scope(|scope| {
-            let drain = scope.spawn(move || {
-                let on_cell = |i: usize, value: &CellValue| {
-                    // Worker side: hand the finished cell to the caller
-                    // thread. A send failure means the receiver is gone
-                    // (caller panicked); the result still lands in the
-                    // drain's Vec.
-                    let _ = tx.send((i, value.clone()));
-                };
-                let (_, metrics) = drain_cells_timed(cold.len(), run_cell, on_cell);
-                metrics
-            });
-            for (i, value) in rx {
-                let (wi, ci) = cold[i];
-                let key = CellKey {
-                    config_fp: config_fps[ci],
-                    trace_hash: trace_hashes[wi],
-                    mode: req.mode,
-                };
-                // A failed append only costs a re-simulation on some
-                // later query (put leaves the index unchanged on error);
-                // the in-flight response is still correct and complete.
-                let _ = self.store.put(&key, &value);
-                summary.simulated += 1;
-                emit(&cell_line(
-                    ci,
-                    &configs[ci],
-                    &workloads[wi],
-                    CellSource::Simulated,
-                    &value,
-                ));
-            }
-            drain.join().expect("cold drain panicked")
-        });
+        // Runs on this thread as each cell completes: store appends and
+        // response writes stay off the pool.
+        let on_cell = |i: usize, value: &CellValue| {
+            let (wi, ci) = cold[i];
+            let key = CellKey {
+                config_fp: config_fps[ci],
+                trace_hash: trace_hashes[wi],
+                mode: req.mode,
+            };
+            // A failed append only costs a re-simulation on some later
+            // query (put leaves the index unchanged on error); the
+            // in-flight response is still correct and complete.
+            let _ = self.store.put(&key, value);
+            summary.simulated += 1;
+            emit(&cell_line(
+                ci,
+                &configs[ci],
+                &workloads[wi],
+                CellSource::Simulated,
+                value,
+            ));
+        };
+        let (_, metrics) = drain_cells_timed(cold.len(), run_cell, on_cell);
         summary.cold_wall_seconds = metrics.wall_seconds;
         summary.achieved_parallelism = metrics.achieved_parallelism();
         Ok(())

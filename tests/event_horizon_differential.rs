@@ -1,23 +1,29 @@
-//! Differential validation of event-horizon scheduling: the cycle-skip
-//! fast path must be *observationally identical* to the naive reference
-//! engine (`Simulator::naive_reference`) that walks every intervening
-//! cycle performing unit maintenance.
+//! Differential validation of event-horizon scheduling: jumping the
+//! clock to each group's binding constraint must be *observationally
+//! identical* to the naive reference engine
+//! (`Simulator::naive_reference`) that walks every intervening cycle
+//! performing unit maintenance.
 //!
-//! Two layers of evidence:
+//! Three layers of evidence:
 //!
 //! 1. a property test over random short traces — every op kind, register
 //!    shape and address pattern — crossed with all three machine models
-//!    and both issue widths, and
-//! 2. the full 15-kernel suite replayed under both modes.
+//!    and both issue widths,
+//! 2. the full 15-kernel suite replayed under both modes, and
+//! 3. the same suite's block form, batched fast path included, on the
+//!    two configurations that lean hardest on deferred maintenance: a
+//!    starved machine (one entry in every queue, 100-cycle misses),
+//!    whose long stall regions are jumped in one step, and a jittered
+//!    memory latency, whose fills return out of issue order.
 //!
 //! Equality is `SimStats: Eq` — bit-identical counters, not tolerances.
 
 use aurora3::core::{
-    replay, simulate, IssueWidth, MachineConfig, MachineModel, SimStats, Simulator,
+    replay, replay_blocks, simulate, IssueWidth, MachineConfig, MachineModel, SimStats, Simulator,
 };
 use aurora3::isa::{ArchReg, MemWidth, OpKind, TraceOp};
 use aurora3::mem::LatencyModel;
-use aurora3::workloads::{FpBenchmark, IntBenchmark, Scale, Workload};
+use aurora3::workloads::{FpBenchmark, IntBenchmark, Scale, TraceStore, Workload};
 use proptest::prelude::*;
 
 fn reg_from(sel: u8) -> Option<ArchReg> {
@@ -122,10 +128,7 @@ proptest! {
     }
 }
 
-/// Every kernel in both suites produces bit-identical `SimStats` whether
-/// the clock jumps over quiescent regions or walks them cycle by cycle.
-#[test]
-fn all_kernels_agree_skip_vs_naive() {
+fn suite() -> Vec<Workload> {
     let mut workloads: Vec<Workload> = IntBenchmark::ALL
         .into_iter()
         .map(|b| b.workload(Scale::Test))
@@ -136,7 +139,31 @@ fn all_kernels_agree_skip_vs_naive() {
             .map(|b| b.workload(Scale::Test)),
     );
     assert_eq!(workloads.len(), 15);
-    for w in &workloads {
+    workloads
+}
+
+/// Replays every kernel's block form under `cfg` with the clock jumping
+/// (the product engine) and walking every cycle (the naive oracle),
+/// asserts the two agree bit for bit, and returns each kernel's stats.
+fn kernels_agree_skip_vs_naive(cfg: &MachineConfig) -> Vec<(&'static str, SimStats)> {
+    suite()
+        .iter()
+        .map(|w| {
+            let blocks = TraceStore::global().get_blocks(w).expect("kernel captures");
+            let skip = replay_blocks(cfg, &blocks);
+            let mut naive = Simulator::naive_reference(cfg);
+            naive.feed_blocks(&blocks);
+            assert_eq!(skip, naive.finish(), "{} diverged ({})", w.name(), cfg.name);
+            (w.name(), skip)
+        })
+        .collect()
+}
+
+/// Every kernel in both suites produces bit-identical `SimStats` whether
+/// the clock jumps over quiescent regions or walks them cycle by cycle.
+#[test]
+fn all_kernels_agree_skip_vs_naive() {
+    for w in &suite() {
         let trace = w.capture().expect("kernel captures");
         for issue in [IssueWidth::Single, IssueWidth::Dual] {
             let cfg = config(MachineModel::Baseline, issue);
@@ -146,6 +173,44 @@ fn all_kernels_agree_skip_vs_naive() {
                 naive.feed(op);
             }
             assert_eq!(skip, naive.finish(), "{} diverged ({issue:?})", w.name());
+        }
+    }
+}
+
+/// Resource starvation (one MSHR, write-cache line, ROB entry and stream
+/// buffer, every FPU queue, the FPU ROB and the result busses at one,
+/// 100-cycle memory) makes nearly every group wait on a single entry's
+/// release, so the jump skips the longest stall regions.
+#[test]
+fn starved_machine_agrees_skip_vs_naive() {
+    let mut cfg: MachineConfig =
+        MachineModel::Small.config(IssueWidth::Dual, LatencyModel::Fixed(100));
+    cfg.mshr_entries = 1;
+    cfg.write_cache_lines = 1;
+    cfg.rob_entries = 1;
+    cfg.prefetch_buffers = 1;
+    cfg.prefetch_depth = 1;
+    cfg.fpu.instr_queue = 1;
+    cfg.fpu.load_queue = 1;
+    cfg.fpu.store_queue = 1;
+    cfg.fpu.rob_entries = 1;
+    cfg.fpu.result_busses = 1;
+    cfg.validate().expect("starved config is still valid");
+    for (name, stats) in kernels_agree_skip_vs_naive(&cfg) {
+        assert!(stats.cycles >= stats.instructions, "{name} impossible CPI");
+    }
+}
+
+/// A seeded-uniform memory latency returns fills out of issue order, so
+/// deferred fills must still land in arrival order.
+#[test]
+fn jittered_latency_agrees_skip_vs_naive() {
+    for seed in [1u64, 42] {
+        let mut cfg = MachineModel::Baseline
+            .config(IssueWidth::Dual, LatencyModel::Uniform { lo: 9, hi: 25 });
+        cfg.seed = seed;
+        for (name, stats) in kernels_agree_skip_vs_naive(&cfg) {
+            assert!(stats.cycles > 0, "{name} produced no cycles (seed {seed})");
         }
     }
 }
